@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .generate import generate_random_instance
-from .oracle import IntegratorConfig, verify_instance
+from .oracle import IntegratorConfig, sample_times, verify_instance
 from .periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
 from .polysys import enumerate_multi_indices
 from .serialization import (
@@ -123,8 +123,8 @@ def _cmd_eval(args) -> int:
     t_star = blow_up_time(sol)
     if t_star is not None and args.t_max >= t_star:
         raise SingularTime(f"t_max={args.t_max} at or beyond blow-up time {t_star}")
-    times = np.linspace(0.0, args.t_max, args.samples)
-    states = np.vstack([eval_closed_form(sol, t) for t in times])
+    times = sample_times(args.t_max, args.samples)
+    states = eval_closed_form(sol, times)
     write_trajectory_csv(Trajectory(times, states, SOURCE_CLOSED_FORM), args.out)
     return 0
 

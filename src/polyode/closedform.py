@@ -48,22 +48,27 @@ def blow_up_time(sol: ClosedFormSolution) -> float | None:
     return None
 
 
-def eval_closed_form(sol: ClosedFormSolution, t: float) -> np.ndarray:
-    """Evaluate the closed-form solution at time t >= 0.
+def eval_closed_form(sol: ClosedFormSolution, t) -> np.ndarray:
+    """Evaluate the closed-form solution at time t >= 0, or at each time of
+    a 1-D array (one state per row). Returns z0 exactly at t = 0.
 
     Uses the principal branch of the complex power; on [0, t*) the bracket
     1 + K t never crosses the negative real axis, so the branch is
-    continuous there. Refuses |1 + K t| < 1e-12 and t at or beyond blow-up.
+    continuous there. Refuses (for the whole call) a non-finite time, t < 0,
+    |1 + K t| < 1e-12 and t at or beyond blow-up.
     """
-    t = float(t)
-    if t < 0:
-        raise NegativeTime(f"closed form is defined for t >= 0, got t={t}")
-    if t == 0:
-        return sol.z0.copy()
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValidationError("closed form needs finite times")
+    if (times < 0).any():
+        raise NegativeTime(f"closed form is defined for t >= 0, got t={times.min()}")
     t_star = blow_up_time(sol)
-    if t_star is not None and t >= t_star - BRACKET_GUARD:
-        raise SingularTime(f"t={t} at or beyond blow-up time t*={t_star}")
-    bracket = 1 + sol.k * t
-    if abs(bracket) < BRACKET_GUARD:
-        raise SingularTime(f"|1 + K t| = {abs(bracket):.3e} below guard at t={t}")
-    return sol.z0 * bracket ** (1.0 / (1 - sol.m))
+    if t_star is not None and (times >= t_star - BRACKET_GUARD).any():
+        raise SingularTime(f"t={times.max()} at or beyond blow-up time t*={t_star}")
+    bracket = 1 + sol.k * times
+    gap = np.abs(bracket).min(initial=np.inf)
+    if gap < BRACKET_GUARD:
+        raise SingularTime(f"|1 + K t| = {gap:.3e} below guard")
+    states = np.multiply.outer(bracket ** (1.0 / (1 - sol.m)), sol.z0)
+    states[times == 0] = sol.z0
+    return states

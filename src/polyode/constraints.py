@@ -28,6 +28,8 @@ from .polysys import (
     PolynomialSystem,
     as_state,
     evaluate_rhs,
+    monomials,
+    power_positions,
     validate_multi_index,
 )
 
@@ -141,14 +143,6 @@ def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:
     return x
 
 
-def _monomial(z: np.ndarray, index: MultiIndex) -> complex:
-    value = 1 + 0j
-    for comp, exp in zip(z, index):
-        for _ in range(exp):
-            value *= comp
-    return value
-
-
 def solve_linear_selection(
     system: PolynomialSystem,
     z0,
@@ -192,7 +186,8 @@ def solve_linear_selection(
         if isinstance(slot, RateK):
             a[:, col] = z0
         else:
-            a[slot.eq - 1, col] = -(1 - system.m) * _monomial(z0, slot.index)
+            monomial = monomials(z0, power_positions(slot.index), system.m)
+            a[slot.eq - 1, col] = -(1 - system.m) * monomial
     solution = _gauss_solve(a, -base, SingularSystem)
 
     coeffs = dict(fixed)
@@ -212,27 +207,15 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     Entry (n, j) is K*delta_{nj} - (1-M) * sum_m c_{n,m} m_j z^{m - e_j}.
     """
     z = as_state(z, system.n)
-    k = complex(k)
-    n, m = system.n, system.m
-    pows = np.empty((n, m + 1), dtype=complex)
-    pows[:, 0] = 1.0
-    for e in range(1, m + 1):
-        pows[:, e] = pows[:, e - 1] * z
-    cols = np.arange(n)
-    jac = k * np.eye(n, dtype=complex)
-    for row, (coeffs, exps) in enumerate(system._per_equation):
-        if not coeffs.size:
-            continue
-        for j in range(n):
-            mj = exps[:, j]
-            active = mj > 0
-            if not np.any(active):
-                continue
-            reduced = exps[active].copy()
-            reduced[:, j] -= 1
-            monomials = pows[cols, reduced].prod(axis=1)
-            deriv = (coeffs[active] * mj[active] * monomials).sum()
-            jac[row, j] -= (1 - m) * deriv
+    coeffs, exponents, _ = system._basis
+    jac = complex(k) * np.eye(system.n, dtype=complex)
+    for j in range(system.n):
+        # Only the basis monomials with m_j > 0 depend on z_j.
+        active = exponents[:, j] > 0
+        reduced = exponents[active]
+        reduced[:, j] -= 1
+        deriv = exponents[active, j] * monomials(z, power_positions(reduced), system.m)
+        jac[:, j] -= (1 - system.m) * (coeffs[:, active] @ deriv)
     return jac
 
 

@@ -36,7 +36,7 @@ def _emit_base_artifacts(instance, out: Path) -> dict:
     t_star = blow_up_time(sol)
     t_end = 0.8 * min(t_star if t_star is not None else 1.0, 1.0)
     times = np.linspace(0.0, t_end, 201)
-    states = np.vstack([eval_closed_form(sol, t) for t in times])
+    states = eval_closed_form(sol, times)
     write_trajectory_csv(Trajectory(times, states, SOURCE_CLOSED_FORM), out / "closed_form.csv")
 
     integrated = integrate(

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroOmega,
 )
-from .polysys import PolynomialSystem, as_state, evaluate_rhs
+from .polysys import PolynomialSystem, evaluate_rhs
 from .trajectory import SOURCE_CLOSED_FORM, Trajectory
 
 BRACKET_GUARD = 1e-10
@@ -65,9 +65,9 @@ def periodize(system: PolynomialSystem, omega: float) -> PeriodicSystem:
 
 
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
-    """Right-hand side of the complexified system at state w (autonomous)."""
-    w = as_state(w, psys.base.n)
-    return 1j * psys.rotation_rate * w + evaluate_rhs(psys.base, w)
+    """Right-hand side of the complexified system at state w (autonomous);
+    ``evaluate_rhs`` validates w."""
+    return evaluate_rhs(psys.base, w) + 1j * psys.rotation_rate * np.asarray(w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,7 +70,7 @@ def as_state(z, n: int) -> np.ndarray:
     arr = np.asarray(z, dtype=complex)
     if arr.shape != (n,):
         raise ValidationError(f"state has shape {arr.shape}, expected ({n},)")
-    if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError("state contains non-finite components")
     return arr
 
@@ -108,43 +108,54 @@ class PolynomialSystem:
         object.__setattr__(self, "coefficients", ordered)
 
     @cached_property
-    def _per_equation(self):
-        """Per-equation (coefficient vector, exponent matrix) in canonical order."""
-        table = []
-        for eq in range(1, self.n + 1):
-            items = [(idx, c) for (e, idx), c in self.coefficients.items() if e == eq]
-            if items:
-                exps = np.array([idx for idx, _ in items], dtype=np.int64)
-                coeffs = np.array([c for _, c in items], dtype=complex)
-            else:
-                exps = np.empty((0, self.n), dtype=np.int64)
-                coeffs = np.empty(0, dtype=complex)
-            table.append((coeffs, exps))
-        return table
+    def _basis(self):
+        """The system over one basis, the U multi-indices stored in any
+        equation (canonical order): the (n x U) coefficient matrix, the
+        (U x n) exponent matrix and its ``power_positions``."""
+        indices = sorted({index for _, index in self.coefficients}, reverse=True)
+        column = {index: u for u, index in enumerate(indices)}
+        coeffs = np.zeros((self.n, len(indices)), dtype=complex)
+        for (eq, index), value in self.coefficients.items():
+            coeffs[eq - 1, column[index]] = value
+        exponents = np.array(indices, dtype=np.intp).reshape(len(indices), self.n)
+        return coeffs, exponents, power_positions(exponents)
 
     def coefficient(self, eq: int, index) -> complex:
         return self.coefficients.get((eq, tuple(index)), 0j)
 
 
+def power_positions(exponents) -> np.ndarray:
+    """Positions in the flattened power table of ``monomials`` of the
+    factors z_j^e_j, for each row e of an integer exponent array (..., n)."""
+    exponents = np.asarray(exponents, dtype=np.intp)
+    return exponents * exponents.shape[-1] + np.arange(exponents.shape[-1])
+
+
+def monomials(z: np.ndarray, positions: np.ndarray, degree: int) -> np.ndarray:
+    """Values z^e of the monomials whose exponent rows e (none above
+    ``degree``) map to ``positions`` (see ``power_positions``).
+
+    Powers are built by repeated multiplication (exact for integer
+    exponents, 0^0 = 1); each monomial is the product of its n factors.
+    """
+    pows = np.empty((degree + 1, z.size), dtype=complex)
+    pows[0] = 1.0
+    for e in range(1, degree + 1):
+        np.multiply(pows[e - 1], z, out=pows[e])
+    return pows.ravel().take(positions).prod(axis=-1)
+
+
 def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:
     """Evaluate the polynomial right-hand sides at state ``z``.
 
-    Powers are built by repeated multiplication (exact for integer
-    exponents, 0^0 = 1) and each equation is summed in canonical
-    multi-index order, so the floating-point result is deterministic.
+    The state is validated on every call. The monomials of the system's
+    basis are summed by one BLAS matrix-vector product, so the summation
+    order is BLAS's, not canonical multi-index order; the result is
+    deterministic for a given input.
     """
     z = as_state(z, system.n)
-    pows = np.empty((system.n, system.m + 1), dtype=complex)
-    pows[:, 0] = 1.0
-    for e in range(1, system.m + 1):
-        pows[:, e] = pows[:, e - 1] * z
-    cols = np.arange(system.n)
-    out = np.zeros(system.n, dtype=complex)
-    for i, (coeffs, exps) in enumerate(system._per_equation):
-        if coeffs.size:
-            monomials = pows[cols, exps].prod(axis=1)
-            out[i] = (coeffs * monomials).sum()
-    return out
+    coeffs, _, positions = system._basis
+    return coeffs.dot(monomials(z, positions, system.m))
 
 
 def scale_state(z, lam) -> np.ndarray:

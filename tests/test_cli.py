@@ -105,6 +105,24 @@ def test_verify(instance_file, capsys):
     assert report["samples"] == 32
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--t-max", "nan"],
+        ["verify", "--t-max", "inf"],
+        ["verify", "--t-max", "0.4", "--samples", "0"],
+        ["verify", "--t-max", "0.4", "--samples", "1"],
+        ["eval", "--t-max", "0.4", "--samples", "0", "--out", "unused.csv"],
+    ],
+)
+def test_bad_times_and_samples_are_validation_errors(instance_file, capsys, args):
+    path, _ = instance_file
+    assert main(args[:1] + ["--instance", str(path)] + args[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_tolerance_failure(instance_file):
     path, _ = instance_file
     code = main(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyode.closedform import ClosedFormSolution, blow_up_time, eval_closed_form
-from polyode.errors import NegativeTime, SingularTime
+from polyode.errors import NegativeTime, SingularTime, ValidationError
 from polyode.generate import generate_random_instance
 from polyode.polysys import evaluate_rhs
 
@@ -56,6 +56,35 @@ class TestEval:
         ts = np.linspace(0, 3, 50)
         mags = np.array([np.abs(eval_closed_form(sol, t)) for t in ts])
         assert np.all(np.diff(mags, axis=0) <= 0)
+
+
+class TestEvalArray:
+    @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 4, 2), (3, 3, 3), (3, 4, 4)])
+    def test_matches_scalar_calls(self, n, m, seed):
+        sol = ClosedFormSolution.from_instance(generate_random_instance(n, m, seed))
+        t_star = blow_up_time(sol)
+        times = np.linspace(0.0, 0.8 * min(t_star if t_star is not None else 1.0, 1.0), 64)
+        states = eval_closed_form(sol, times)
+        assert states.shape == (64, n)
+        reference = np.vstack([eval_closed_form(sol, float(t)) for t in times])
+        np.testing.assert_allclose(states, reference, rtol=1e-15)
+        assert np.array_equal(states[0], sol.z0)
+
+    def test_zero_times_return_z0_exactly(self):
+        sol = ClosedFormSolution(np.array([0.3 + 0.4j, -1.1]), 0.7 - 0.1j, 4)
+        states = eval_closed_form(sol, np.array([0.0, 0.5, 0.0]))
+        assert np.array_equal(states[0], sol.z0) and np.array_equal(states[2], sol.z0)
+
+    def test_one_bad_time_refuses_the_call(self, riccati_solution):
+        with pytest.raises(NegativeTime):
+            eval_closed_form(riccati_solution, np.array([0.0, 0.5, -0.1]))
+        with pytest.raises(SingularTime):
+            eval_closed_form(riccati_solution, np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), np.array([0.0, np.nan])])
+    def test_rejects_non_finite_time(self, riccati_solution, t):
+        with pytest.raises(ValidationError, match="finite"):
+            eval_closed_form(riccati_solution, t)
 
 
 class TestBlowUpTime:
