@@ -139,8 +139,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_periodize(args) -> int:
     instance = parse_instance_file(args.instance)
-    pcf = PeriodicClosedForm.from_instance(instance, args.omega)
-    times = np.linspace(0.0, pcf.base_period, args.samples + 1)
+    pcf = PeriodicClosedForm(instance, args.omega)
+    times = sample_times(pcf.base_period, args.samples + 1)
     zeta = eval_periodic_closed_form(pcf, times)
     write_trajectory_csv(zeta, args.out, periodic=True)
     return 0
@@ -148,7 +148,7 @@ def _cmd_periodize(args) -> int:
 
 def _cmd_period(args) -> int:
     instance = parse_instance_file(args.instance)
-    pcf = PeriodicClosedForm.from_instance(instance, args.omega)
+    pcf = PeriodicClosedForm(instance, args.omega)
     report = detect_period(pcf, tol=args.tol)
     print(json.dumps(report.as_dict()))
     return 0

@@ -71,7 +71,7 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
     summary = _emit_base_artifacts(instance, out)
 
     omega = 1.0
-    pcf = PeriodicClosedForm.from_instance(instance, omega)
+    pcf = PeriodicClosedForm(instance, omega)
     grid = np.linspace(0.0, pcf.base_period, 4097)
     zeta = eval_periodic_closed_form(pcf, grid)
     write_trajectory_csv(zeta, out / "zeta.csv", periodic=True)

@@ -42,7 +42,9 @@ class SingularBracket(PolyOdeError):
 
 
 class GridTooCoarse(ValidationError):
-    """Sample grid too coarse to track the bracket's phase continuously."""
+    """Sample grid too coarse to track the bracket's phase continuously.
+    No longer raised by polyode (the periodic closed form is exact on any
+    grid); kept for code that catches it."""
 
 
 class NotClosed(PolyOdeError):

@@ -47,6 +47,7 @@ def generate_random_instance(
         raise ValidationError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
     if not 0 < density <= 1:
         raise ValidationError(f"density must be in (0, 1], got {density}")
+    indices = enumerate_multi_indices(n, m)
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([int(seed), attempt])
@@ -58,7 +59,7 @@ def generate_random_instance(
         pure_keys = {(slot.eq, slot.index) for slot in pure}
         coeffs = {}
         for eq in range(1, n + 1):
-            for index in enumerate_multi_indices(n, m):
+            for index in indices:
                 if (eq, index) in pure_keys:
                     continue
                 if rng.random() < density:

@@ -9,12 +9,15 @@ autonomous system
 whose 2N real components (x_n, y_n) = (Re w_n, Im w_n) satisfy the rotated
 real form. On the solvable family the solution is
 
-    zeta_n(t) = z_n(0) * exp(i*omega*t/(M-1)) * g(t)^(1/(1-M)) ,
-    g(t) = 1 + K*(exp(i*omega*t) - 1)/(i*omega) ,
+    zeta_n(t) = z_n(0) * exp((i*omega*t - log g(t))/(M-1)) ,
+    g(t) = 1 + K*(exp(i*omega*t) - 1)/(i*omega) = c + a*exp(i*omega*t) ,
 
-with the fractional power continued continuously in t (unwrapped phase of
-g). All such trajectories are periodic with period an integer multiple of
-the base period 2*pi/|omega|, unless g hits zero on the real axis.
+with a = K/(i*omega) and c = 1 - a. The bracket g traces a circle of radius
+|a| about c once per base period 2*pi/|omega|, so its continuous logarithm
+and its winding number q about the origin are exact: q = 0 when |c| > |a|,
+q = sgn(omega) when |c| < |a|, and the circle passes through the origin
+when |c| = |a|. Every trajectory is periodic with period an integer
+multiple of the base period, unless g hits zero on the real axis.
 """
 
 from __future__ import annotations
@@ -25,20 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import SolvableInstance
-from .errors import (
-    GridTooCoarse,
-    NotClosed,
-    SingularBracket,
-    ValidationError,
-    ZeroOmega,
-)
+from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
 from .polysys import PolynomialSystem, evaluate_rhs
 from .trajectory import SOURCE_CLOSED_FORM, Trajectory
 
 BRACKET_GUARD = 1e-10
-MAX_PHASE_STEP = math.pi / 4
-DEFAULT_GRID = 4096
 DEFAULT_CLOSURE_TOL = 1e-8
+
+
+def _checked_omega(omega) -> float:
+    omega = float(omega)
+    if omega == 0:
+        raise ZeroOmega("omega must be nonzero")
+    if not math.isfinite(omega):
+        raise ValidationError(f"omega must be finite, got {omega}")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,7 @@ class PeriodicSystem:
     omega: float
 
     def __post_init__(self):
-        if self.omega == 0:
-            raise ZeroOmega("omega must be nonzero")
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", _checked_omega(self.omega))
 
     @property
     def rotation_rate(self) -> float:
@@ -73,19 +75,13 @@ def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PeriodicClosedForm:
     """Closed-form solution of the periodized system, built from a valid
-    solvable instance and a nonzero frequency."""
+    solvable instance and a finite nonzero frequency."""
 
     instance: SolvableInstance
     omega: float
 
     def __post_init__(self):
-        if self.omega == 0:
-            raise ZeroOmega("omega must be nonzero")
-        object.__setattr__(self, "omega", float(self.omega))
-
-    @classmethod
-    def from_instance(cls, instance: SolvableInstance, omega: float) -> "PeriodicClosedForm":
-        return cls(instance, omega)
+        object.__setattr__(self, "omega", _checked_omega(self.omega))
 
     @property
     def z0(self) -> np.ndarray:
@@ -113,40 +109,42 @@ def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
     return 1 + pcf.k * (np.exp(1j * pcf.omega * times) - 1) / (1j * pcf.omega)
 
 
-def _unwrapped_bracket_arg(g: np.ndarray) -> np.ndarray:
-    """Cumulative argument of g along the grid, increments wrapped to
-    (-pi, pi]; rejects steps that rotate g by more than pi/4."""
-    if np.abs(g).min() < BRACKET_GUARD:
+def _log_bracket(pcf: PeriodicClosedForm, times: np.ndarray) -> tuple[np.ndarray, int]:
+    """Continuous log g(t) on the given times, and the winding number q of g
+    about the origin per base period.
+
+    With g = c + a*exp(i*omega*t), factor out the larger of the circle's
+    centre c and radius |a|: the remaining log1p argument has modulus below
+    1, so its principal branch is continuous. At t = 0 both forms give 0
+    (q = 0 forces Re c > 1/2, otherwise Re a > 1/2). min |g| over the
+    circle is ||c| - |a||; a margin below BRACKET_GUARD*(|a| + |c|) raises
+    SingularBracket, which also covers the cancellation in c = 1 - a at
+    tiny omega.
+    """
+    omega = pcf.omega
+    a = pcf.k / (1j * omega)
+    c = 1 - a
+    margin = abs(abs(c) - abs(a))
+    if not margin >= BRACKET_GUARD * (abs(a) + abs(c)):
         raise SingularBracket(
-            f"|g| reaches {np.abs(g).min():.3e}; trajectory not globally defined"
+            f"bracket circle passes within {margin:.3e} of 0; trajectory not globally defined"
         )
-    increments = np.angle(g[1:] / g[:-1])
-    if increments.size and np.abs(increments).max() > MAX_PHASE_STEP:
-        raise GridTooCoarse(
-            f"bracket phase step {np.abs(increments).max():.3f} rad exceeds pi/4"
-        )
-    arg = np.empty(g.size)
-    arg[0] = np.angle(g[0])
-    np.cumsum(increments, out=arg[1:])
-    arg[1:] += arg[0]
-    return arg
+    phase = 1j * omega * times
+    if abs(c) > abs(a):
+        return np.log(c) + np.log1p((a / c) * np.exp(phase)), 0
+    return np.log(a) + phase + np.log1p((c / a) * np.exp(-phase)), 1 if omega > 0 else -1
 
 
 def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
-    """Evaluate zeta on a grid starting at 0, with the fractional power of
-    the bracket continued continuously (phase unwrapping along the grid)."""
+    """Evaluate zeta on strictly increasing finite times, with the
+    fractional power of the bracket taken on its continuous logarithm.
+    Returns z0 exactly at t = 0."""
     times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or times[0] != 0:
-        raise ValidationError("time grid must be one-dimensional and start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValidationError("time grid must be strictly increasing")
-    g = bracket_values(pcf, times)
-    arg = _unwrapped_bracket_arg(g)
-    exponent = 1.0 / (1 - pcf.m)
-    power = np.exp(exponent * (np.log(np.abs(g)) + 1j * arg))
-    prefactor = np.exp(1j * pcf.omega * times / (pcf.m - 1))
-    states = pcf.z0[None, :] * (prefactor * power)[:, None]
-    states[0] = pcf.z0
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValidationError("time grid must be one-dimensional and finite")
+    log_g, _ = _log_bracket(pcf, times)
+    states = np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (pcf.m - 1)), pcf.z0)
+    states[times == 0] = pcf.z0
     return Trajectory(times, states, SOURCE_CLOSED_FORM)
 
 
@@ -164,25 +162,14 @@ class PeriodReport:
         return {"q": self.q, "k": self.k, "T": self.T, "closure_error": self.closure_error}
 
 
-def winding_number(pcf: PeriodicClosedForm, grid: int = DEFAULT_GRID) -> int:
+def winding_number(pcf: PeriodicClosedForm) -> int:
     """Winding number of g around the origin over one base period."""
-    times = np.linspace(0.0, pcf.base_period, grid + 1)
-    g = bracket_values(pcf, times)
-    arg = _unwrapped_bracket_arg(g)
-    total = (arg[-1] - arg[0]) / (2 * math.pi)
-    q = round(total)
-    if abs(total - q) > 1e-3:
-        raise NotClosed(f"bracket phase change {total:.6f} turns is not an integer")
-    return q
+    return _log_bracket(pcf, np.empty(0))[1]
 
 
-def detect_period(
-    pcf: PeriodicClosedForm,
-    tol: float = DEFAULT_CLOSURE_TOL,
-    grid: int = DEFAULT_GRID,
-) -> PeriodReport:
+def detect_period(pcf: PeriodicClosedForm, tol: float = DEFAULT_CLOSURE_TOL) -> PeriodReport:
     """Predict the period multiplier from the bracket winding number and
-    confirm it by evaluating the closed form.
+    confirm it by evaluating the closed form at whole base periods.
 
     Per base period the rotation prefactor advances the phase by
     2*pi*sgn(omega)/(M-1) and the continued power by -2*pi*q/(M-1); the
@@ -190,18 +177,20 @@ def detect_period(
     k = (M-1)/gcd(M-1, (1 - q*sgn(omega)) mod (M-1)), k = 1 when the
     residue vanishes. The numeric closure check is authoritative.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"closure tolerance must be finite and positive, got {tol}")
     m = pcf.m
-    q = winding_number(pcf, grid)
+    q = winding_number(pcf)
     sign = 1 if pcf.omega > 0 else -1
     residue = (1 - q * sign) % (m - 1)
     k = 1 if residue == 0 else (m - 1) // math.gcd(m - 1, residue)
     t_b = pcf.base_period
-    traj = eval_periodic_closed_form(pcf, np.linspace(0.0, k * t_b, k * grid + 1))
-    closure = float(np.abs(traj.states[-1] - pcf.z0).max())
-    if closure > tol:
+    traj = eval_periodic_closed_form(pcf, t_b * np.arange(k + 1))
+    errors = np.abs(traj.states - pcf.z0).max(axis=1)
+    closure = float(errors[k])
+    if not closure <= tol:
         raise NotClosed(f"closure error {closure:.3e} at k={k} exceeds tol {tol:.1e}")
-    for j in range(1, k):
-        early = float(np.abs(traj.states[j * grid] - pcf.z0).max())
-        if early <= tol:
-            raise NotClosed(f"trajectory already closes at {j} base periods, predicted {k}")
+    early = np.flatnonzero(errors[1:k] <= tol)
+    if early.size:
+        raise NotClosed(f"trajectory already closes at {early[0] + 1} base periods, predicted {k}")
     return PeriodReport(q=q, k=k, T=k * t_b, closure_error=closure)

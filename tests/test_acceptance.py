@@ -91,7 +91,7 @@ def test_criterion_3_example2_golden():
     from polyode.demo import DEMO_SEED_EXAMPLE2
 
     instance = generate_random_instance(2, 4, DEMO_SEED_EXAMPLE2, k_cap=0.1)
-    pcf = PeriodicClosedForm.from_instance(instance, 1.0)
+    pcf = PeriodicClosedForm(instance, 1.0)
 
     deviation = verify_periodic(pcf, periods=1, samples=1025)
     report = detect_period(pcf)

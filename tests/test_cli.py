@@ -148,6 +148,29 @@ def test_periodize_and_period(tmp_path, capsys):
     assert report["closure_error"] < 1e-8
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["period", "--omega", "nan"],
+        ["period", "--omega", "inf"],
+        ["period", "--omega", "1.0", "--tol", "nan"],
+        ["period", "--omega", "1.0", "--tol", "-1"],
+        ["periodize", "--omega", "1.0", "--samples", "0", "--out", "unused.csv"],
+        ["periodize", "--omega", "1.0", "--samples", "-3", "--out", "unused.csv"],
+    ],
+)
+def test_bad_omega_tol_and_samples_are_validation_errors(tmp_path, capsys, args):
+    path = tmp_path / "instance.json"
+    write_instance_file(generate_random_instance(2, 4, 42, k_cap=0.1), path)
+    out = tmp_path / "unused.csv"
+    args = [str(out) if arg == "unused.csv" else arg for arg in args]
+    assert main(args[:1] + ["--instance", str(path)] + args[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -229,7 +229,7 @@ class TestVerifyInstance:
 class TestVerifyPeriodic:
     def test_small_k_one_period(self):
         inst = generate_random_instance(2, 4, 5, k_cap=0.1)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         assert verify_periodic(pcf, 1, 1025) < 1e-6
 
     @pytest.mark.parametrize("samples", [0, 1])
@@ -240,14 +240,14 @@ class TestVerifyPeriodic:
 
     def test_k_zero_pure_rotation(self):
         inst = SolvableInstance(PolynomialSystem(2, 4, {}), [1 + 0j, -0.5j], 0.0)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         assert verify_periodic(pcf, 3, 2049) < 1e-10
 
     def test_integrated_closure_at_detected_period(self):
         from polyode.periodic import detect_period, eval_periodic_rhs
 
         inst = generate_random_instance(2, 4, 5, k_cap=0.1)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         report = detect_period(pcf)
         psys = pcf.system()
         traj = integrate(

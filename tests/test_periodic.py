@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyode.constraints import SolvableInstance
-from polyode.errors import (
-    GridTooCoarse,
-    SingularBracket,
-    ValidationError,
-    ZeroOmega,
-)
+from polyode.errors import SingularBracket, ValidationError, ZeroOmega
 from polyode.generate import generate_random_instance
 from polyode.periodic import (
     PeriodicClosedForm,
@@ -43,6 +40,14 @@ class TestPeriodize:
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
         with pytest.raises(ZeroOmega):
             periodize(sys, 0.0)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_omega(self, omega):
+        sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
+        with pytest.raises(ValidationError, match="finite"):
+            periodize(sys, omega)
+        with pytest.raises(ValidationError, match="finite"):
+            PeriodicClosedForm(small_k_instance(), omega)
 
     def test_degree_four_rotation_rate(self):
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
@@ -94,17 +99,17 @@ class TestPeriodicRhs:
 
 class TestClosedForm:
     def test_starts_at_z0_exactly(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(), 1.0)
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         traj = eval_periodic_closed_form(pcf, np.linspace(0, 1, 64))
         assert np.array_equal(traj.states[0], pcf.z0)
 
     def test_k_zero_is_pure_rotation(self):
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
         inst = SolvableInstance(sys, [0, 0], 0.0)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         # With z0 = 0 the trajectory is trivially zero; exercise the formula
         # directly with a nonzero z0 by bypassing the instance constraint.
-        pcf = PeriodicClosedForm.from_instance(
+        pcf = PeriodicClosedForm(
             SolvableInstance(PolynomialSystem(2, 4, {}), [1 + 0j, 2j], 0.0), 1.0
         )
         ts = np.linspace(0, 3 * pcf.base_period, 2049)
@@ -113,30 +118,37 @@ class TestClosedForm:
         np.testing.assert_allclose(traj.states, expected, atol=1e-12)
 
     def test_degree_four_prefactor_and_exponent(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(), 1.0)
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         t = 0.37
         traj = eval_periodic_closed_form(pcf, np.array([0.0, t]))
         g = 1 + pcf.k * (np.exp(1j * t) - 1) / 1j
         expected = pcf.z0 * np.exp(1j * t / 3) * g ** (-1 / 3)
         np.testing.assert_allclose(traj.states[1], expected, rtol=1e-12)
 
-    def test_rejects_grid_not_starting_at_zero(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(), 1.0)
-        with pytest.raises(ValidationError):
-            eval_periodic_closed_form(pcf, np.linspace(0.1, 1, 16))
+    def test_grid_not_starting_at_zero_matches_full_grid(self):
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
+        full = eval_periodic_closed_form(pcf, np.linspace(0, 1, 16))
+        tail = eval_periodic_closed_form(pcf, full.times[1:])
+        np.testing.assert_allclose(tail.states, full.states[1:], rtol=1e-14)
 
-    def test_grid_too_coarse(self):
-        # K = 2i winds the bracket around the origin; two samples per
-        # period rotate it by far more than pi/4.
-        inst = _instance_with_k(2j)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
-        with pytest.raises(GridTooCoarse):
-            eval_periodic_closed_form(pcf, np.linspace(0, pcf.base_period, 5))
+    def test_coarse_grid_matches_dense(self):
+        # K = 2i winds the bracket around the origin; five samples per
+        # period give the same values as 4097.
+        pcf = PeriodicClosedForm(_instance_with_k(2j), 1.0)
+        dense = eval_periodic_closed_form(pcf, np.linspace(0, pcf.base_period, 4097))
+        coarse = eval_periodic_closed_form(pcf, np.linspace(0, pcf.base_period, 5))
+        np.testing.assert_allclose(coarse.states, dense.states[::1024], rtol=1e-14)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [[0.0, 1.0]]])
+    def test_rejects_non_finite_or_non_flat_times(self, times):
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
+        with pytest.raises(ValidationError):
+            eval_periodic_closed_form(pcf, np.array(times))
 
     def test_singular_bracket(self):
         # K = i/2, omega = 1: the bracket circle passes through the origin.
         inst = _instance_with_k(0.5j)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         with pytest.raises(SingularBracket):
             eval_periodic_closed_form(pcf, np.linspace(0, pcf.base_period, 4097))
 
@@ -153,7 +165,7 @@ class TestClosedForm:
     def test_transform_fidelity(self, seed):
         # Finite-difference derivative of zeta matches the periodized RHS.
         inst = small_k_instance(seed)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         psys = pcf.system()
         h = 1e-6
         for t in [0.3, 2.0, 5.5]:
@@ -164,20 +176,28 @@ class TestClosedForm:
             np.testing.assert_allclose(deriv, rhs, rtol=1e-5, atol=1e-8)
 
 
-def _instance_with_k(k):
-    """Valid N=2, M=4 instance with a prescribed K (pure slots solved)."""
+def _instance_with_k(k, m=4, seed=99):
+    """Valid N=2 instance of degree m with a prescribed K (pure slots solved)."""
     from polyode.constraints import CoefficientSlot, UnknownSelection, solve_linear_selection
 
-    rng = np.random.default_rng(99)
-    sys = random_system(rng, 2, 4, density=0.5)
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, 2, m, density=0.5)
     z0 = rng.uniform(0.2, 1, 2) + 1j * rng.uniform(0.2, 1, 2)
-    selection = UnknownSelection((CoefficientSlot(1, (4, 0)), CoefficientSlot(2, (0, 4))))
+    selection = UnknownSelection((CoefficientSlot(1, (m, 0)), CoefficientSlot(2, (0, m))))
     return solve_linear_selection(sys, z0, k, selection)
+
+
+def unwrapped_closed_form(pcf, times):
+    """Reference zeta on a fine grid: the bracket's phase continued by
+    np.unwrap, independent of the circle geometry used by the package."""
+    g = bracket_values(pcf, times)
+    log_g = np.log(np.abs(g)) + 1j * np.unwrap(np.angle(g))
+    return np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (pcf.m - 1)), pcf.z0)
 
 
 class TestDetectPeriod:
     def test_small_k_degree_four(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(), 1.0)
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         report = detect_period(pcf)
         assert report.q == 0
         assert report.k == 3
@@ -186,13 +206,13 @@ class TestDetectPeriod:
 
     def test_degree_two_closes_after_one_period(self):
         inst = generate_random_instance(2, 2, 11, k_cap=0.1)
-        pcf = PeriodicClosedForm.from_instance(inst, 1.0)
+        pcf = PeriodicClosedForm(inst, 1.0)
         report = detect_period(pcf)
         assert (report.q, report.k) == (0, 1)
 
     def test_k_zero_pure_rotation(self):
         inst = SolvableInstance(PolynomialSystem(2, 4, {}), [1 + 0j, -1j], 0.0)
-        pcf = PeriodicClosedForm.from_instance(inst, 2.0)
+        pcf = PeriodicClosedForm(inst, 2.0)
         report = detect_period(pcf)
         assert (report.q, report.k) == (0, 3)
         assert report.T == pytest.approx(3 * math.pi)
@@ -200,30 +220,84 @@ class TestDetectPeriod:
     def test_winding_one_closes_after_one_period(self):
         # K = 2i encircles the origin once (q=1); the power's phase drift
         # then cancels the rotation prefactor and the period is t_b.
-        pcf = PeriodicClosedForm.from_instance(_instance_with_k(2j), 1.0)
+        pcf = PeriodicClosedForm(_instance_with_k(2j), 1.0)
         assert winding_number(pcf) == 1
         report = detect_period(pcf)
         assert (report.q, report.k) == (1, 1)
 
     def test_negative_omega(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(8), -1.0)
+        pcf = PeriodicClosedForm(small_k_instance(8), -1.0)
         report = detect_period(pcf)
         assert report.k == 3
 
     def test_half_period_is_not_closed(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(), 1.0)
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         report = detect_period(pcf)
         grid = np.linspace(0, report.T / 2, 4097)
         traj = eval_periodic_closed_form(pcf, grid)
         assert np.abs(traj.states[-1] - pcf.z0).max() > 1e-8
 
     def test_singular_bracket_propagates(self):
-        pcf = PeriodicClosedForm.from_instance(_instance_with_k(0.5j), 1.0)
+        pcf = PeriodicClosedForm(_instance_with_k(0.5j), 1.0)
         with pytest.raises(SingularBracket):
             detect_period(pcf)
+
+    def test_tiny_omega_cancellation_is_singular(self):
+        # a = K/(i omega) ~ 1e12: c = 1 - a keeps no relative margin.
+        pcf = PeriodicClosedForm(_instance_with_k(1.0), 1e-12)
+        with pytest.raises(SingularBracket):
+            winding_number(pcf)
+
+    def test_winding_follows_omega_sign(self):
+        # K = -2i with omega = -1 gives a = 2: the circle encloses 0 and is
+        # traversed clockwise.
+        pcf = PeriodicClosedForm(_instance_with_k(-2j), -1.0)
+        assert winding_number(pcf) == -1
+        assert (detect_period(pcf).q, detect_period(pcf).k) == (-1, 1)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
+        with pytest.raises(ValidationError, match="tolerance"):
+            detect_period(pcf, tol=tol)
+
+
+# Radius a = K/(i omega) of the bracket circle, drawn at least 0.05 away
+# from Re a = 1/2, where the circle passes through the origin.
+_circle_radius = st.builds(
+    complex,
+    st.one_of(st.floats(-3.0, 0.45), st.floats(0.55, 3.0)),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 6),
+    a=_circle_radius,
+    omega=st.sampled_from([1.0, -0.7, 2.5, -3.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_form_and_period_match_unwrapped_reference(m, a, omega, seed):
+    pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a, m, seed), omega)
+    expected_q = 0 if a.real < 0.5 else (1 if omega > 0 else -1)
+    assert winding_number(pcf) == expected_q
+
+    report = detect_period(pcf)
+    assert report.q == expected_q
+    times = np.linspace(0.0, report.T, 4096 * report.k + 1)
+    reference = unwrapped_closed_form(pcf, times)
+    states = eval_periodic_closed_form(pcf, times).states
+    np.testing.assert_allclose(states, reference, rtol=1e-11, atol=1e-13)
+
+    # The predicted k is the first whole base period at which the
+    # reference closes.
+    gaps = np.abs(reference[::4096] - pcf.z0).max(axis=1)
+    assert gaps[report.k] < 1e-8
+    assert (gaps[1:report.k] > 1e-8).all()
 
 
 class TestBracket:
     def test_bracket_at_zero_is_one(self):
-        pcf = PeriodicClosedForm.from_instance(small_k_instance(), 1.0)
+        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         assert bracket_values(pcf, np.array([0.0]))[0] == 1
