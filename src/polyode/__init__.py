@@ -35,7 +35,6 @@ from .polysys import (
     PolynomialSystem,
     enumerate_multi_indices,
     evaluate_rhs,
-    scale_state,
 )
 from .trajectory import StepStats, Trajectory
 
@@ -67,7 +66,6 @@ __all__ = [
     "jacobian",
     "newton_solve_initial_data",
     "periodize",
-    "scale_state",
     "solve_linear_selection",
     "verify_instance",
     "verify_periodic",

@@ -138,6 +138,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_periodize(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {args.samples}")
     instance = parse_instance_file(args.instance)
     pcf = PeriodicClosedForm(instance, args.omega)
     times = sample_times(pcf.base_period, args.samples + 1)

@@ -156,8 +156,3 @@ def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:
     z = as_state(z, system.n)
     coeffs, _, positions = system._basis
     return coeffs.dot(monomials(z, positions, system.m))
-
-
-def scale_state(z, lam) -> np.ndarray:
-    """Componentwise multiplication of a state by a complex scalar."""
-    return np.asarray(z, dtype=complex) * complex(lam)

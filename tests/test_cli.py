@@ -168,6 +168,8 @@ def test_bad_omega_tol_and_samples_are_validation_errors(tmp_path, capsys, args)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if "--samples" in args:
+        assert f"got {args[args.index('--samples') + 1]}\n" in captured.err
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ from polyode.polysys import (
     PolynomialSystem,
     enumerate_multi_indices,
     evaluate_rhs,
-    scale_state,
 )
 
 
@@ -149,17 +148,6 @@ class TestEvaluateRhs:
         sys = random_system(rng, n, m, density=0.7)
         z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = evaluate_rhs(sys, scale_state(z, lam))
+        lhs = evaluate_rhs(sys, lam * np.asarray(z, dtype=complex))
         rhs = lam**m * evaluate_rhs(sys, z)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-class TestScaleState:
-    def test_zero(self):
-        np.testing.assert_array_equal(scale_state([1, 2], 0), [0j, 0j])
-
-    def test_imaginary_unit(self):
-        np.testing.assert_array_equal(scale_state([1, 0], 1j), [1j, 0j])
-
-    def test_identity(self):
-        np.testing.assert_array_equal(scale_state([1 + 1j, 2], 1), [1 + 1j, 2 + 0j])

@@ -1,8 +1,13 @@
+import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from polyode import serialization
 from polyode.errors import ConstraintNotSatisfied, ValidationError
 from polyode.generate import generate_random_instance
 from polyode.serialization import (
@@ -95,18 +100,77 @@ class TestInstanceFormat:
             parse_instance_file(path)
 
 
+def reference_write_trajectory_csv(traj, path, periodic=False):
+    """The per-value ``csv.writer`` loop the block writer replaced; its bytes
+    are the trajectory CSV format."""
+    n = traj.dimension
+    if periodic:
+        header = ["t"] + [c for i in range(1, n + 1) for c in (f"x{i}", f"y{i}")]
+    else:
+        header = ["t"] + [c for i in range(1, n + 1) for c in (f"re_z{i}", f"im_z{i}")]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, state in zip(traj.times, traj.states):
+            row = [format(float(t), ".17g")]
+            for z in state:
+                row.extend([format(float(z.real), ".17g"), format(float(z.imag), ".17g")])
+            writer.writerow(row)
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf]
+
+
+def _assert_same_bits(got, expected):
+    """Equal values, NaN where NaN, and the sign of every non-NaN value kept."""
+    got = np.ascontiguousarray(got).view(float)
+    expected = np.ascontiguousarray(expected).view(float)
+    np.testing.assert_array_equal(got, expected)
+    signed = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(expected[signed]))
+
+
+def _check_writer(tmp_path, times, states, periodic):
+    traj = Trajectory(times, states, "closed-form")
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, ours, periodic=periodic)
+    reference_write_trajectory_csv(traj, ref, periodic=periodic)
+    assert ours.read_bytes() == ref.read_bytes()
+    if len(traj):
+        t2, s2 = read_trajectory_csv(ours)
+        _assert_same_bits(t2, times)
+        _assert_same_bits(s2, states)
+
+
 class TestTrajectoryCsv:
-    def test_round_trip_last_digit(self, tmp_path):
-        rng = np.random.default_rng(3)
-        times = np.sort(rng.uniform(0, 1, 16))
-        times[0] = 0.0
-        states = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
-        traj = Trajectory(times, states, "closed-form")
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        t2, s2 = read_trajectory_csv(path)
-        assert np.array_equal(t2, times)
-        assert np.array_equal(s2, states)
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_matches_reference_and_round_trips(self, tmp_path, rows, n, periodic):
+        rng = np.random.default_rng(1000 * rows + 10 * n + periodic)
+        times = np.sort(rng.uniform(0, 1, rows))
+        states = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        flat = states.view(float).reshape(-1)
+        for j, value in enumerate(SPECIAL_VALUES[: flat.size]):
+            flat[(j * 7919) % flat.size] = value
+        _check_writer(tmp_path, times, states, periodic)
+
+    def test_non_contiguous_states(self, tmp_path):
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal((1500, 6)) + 1j * rng.standard_normal((1500, 6))
+        _check_writer(tmp_path, np.arange(1500.0), wide[:, ::-2], periodic=False)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), block_rows=st.sampled_from([1, 2, 3, serialization.CSV_BLOCK_ROWS]))
+    def test_arbitrary_floats_property(self, tmp_path, data, block_rows):
+        n = data.draw(st.integers(1, 3))
+        times = sorted(data.draw(st.lists(st.floats(allow_nan=False), max_size=12, unique=True)))
+        parts = data.draw(
+            st.lists(st.floats(), min_size=2 * n * len(times), max_size=2 * n * len(times))
+        )
+        states = np.array(parts, dtype=float).view(complex).reshape(len(times), n)
+        with mock.patch.object(serialization, "CSV_BLOCK_ROWS", block_rows):
+            _check_writer(tmp_path, np.array(times, dtype=float), states, data.draw(st.booleans()))
 
     def test_headers(self, tmp_path):
         times = np.array([0.0, 1.0])
@@ -117,3 +181,18 @@ class TestTrajectoryCsv:
         assert path.read_text().splitlines()[0] == "t,re_z1,im_z1,re_z2,im_z2"
         write_trajectory_csv(Trajectory(times, states, "closed-form"), path, periodic=True)
         assert path.read_text().splitlines()[0] == "t,x1,y1,x2,y2"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x1,y1\r\n0,1,2\r\n1,2\r\n", ", line 3: 2 fields, header has 3"),
+            ("t,x1,y1\r\n0,1,2\r\n1,abc,2\r\n", ", line 3: could not convert string to float: 'abc'"),
+            ("", ": unexpected trajectory header None"),
+        ],
+    )
+    def test_malformed_files_are_validation_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValidationError) as info:
+            read_trajectory_csv(path)
+        assert str(info.value) == f"{path}{message}"
