@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -130,6 +131,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.max_dev) and args.max_dev > 0):
+        raise ValidationError(f"max-dev must be finite and positive, got {args.max_dev}")
     instance = parse_instance_file(args.instance)
     config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     deviation = verify_instance(instance, args.t_max, args.samples, config)

@@ -28,8 +28,8 @@ from .polysys import (
     PolynomialSystem,
     as_state,
     evaluate_rhs,
+    factor_indices,
     monomials,
-    power_positions,
     validate_multi_index,
 )
 
@@ -186,7 +186,7 @@ def solve_linear_selection(
         if isinstance(slot, RateK):
             a[:, col] = z0
         else:
-            monomial = monomials(z0, power_positions(slot.index), system.m)
+            monomial = monomials(z0, factor_indices(slot.index))
             a[slot.eq - 1, col] = -(1 - system.m) * monomial
     solution = _gauss_solve(a, -base, SingularSystem)
 
@@ -207,16 +207,12 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     Entry (n, j) is K*delta_{nj} - (1-M) * sum_m c_{n,m} m_j z^{m - e_j}.
     """
     z = as_state(z, system.n)
-    coeffs, exponents, _ = system._basis
-    jac = complex(k) * np.eye(system.n, dtype=complex)
-    for j in range(system.n):
-        # Only the basis monomials with m_j > 0 depend on z_j.
-        active = exponents[:, j] > 0
-        reduced = exponents[active]
-        reduced[:, j] -= 1
-        deriv = exponents[active, j] * monomials(z, power_positions(reduced), system.m)
-        jac[:, j] -= (1 - system.m) * (coeffs[:, active] @ deriv)
-    return jac
+    coeffs, _, _ = system._basis
+    rows, cols, multiplicity, factors = system._derivatives
+    # deriv[u, j] = m_j z^{m - e_j} for basis monomial u = z^m.
+    deriv = np.zeros((coeffs.shape[1], system.n), dtype=complex)
+    deriv[rows, cols] = multiplicity * monomials(z, factors)
+    return complex(k) * np.eye(system.n, dtype=complex) - (1 - system.m) * (coeffs @ deriv)
 
 
 def newton_solve_initial_data(

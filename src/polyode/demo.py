@@ -14,7 +14,6 @@ from .errors import ValidationError
 from .generate import generate_random_instance
 from .oracle import integrate, verify_instance, verify_periodic
 from .periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
-from .polysys import evaluate_rhs
 from .serialization import (
     write_instance_file,
     write_report,
@@ -39,9 +38,7 @@ def _emit_base_artifacts(instance, out: Path) -> dict:
     states = eval_closed_form(sol, times)
     write_trajectory_csv(Trajectory(times, states, SOURCE_CLOSED_FORM), out / "closed_form.csv")
 
-    integrated = integrate(
-        lambda z: evaluate_rhs(instance.system, z), instance.z0, t_end, t_eval=times
-    )
+    integrated = integrate(instance.system.rhs, instance.z0, t_end, t_eval=times)
     write_trajectory_csv(integrated, out / "integrated.csv")
 
     deviation = verify_instance(instance, t_end, 64)

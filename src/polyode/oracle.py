@@ -10,6 +10,7 @@ callables; it never touches the closed-form formulas.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,9 @@ import numpy as np
 from .closedform import ClosedFormSolution, blow_up_time, eval_closed_form
 from .constraints import SolvableInstance
 from .errors import MaxStepsExceeded, StepUnderflow, ValidationError
-from .periodic import PeriodicClosedForm, eval_periodic_closed_form, eval_periodic_rhs
-from .polysys import evaluate_rhs
+from .periodic import PeriodicClosedForm, eval_periodic_closed_form
+from .periodic import eval_periodic_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import SOURCE_INTEGRATED, StepStats, Trajectory
 
 # Dormand-Prince 5(4) tableau.
@@ -60,9 +62,12 @@ class IntegratorConfig:
     min_step: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "initial_step", "max_steps", "min_step"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        for name in ("rel_tol", "abs_tol", "initial_step", "min_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps > 0):
+            raise ValidationError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         if self.rel_tol < 1e-14:
             raise ValidationError(f"rel_tol must be >= 1e-14, got {self.rel_tol}")
 
@@ -76,10 +81,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate dz/dt = rhs(z) from t=0 to t_end.
 
-    ``rhs`` maps a complex state vector to a complex state vector. When
-    ``t_eval`` is given, states are produced at those times via the dense
-    output interpolant; otherwise the accepted step points are returned.
-    Deterministic given the configuration.
+    ``rhs`` maps a complex state vector to a complex state vector of the
+    same shape; it need not validate its input. z0 must be finite and
+    non-empty, and the first RHS result must have its shape. The six stage
+    states of a step are checked together after the step's RHS calls, so
+    ``rhs`` may see a non-finite state just before ValidationError is
+    raised. When ``t_eval`` is given, states are produced at those times
+    via the dense output interpolant; otherwise the accepted step points
+    are returned. Deterministic given the configuration.
     """
     if config is None:
         config = IntegratorConfig()
@@ -87,19 +96,24 @@ def integrate(
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be finite and positive, got {t_end}")
     z0 = np.array(z0, dtype=complex)
-    if z0.ndim != 1:
-        raise ValidationError("initial state must be one-dimensional")
+    if z0.ndim != 1 or z0.size == 0:
+        raise ValidationError(
+            f"initial state must be one-dimensional and non-empty, got shape {z0.shape}"
+        )
+    if not np.isfinite(z0).all():
+        raise ValidationError("state contains non-finite components")
+    k1 = np.asarray(rhs(z0))
+    if k1.shape != z0.shape:
+        raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {z0.shape}")
 
     # A complex state is integrated as the real view of its memory, with the
-    # real and imaginary parts of each component interleaved.
-    def f(y):
-        return np.ascontiguousarray(rhs(y.view(complex)), dtype=complex).view(float)
-
+    # real and imaginary parts of each component interleaved. The stages of
+    # a step are the rows of a complex (7, n) array; the tableau combines the
+    # rows of its real view.
     y = z0.view(float)
     t = 0.0
     h = min(config.initial_step, t_end)
     stats = StepStats()
-    k1 = f(y)
     step_t0: list[float] = []
     step_h: list[float] = []
     step_y0: list[np.ndarray] = []
@@ -110,13 +124,19 @@ def integrate(
             raise StepUnderflow(t)
         final = h >= t_end - t
         h_step = t_end - t if final else h
-        stages = np.empty((7, y.size))
+        stages = np.empty((7, z0.size), dtype=complex)
         stages[0] = k1
+        k = stages.view(float)
+        z_stages = np.empty((6, z0.size), dtype=complex)
+        y_stages = z_stages.view(float)
         for i in range(1, 7):
-            y_stage = y + h_step * _A[i].dot(stages[:i])
-            stages[i] = f(y_stage)
-        y_new = y + h_step * _B.dot(stages)
-        err = h_step * _E.dot(stages)
+            np.add(y, h_step * _A[i].dot(k[:i]), out=y_stages[i - 1])
+            stages[i] = rhs(z_stages[i - 1])
+        if not np.isfinite(y_stages).all():
+            raise ValidationError("state contains non-finite components")
+        # The last stage state is the 5th-order solution: _A[6] holds _B's weights.
+        y_new = y_stages[5]
+        err = h_step * _E.dot(k)
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float((np.abs(err) / scale).max())
 
@@ -152,7 +172,7 @@ def integrate(
     # _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
     weights = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
     y_s = np.array(step_y0)[idx] + hs[idx, None] * np.einsum(
-        "sk,skd->sd", weights, np.array(step_stages)[idx]
+        "sk,skd->sd", weights, np.array(step_stages)[idx].view(float)
     )
     y_s[times >= t_end] = y
     return Trajectory(times, y_s.view(complex), SOURCE_INTEGRATED, meta=stats)
@@ -206,9 +226,7 @@ def verify_instance(
     if t_star is not None and t_end >= t_star:
         raise ValidationError(f"t_end={t_end} not below blow-up time {t_star}")
     times = sample_times(float(t_end), samples)
-    traj = integrate(
-        lambda z: evaluate_rhs(instance.system, z), instance.z0, t_end, config, t_eval=times
-    )
+    traj = integrate(instance.system.rhs, instance.z0, t_end, config, t_eval=times)
     return _deviation(traj.states, eval_closed_form(sol, times))
 
 
@@ -225,8 +243,5 @@ def verify_periodic(
     t_end = periods * pcf.base_period
     times = sample_times(t_end, samples)
     reference = eval_periodic_closed_form(pcf, times)
-    psys = pcf.system()
-    traj = integrate(
-        lambda w: eval_periodic_rhs(psys, w), pcf.z0, t_end, config, t_eval=times
-    )
+    traj = integrate(pcf.system().rhs, pcf.z0, t_end, config, t_eval=times)
     return _deviation(traj.states, reference.states)

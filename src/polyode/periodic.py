@@ -29,7 +29,8 @@ import numpy as np
 
 from .constraints import SolvableInstance
 from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
-from .polysys import PolynomialSystem, evaluate_rhs
+from .polysys import PolynomialSystem, as_state
+from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import SOURCE_CLOSED_FORM, Trajectory
 
 BRACKET_GUARD = 1e-10
@@ -60,6 +61,11 @@ class PeriodicSystem:
     def rotation_rate(self) -> float:
         return self.omega / (self.base.m - 1)
 
+    def rhs(self, w: np.ndarray) -> np.ndarray:
+        """The right-hand sides at ``w``, unchecked: ``w`` must be a finite
+        complex array of shape (n,). ``eval_periodic_rhs`` validates first."""
+        return self.base.rhs(w) + 1j * self.rotation_rate * w
+
 
 def periodize(system: PolynomialSystem, omega: float) -> PeriodicSystem:
     """Attach the rotation term of frequency omega/(M-1) to a base system."""
@@ -67,9 +73,9 @@ def periodize(system: PolynomialSystem, omega: float) -> PeriodicSystem:
 
 
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
-    """Right-hand side of the complexified system at state w (autonomous);
-    ``evaluate_rhs`` validates w."""
-    return evaluate_rhs(psys.base, w) + 1j * psys.rotation_rate * np.asarray(w)
+    """Right-hand side of the complexified system at state w (autonomous):
+    w is validated, then passed to the unchecked ``PeriodicSystem.rhs``."""
+    return psys.rhs(as_state(w, psys.base.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,48 +111,65 @@ class PolynomialSystem:
     def _basis(self):
         """The system over one basis, the U multi-indices stored in any
         equation (canonical order): the (n x U) coefficient matrix, the
-        (U x n) exponent matrix and its ``power_positions``."""
+        (U x n) exponent matrix and its (U x M) ``factor_indices``."""
         indices = sorted({index for _, index in self.coefficients}, reverse=True)
         column = {index: u for u, index in enumerate(indices)}
         coeffs = np.zeros((self.n, len(indices)), dtype=complex)
         for (eq, index), value in self.coefficients.items():
             coeffs[eq - 1, column[index]] = value
         exponents = np.array(indices, dtype=np.intp).reshape(len(indices), self.n)
-        return coeffs, exponents, power_positions(exponents)
+        return coeffs, exponents, factor_indices(exponents)
+
+    @cached_property
+    def _derivatives(self):
+        """The first derivatives of the basis monomials: for each pair
+        (u, j) with e_uj > 0 (u-major order), u, j, e_uj and the
+        ``factor_indices`` of z^(e_u - e_j)."""
+        _, exponents, _ = self._basis
+        rows, cols = np.nonzero(exponents)
+        reduced = exponents[rows]
+        reduced[np.arange(rows.size), cols] -= 1
+        return rows, cols, exponents[rows, cols], factor_indices(reduced)
 
     def coefficient(self, eq: int, index) -> complex:
         return self.coefficients.get((eq, tuple(index)), 0j)
 
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        """The right-hand sides at ``z``, unchecked: ``z`` must be a finite
+        complex array of shape (n,). ``evaluate_rhs`` validates first."""
+        coeffs, _, factors = self._basis
+        return coeffs.dot(monomials(z, factors))
 
-def power_positions(exponents) -> np.ndarray:
-    """Positions in the flattened power table of ``monomials`` of the
-    factors z_j^e_j, for each row e of an integer exponent array (..., n)."""
+
+def factor_indices(exponents) -> np.ndarray:
+    """The factors of each monomial z^e as variable indices, for the rows e
+    of an integer exponent array (..., n) with equal row sums d: index j
+    repeated e_j times, ascending, so the result has shape (..., d)."""
     exponents = np.asarray(exponents, dtype=np.intp)
-    return exponents * exponents.shape[-1] + np.arange(exponents.shape[-1])
+    degree = int(exponents.sum(axis=-1).max(initial=0))
+    variables = np.broadcast_to(np.arange(exponents.shape[-1]), exponents.shape)
+    factors = np.repeat(variables.ravel(), exponents.ravel())
+    return factors.reshape(exponents.shape[:-1] + (degree,))
 
 
-def monomials(z: np.ndarray, positions: np.ndarray, degree: int) -> np.ndarray:
-    """Values z^e of the monomials whose exponent rows e (none above
-    ``degree``) map to ``positions`` (see ``power_positions``).
+def monomials(z: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Values of the monomials whose ``factor_indices`` are ``factors``,
+    unchecked (``z`` is a complex array of shape (n,)).
 
-    Powers are built by repeated multiplication (exact for integer
-    exponents, 0^0 = 1); each monomial is the product of its n factors.
+    Each monomial is the product of its factors gathered from ``z``, taken
+    in factor order; a monomial with no factors is 1.
     """
-    pows = np.empty((degree + 1, z.size), dtype=complex)
-    pows[0] = 1.0
-    for e in range(1, degree + 1):
-        np.multiply(pows[e - 1], z, out=pows[e])
-    return pows.ravel().take(positions).prod(axis=-1)
+    return z.take(factors).prod(axis=-1)
 
 
 def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:
     """Evaluate the polynomial right-hand sides at state ``z``.
 
-    The state is validated on every call. The monomials of the system's
-    basis are summed by one BLAS matrix-vector product, so the summation
-    order is BLAS's, not canonical multi-index order; the result is
-    deterministic for a given input.
+    The state is validated, then passed to the unchecked kernel
+    ``PolynomialSystem.rhs``. Each monomial is a product of its factors in
+    factor order, and the monomials of the system's basis are summed by one
+    BLAS matrix-vector product, so the summation order is BLAS's, not
+    canonical multi-index order; the result is deterministic for a given
+    input.
     """
-    z = as_state(z, system.n)
-    coeffs, _, positions = system._basis
-    return coeffs.dot(monomials(z, positions, system.m))
+    return system.rhs(as_state(z, system.n))

@@ -113,6 +113,13 @@ def test_verify(instance_file, capsys):
         ["verify", "--t-max", "0.4", "--samples", "0"],
         ["verify", "--t-max", "0.4", "--samples", "1"],
         ["eval", "--t-max", "0.4", "--samples", "0", "--out", "unused.csv"],
+        ["verify", "--t-max", "0.4", "--rel-tol", "nan"],
+        ["verify", "--t-max", "0.4", "--rel-tol", "inf"],
+        ["verify", "--t-max", "0.4", "--abs-tol", "nan"],
+        ["verify", "--t-max", "0.4", "--abs-tol", "inf"],
+        ["verify", "--t-max", "0.4", "--max-dev", "nan"],
+        ["verify", "--t-max", "0.4", "--max-dev", "inf"],
+        ["verify", "--t-max", "0.4", "--max-dev", "0"],
     ],
 )
 def test_bad_times_and_samples_are_validation_errors(instance_file, capsys, args):

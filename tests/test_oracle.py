@@ -112,13 +112,33 @@ class TestIntegrate:
         with pytest.raises(ValidationError, match="finite"):
             integrate(lambda z: z, np.array([1 + 0j]), t_end)
 
-    def test_non_finite_stage_state_raises(self):
+    @pytest.mark.parametrize(
+        "rhs,config",
+        [
+            pytest.param(
+                lambda z: evaluate_rhs(PolynomialSystem(2, 4, {(1, (4, 0)): 1.0}), z),
+                None,
+                id="evaluate_rhs",
+            ),
+            pytest.param(lambda z: z**4, IntegratorConfig(max_steps=1000), id="plain_callable"),
+        ],
+    )
+    def test_non_finite_stage_state_raises(self, rhs, config):
         # z1' = z1^4 from 1e100 overflows at the first stage, so the second
-        # stage state is infinite and the RHS's state validation refuses it.
-        sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
+        # stage state is infinite. evaluate_rhs's state validation refuses
+        # it; a plain callable computes on, and the integrator's check of
+        # the step's stage states refuses it before any step is retried.
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite"):
-                integrate(lambda z: evaluate_rhs(sys, z), np.array([1e100, 0j]), 1.0)
+                integrate(rhs, np.array([1e100, 0j]), 1.0, config)
+
+    def test_rejects_empty_initial_state(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            integrate(lambda z: z, np.array([], dtype=complex), 1.0)
+
+    def test_rejects_rhs_result_of_wrong_shape(self):
+        with pytest.raises(ValidationError, match="shape"):
+            integrate(lambda z: np.zeros(6, dtype=complex), np.zeros(4, dtype=complex), 1.0)
 
     @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 4, 3), (3, 3, 4), (3, 4, 2)])
     def test_dense_output_matches_per_sample_loop(self, n, m, seed):
@@ -184,6 +204,17 @@ class TestConfig:
             IntegratorConfig(rel_tol=0)
         with pytest.raises(ValidationError):
             IntegratorConfig(min_step=-1)
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "initial_step", "min_step"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_steps", [0, 2.5, float("nan"), float("inf")])
+    def test_rejects_max_steps_not_positive_integer(self, max_steps):
+        with pytest.raises(ValidationError, match="max_steps"):
+            IntegratorConfig(max_steps=max_steps)
 
     def test_rejects_too_tight_rel_tol(self):
         with pytest.raises(ValidationError):

@@ -3,13 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyode.constraints import jacobian
 from polyode.errors import ValidationError
 from polyode.polysys import (
     PolynomialSystem,
     enumerate_multi_indices,
     evaluate_rhs,
+    factor_indices,
+    monomials,
 )
+
+EPS = np.finfo(float).eps
 
 
 def brute_force_rhs(system, z):
@@ -30,6 +37,19 @@ def brute_force_rhs(system, z):
             total += term
         out.append(total)
     return np.array(out)
+
+
+def power_table_monomials(z, exponents, degree):
+    """Reference monomials z^e for the rows e of an exponent array (..., n),
+    from a table of the powers z_j^0..z_j^degree built by repeated
+    multiplication: each monomial is the product of its n table entries."""
+    exponents = np.asarray(exponents, dtype=np.intp)
+    positions = exponents * exponents.shape[-1] + np.arange(exponents.shape[-1])
+    pows = np.empty((degree + 1, z.size), dtype=complex)
+    pows[0] = 1.0
+    for e in range(1, degree + 1):
+        np.multiply(pows[e - 1], z, out=pows[e])
+    return pows.ravel().take(positions).prod(axis=-1)
 
 
 def random_system(rng, n, m, density=1.0):
@@ -151,3 +171,64 @@ class TestEvaluateRhs:
         lhs = evaluate_rhs(sys, lam * np.asarray(z, dtype=complex))
         rhs = lam**m * evaluate_rhs(sys, z)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def assert_matches_power_table(system, z):
+    """The factor-gather kernel against the power-table reference: the RHS,
+    the Jacobian and the selection-solve columns (the monomial of every
+    multi-index). Each value may differ by 4*M*eps times the sum of the
+    moduli of its terms."""
+    m = system.m
+    coeffs, exponents, _ = system._basis
+    tol = 4 * m * EPS
+
+    values = power_table_monomials(z, exponents, m)
+    bound = tol * (np.abs(coeffs) @ np.abs(values))
+    assert np.all(np.abs(evaluate_rhs(system, z) - coeffs @ values) <= bound)
+
+    k = 0.7 - 0.2j
+    ref_jac = k * np.eye(system.n, dtype=complex)
+    jac_bound = np.abs(ref_jac)
+    for j in range(system.n):
+        active = exponents[:, j] > 0
+        reduced = exponents[active]
+        reduced[:, j] -= 1
+        deriv = exponents[active, j] * power_table_monomials(z, reduced, m)
+        ref_jac[:, j] -= (1 - m) * (coeffs[:, active] @ deriv)
+        jac_bound[:, j] += (m - 1) * (np.abs(coeffs[:, active]) @ np.abs(deriv))
+    assert np.all(np.abs(jacobian(system, z, k) - ref_jac) <= tol * jac_bound)
+
+    indices = np.array(enumerate_multi_indices(system.n, m))
+    column = power_table_monomials(z, indices, m)
+    assert np.all(np.abs(monomials(z, factor_indices(indices)) - column) <= tol * np.abs(column))
+
+
+class TestFactorGather:
+    def test_factor_indices_repeat_each_variable_by_its_exponent(self):
+        np.testing.assert_array_equal(
+            factor_indices([[2, 0, 1], [0, 3, 0]]), [[0, 0, 2], [1, 1, 1]]
+        )
+
+    @pytest.mark.parametrize(
+        "n,m,density",
+        [(2, m, 1.0) for m in range(2, 7)]
+        + [(3, 3, 1.0), (3, 4, 1.0), (6, 5, 1.0), (8, 4, 1.0), (8, 4, 0.1), (10, 6, 0.1)],
+    )
+    def test_matches_power_table_reference(self, n, m, density):
+        rng = np.random.default_rng(1000 * n + m)
+        system = random_system(rng, n, m, density)
+        z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+        assert_matches_power_table(system, z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 6),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_power_table_property(self, n, m, density, seed):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n, m, density)
+        z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+        assert_matches_power_table(system, z)
