@@ -18,7 +18,6 @@ from .generate import generate_random_instance
 from .oracle import (
     IntegratorConfig,
     integrate,
-    integrate_rk4,
     verify_instance,
     verify_periodic,
 )
@@ -29,7 +28,6 @@ from .periodic import (
     detect_period,
     eval_periodic_closed_form,
     eval_periodic_rhs,
-    periodize,
 )
 from .polysys import (
     PolynomialSystem,
@@ -62,10 +60,8 @@ __all__ = [
     "evaluate_rhs",
     "generate_random_instance",
     "integrate",
-    "integrate_rk4",
     "jacobian",
     "newton_solve_initial_data",
-    "periodize",
     "solve_linear_selection",
     "verify_instance",
     "verify_periodic",

@@ -257,10 +257,7 @@ def main(argv=None) -> int:
     except _TOLERANCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PolyOdeError as exc:
+    except (PolyOdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

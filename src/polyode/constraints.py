@@ -12,6 +12,8 @@ the initial data (damped Newton solve).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +30,9 @@ from .polysys import (
     PolynomialSystem,
     as_state,
     evaluate_rhs,
+    exponent_rows,
     factor_indices,
     monomials,
-    validate_multi_index,
 )
 
 
@@ -79,23 +81,31 @@ class UnknownSelection:
 def constraint_residual(system: PolynomialSystem, z0, k) -> np.ndarray:
     """Residual of the solvability constraints at (system, z0, K)."""
     z0 = as_state(z0, system.n)
-    k = complex(k)
-    return k * z0 - (1 - system.m) * evaluate_rhs(system, z0)
+    return _residual(system.m, z0, complex(k), evaluate_rhs(system, z0))
 
 
 def residual_scale(system: PolynomialSystem, z0, k) -> float:
     """Magnitude of the largest constraint term; floor 1 (absolute scale)."""
     z0 = as_state(z0, system.n)
-    f = evaluate_rhs(system, z0)
-    return max(1.0, float(np.abs(complex(k) * z0).max(initial=0.0)),
-               (system.m - 1) * float(np.abs(f).max(initial=0.0)))
+    return _scale(system.m, z0, complex(k), evaluate_rhs(system, z0))
+
+
+def _residual(m: int, z0: np.ndarray, k: complex, f: np.ndarray) -> np.ndarray:
+    """The constraint residual K z0 - (1 - M) f, from f = rhs(z0)."""
+    return k * z0 - (1 - m) * f
+
+
+def _scale(m: int, z0: np.ndarray, k: complex, f: np.ndarray) -> float:
+    """The ``residual_scale``, from f = rhs(z0)."""
+    return max(1.0, float(np.abs(k * z0).max(initial=0.0)),
+               (m - 1) * float(np.abs(f).max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class SolvableInstance:
-    """A polynomial system together with initial data and rate parameter K
-    satisfying the solvability constraints to within ``tol`` (relative to
-    the largest constraint term)."""
+    """A polynomial system together with initial data and a finite rate
+    parameter K satisfying the solvability constraints to within ``tol``
+    (relative to the largest constraint term)."""
 
     system: PolynomialSystem
     z0: np.ndarray
@@ -103,11 +113,16 @@ class SolvableInstance:
     tol: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", as_state(self.z0, self.system.n))
-        object.__setattr__(self, "k", complex(self.k))
-        res = np.abs(self.residual()).max()
-        scale = residual_scale(self.system, self.z0, self.k)
-        if res > self.tol * scale:
+        z0 = as_state(self.z0, self.system.n)
+        k = complex(self.k)
+        if not cmath.isfinite(k):
+            raise ValidationError(f"K must be finite, got {k}")
+        object.__setattr__(self, "z0", z0)
+        object.__setattr__(self, "k", k)
+        f = evaluate_rhs(self.system, z0)
+        res = np.abs(_residual(self.system.m, z0, k, f)).max()
+        scale = _scale(self.system.m, z0, k, f)
+        if not res <= self.tol * scale:
             raise ConstraintNotSatisfied(
                 f"constraint residual {res:.3e} exceeds {self.tol:.1e} * scale {scale:.3e}"
             )
@@ -165,39 +180,46 @@ def solve_linear_selection(
             raise ValidationError("K is a selected unknown; do not pass k_given")
     elif k_given is None:
         raise ValidationError("K is not among the unknowns; k_given is required")
-    for s in slots:
-        if isinstance(s, CoefficientSlot):
-            if not 1 <= s.eq <= system.n:
-                raise ValidationError(f"slot equation index {s.eq} outside 1..{system.n}")
-            validate_multi_index(s.index, system.n, system.m)
+    picked = [s for s in slots if isinstance(s, CoefficientSlot)]
+    for s in picked:
+        if not 1 <= s.eq <= system.n:
+            raise ValidationError(f"slot equation index {s.eq} outside 1..{system.n}")
+    exponent_rows([s.index for s in picked], system.n, system.m)
 
-    fixed = {
-        key: value
-        for key, value in system.coefficients.items()
-        if CoefficientSlot(*key) not in slots
-    }
-    fixed_system = PolynomialSystem(system.n, system.m, fixed)
+    # The system over its basis plus the slots' multi-indices, with the
+    # selected entries masked: one vector of monomials at z0 gives both the
+    # base residual and the columns of the linear system.
+    own = [tuple(index) for index in system.exponents.tolist()]
+    indices = sorted(set(own).union(s.index for s in picked), reverse=True)
+    column = {index: u for u, index in enumerate(indices)}
+    coeffs = np.zeros((system.n, len(indices)), dtype=complex)
+    coeffs[:, [column[index] for index in own]] = system.coeffs
+    coeffs[[s.eq - 1 for s in picked], [column[s.index] for s in picked]] = 0
+    exponents = np.array(indices, dtype=np.intp)
+    values = monomials(z0, factor_indices(exponents))
 
+    # The fixed terms are summed over the columns they use, as the rhs of a
+    # system holding only them would sum them: an all-zero column shifts
+    # the BLAS summation order, and with it the last bits of the solution.
+    stored = coeffs.any(axis=0)
     k0 = 0j if selection.has_rate_k else complex(k_given)
-    base = constraint_residual(fixed_system, z0, k0)
+    base = _residual(system.m, z0, k0, coeffs.compress(stored, axis=1).dot(values[stored]))
 
     a = np.zeros((system.n, system.n), dtype=complex)
     for col, slot in enumerate(slots):
         if isinstance(slot, RateK):
             a[:, col] = z0
         else:
-            monomial = monomials(z0, factor_indices(slot.index))
-            a[slot.eq - 1, col] = -(1 - system.m) * monomial
+            a[slot.eq - 1, col] = -(1 - system.m) * values[column[slot.index]]
     solution = _gauss_solve(a, -base, SingularSystem)
 
-    coeffs = dict(fixed)
     k = k0
     for slot, value in zip(slots, solution):
         if isinstance(slot, RateK):
             k = complex(value)
-        elif value != 0:
-            coeffs[(slot.eq, tuple(slot.index))] = complex(value)
-    solved = PolynomialSystem(system.n, system.m, coeffs)
+        else:
+            coeffs[slot.eq - 1, column[slot.index]] = value
+    solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
     return SolvableInstance(solved, z0, k, tol=tol)
 
 
@@ -207,12 +229,11 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     Entry (n, j) is K*delta_{nj} - (1-M) * sum_m c_{n,m} m_j z^{m - e_j}.
     """
     z = as_state(z, system.n)
-    coeffs, _, _ = system._basis
     rows, cols, multiplicity, factors = system._derivatives
     # deriv[u, j] = m_j z^{m - e_j} for basis monomial u = z^m.
-    deriv = np.zeros((coeffs.shape[1], system.n), dtype=complex)
+    deriv = np.zeros((len(system.exponents), system.n), dtype=complex)
     deriv[rows, cols] = multiplicity * monomials(z, factors)
-    return complex(k) * np.eye(system.n, dtype=complex) - (1 - system.m) * (coeffs @ deriv)
+    return complex(k) * np.eye(system.n, dtype=complex) - (1 - system.m) * (system.coeffs @ deriv)
 
 
 def newton_solve_initial_data(
@@ -230,8 +251,8 @@ def newton_solve_initial_data(
     decreases. Returns z0 with residual max-modulus <= tol. ``history``,
     if supplied, collects the residual norm after each accepted iterate.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     k = complex(k)

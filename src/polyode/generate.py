@@ -47,7 +47,11 @@ def generate_random_instance(
         raise ValidationError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
     if not 0 < density <= 1:
         raise ValidationError(f"density must be in (0, 1], got {density}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     indices = enumerate_multi_indices(n, m)
+    exponents = np.array(indices, dtype=np.intp)
+    pure = [_pure_slot(eq, n, m) for eq in range(1, n + 1)]
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([int(seed), attempt])
@@ -55,22 +59,16 @@ def generate_random_instance(
         signs = rng.choice([-1.0, 1.0], size=(n, 2))
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]
 
-        pure = [_pure_slot(eq, n, m) for eq in range(1, n + 1)]
-        pure_keys = {(slot.eq, slot.index) for slot in pure}
-        coeffs = {}
-        for eq in range(1, n + 1):
-            for index in indices:
-                if (eq, index) in pure_keys:
-                    continue
-                if rng.random() < density:
-                    value = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    if value != 0:
-                        coeffs[(eq, index)] = value
+        coeffs = np.zeros((n, len(indices)), dtype=complex)
+        for row, slot in enumerate(pure):
+            for u, index in enumerate(indices):
+                if index != slot.index and rng.random() < density:
+                    coeffs[row, u] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
 
-        system = PolynomialSystem(n, m, coeffs)
+        system = PolynomialSystem(n, m, coeffs=coeffs, exponents=exponents)
         try:
             return solve_linear_selection(system, z0, k, UnknownSelection(tuple(pure)))
         except SingularSystem as exc:

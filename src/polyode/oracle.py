@@ -2,9 +2,8 @@
 
 The single adaptive oracle is a Dormand-Prince 5(4) embedded pair with
 proportional step control and 4th-order dense output. Complex states are
-integrated as 2N real components. A fixed-step classical RK4 is included
-as a cross-check mode only. The integrator consumes only right-hand-side
-callables; it never touches the closed-form formulas.
+integrated as 2N real components. The integrator consumes only
+right-hand-side callables; it never touches the closed-form formulas.
 """
 
 from __future__ import annotations
@@ -176,26 +175,6 @@ def integrate(
     )
     y_s[times >= t_end] = y
     return Trajectory(times, y_s.view(complex), SOURCE_INTEGRATED, meta=stats)
-
-
-def integrate_rk4(rhs, z0, t_end: float, steps: int) -> Trajectory:
-    """Fixed-step classical RK4; cross-check mode only."""
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    z0 = np.asarray(z0, dtype=complex)
-    h = float(t_end) / steps
-    times = np.linspace(0.0, float(t_end), steps + 1)
-    states = np.empty((steps + 1, z0.size), dtype=complex)
-    states[0] = z0
-    z = z0.copy()
-    for i in range(steps):
-        k1 = np.asarray(rhs(z))
-        k2 = np.asarray(rhs(z + 0.5 * h * k1))
-        k3 = np.asarray(rhs(z + 0.5 * h * k2))
-        k4 = np.asarray(rhs(z + h * k3))
-        z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[i + 1] = z
-    return Trajectory(times, states, SOURCE_INTEGRATED)
 
 
 def sample_times(t_end: float, samples: int) -> np.ndarray:

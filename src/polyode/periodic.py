@@ -67,11 +67,6 @@ class PeriodicSystem:
         return self.base.rhs(w) + 1j * self.rotation_rate * w
 
 
-def periodize(system: PolynomialSystem, omega: float) -> PeriodicSystem:
-    """Attach the rotation term of frequency omega/(M-1) to a base system."""
-    return PeriodicSystem(system, omega)
-
-
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
     """Right-hand side of the complexified system at state w (autonomous):
     w is validated, then passed to the unchecked ``PeriodicSystem.rhs``."""
@@ -106,7 +101,7 @@ class PeriodicClosedForm:
         return 2 * math.pi / abs(self.omega)
 
     def system(self) -> PeriodicSystem:
-        return periodize(self.instance.system, self.omega)
+        return PeriodicSystem(self.instance.system, self.omega)
 
 
 def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:

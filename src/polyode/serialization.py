@@ -38,25 +38,43 @@ def system_to_dict(system: PolynomialSystem) -> dict:
     }
 
 
-def system_from_dict(data: dict) -> PolynomialSystem:
+_NUMBER = (int, float)
+
+
+def _typed(value, types: tuple, what: str):
+    """``value`` if its type is exactly one of ``types``: a bool is not an
+    int, and a float is not truncated to one."""
+    if type(value) not in types:
+        raise ValidationError(f"{what} has the wrong JSON type: {value!r}")
+    return value
+
+
+def _get(doc, key: str, types: tuple):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(f"expected a JSON object with key {key!r}")
+    return _typed(doc[key], types, key)
+
+
+def _complex(pair, what: str) -> complex:
+    """A complex number from a [re, im] pair of JSON numbers."""
+    if len(_typed(pair, (list,), what)) != 2:
+        raise ValidationError(f"{what} must be a [re, im] pair, got {pair!r}")
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        entries = data["coefficients"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed system document: {exc}") from exc
+        return complex(*(_typed(x, _NUMBER, what) for x in pair))
+    except OverflowError as exc:
+        raise ValidationError(f"{what} does not fit a double: {exc}") from exc
+
+
+def system_from_dict(data: dict) -> PolynomialSystem:
     coeffs = {}
-    for entry in entries:
-        try:
-            eq = int(entry["eq"])
-            exponents = tuple(int(e) for e in entry["exponents"])
-            value = complex(float(entry["re"]), float(entry["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed coefficient entry {entry!r}: {exc}") from exc
-        if (eq, exponents) in coeffs:
-            raise ValidationError(f"duplicate coefficient key ({eq}, {exponents})")
-        coeffs[(eq, exponents)] = value
-    return PolynomialSystem(n, m, coeffs)
+    for entry in _get(data, "coefficients", (list,)):
+        exponents = _get(entry, "exponents", (list,))
+        key = (_get(entry, "eq", (int,)), tuple(_typed(e, (int,), "exponent") for e in exponents))
+        if key in coeffs:
+            raise ValidationError(f"duplicate coefficient key {key}")
+        value = [_get(entry, "re", _NUMBER), _get(entry, "im", _NUMBER)]
+        coeffs[key] = _complex(value, "coefficient")
+    return PolynomialSystem(_get(data, "n", (int,)), _get(data, "m", (int,)), coeffs)
 
 
 def write_system_file(system: PolynomialSystem, path) -> None:
@@ -76,12 +94,9 @@ def instance_to_dict(instance: SolvableInstance) -> dict:
 
 def instance_from_dict(data: dict, tol: float = 1e-10) -> SolvableInstance:
     system = system_from_dict(data)
-    try:
-        z0 = np.array([complex(re, im) for re, im in data["z0"]], dtype=complex)
-        k = complex(data["k"][0], data["k"][1])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"malformed instance document: {exc}") from exc
-    return SolvableInstance(system, z0, k, tol=tol)
+    z0 = [_complex(z, "z0 component") for z in _get(data, "z0", (list,))]
+    k = _complex(_get(data, "k", (list,)), "k")
+    return SolvableInstance(system, np.array(z0, dtype=complex), k, tol=tol)
 
 
 def write_instance_file(instance: SolvableInstance, path) -> None:

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyode.cli import main
 from polyode.generate import generate_random_instance
 from polyode.serialization import (
+    instance_to_dict,
     parse_instance_file,
     read_trajectory_csv,
     write_instance_file,
@@ -227,3 +230,169 @@ def test_demo_example2(tmp_path, capsys):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["verify", "--instance", str(tmp_path / "nope.json"), "--t-max", "0.5"]) == 1
+
+
+def edited_instance(tmp_path, edit, raw="null"):
+    """The instance file of generate_random_instance(2, 4, 42, k_cap=0.1),
+    with ``edit`` applied to its document; a field set to the string "RAW"
+    is written as the JSON text ``raw``."""
+    doc = instance_to_dict(generate_random_instance(2, 4, 42, k_cap=0.1))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc).replace('"RAW"', raw))
+    return path
+
+
+COMMANDS_ON_AN_INSTANCE = [
+    ["verify", "--t-max", "0.4"],
+    ["eval", "--t-max", "0.4", "--out", "unused.csv"],
+    ["period", "--omega", "1.0"],
+]
+
+
+def run_on_instance(command, path, tmp_path):
+    """Exit code of ``command`` run on the instance file ``path``."""
+    argv = [str(tmp_path / "out.csv") if arg == "unused.csv" else arg for arg in command]
+    return run_cli(argv[:1] + ["--instance", str(path)] + argv[1:])
+
+
+def run_cli(argv):
+    """Exit code of ``main``, including argparse's exit on a bad argument."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args", COMMANDS_ON_AN_INSTANCE)
+@pytest.mark.parametrize("k", ["NaN", "1e400"])
+def test_non_finite_k_is_a_validation_error(tmp_path, capsys, args, k):
+    path = edited_instance(tmp_path, lambda d: d.update(k=["RAW", 0.0]), raw=k)
+    assert run_on_instance(args, path, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "edit,raw",
+    [
+        (lambda d: d.update(coefficients="RAW"), "5"),
+        (lambda d: d["coefficients"][0].update(eq="RAW"), "1e400"),
+        (lambda d: d["coefficients"][0].update(eq="RAW"), "true"),
+        (lambda d: d.update(n="RAW"), "1e400"),
+        (lambda d: d.update(n="RAW"), "2.7"),
+        (lambda d: d["coefficients"][0].update(exponents="RAW"), "[2.5, 1.5]"),
+        (lambda d: d["coefficients"][0].update(exponents="RAW"), "[4.0, 0.0]"),
+    ],
+)
+def test_lax_documents_are_validation_errors(tmp_path, capsys, edit, raw):
+    path = edited_instance(tmp_path, edit, raw)
+    assert main(["verify", "--instance", str(path), "--t-max", "0.4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--n", "2", "--m", "2", "--seed", "-1"],
+        ["gen", "--n", "2", "--m", "1500", "--seed", "0"],
+        ["enumerate", "--n", "2", "--m", "1500"],
+    ],
+)
+def test_seed_and_size_are_validation_errors(capsys, args):
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_newton_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    path = tmp_path / "system.json"
+    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), path)
+    args = ["newton", "--system", str(path), "--k", "1", "--guess=-0.9,-0.4", "--tol", tol]
+    assert main(args) == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+FIELDS = [
+    ("n",), ("m",), ("coefficients",), ("z0",), ("k",), ("extra",),
+    ("coefficients", 0), ("coefficients", 0, "eq"), ("coefficients", 0, "exponents"),
+    ("coefficients", 0, "exponents", 1), ("coefficients", 1, "re"), ("coefficients", 2, "im"),
+    ("z0", 0), ("z0", 1, 0), ("k", 0), ("k", 1),
+]
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(FIELDS), JSON_VALUES), min_size=1, max_size=3),
+    command=st.sampled_from(COMMANDS_ON_AN_INSTANCE),
+)
+def test_fuzz_malformed_instance_documents(tmp_path, capsys, edits, command):
+    def edit(doc):
+        for path, value in edits:
+            try:
+                _set(doc, path, value)
+            except (KeyError, IndexError, TypeError):
+                pass
+
+    path = edited_instance(tmp_path, edit)
+    assert run_on_instance(command, path, tmp_path) in {0, 1, 2, 3}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+NUMBERS = ["0", "-1", "1", "2", "2.5", "nan", "inf", "-inf", "1e400", "1e-300", "x", ""]
+
+NUMERIC_COMMANDS = [
+    ["verify", "--instance", "INSTANCE", "--t-max", "0.2", "--samples", "8",
+     "--rel-tol", "1e-10", "--abs-tol", "1e-12", "--max-dev", "1e-6"],
+    ["eval", "--instance", "INSTANCE", "--t-max", "0.2", "--samples", "8", "--out", "OUT"],
+    ["periodize", "--instance", "INSTANCE", "--omega", "1", "--samples", "8", "--out", "OUT"],
+    ["period", "--instance", "INSTANCE", "--omega", "1", "--tol", "1e-8"],
+    ["gen", "--n", "2", "--m", "3", "--seed", "0", "--density", "0.5"],
+    ["enumerate", "--n", "2", "--m", "3"],
+    ["newton", "--system", "SYSTEM", "--k", "1", "--guess", "-0.9,-0.4", "--tol", "1e-12",
+     "--max-iter", "50"],
+    ["solve", "--system", "SYSTEM", "--z0", "1,1", "--unknowns", "K,c:2:0-2"],
+]
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS, ids=[c[0] for c in NUMERIC_COMMANDS])
+def test_fuzz_numeric_arguments(tmp_path, capsys, command):
+    """Every numeric option of the command, set in turn to each of NUMBERS
+    (the complex lists to that value and 1), ends in a documented exit
+    code without a traceback."""
+    files = {
+        "INSTANCE": tmp_path / "instance.json",
+        "SYSTEM": tmp_path / "system.json",
+        "OUT": tmp_path / "out.csv",
+    }
+    write_instance_file(generate_random_instance(2, 4, 42, k_cap=0.1), files["INSTANCE"])
+    write_system_file(
+        PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), files["SYSTEM"]
+    )
+    command = [str(files.get(arg, arg)) for arg in command]
+    numeric = [i for i in range(2, len(command), 2) if command[i - 1] not in
+               ("--instance", "--system", "--out", "--unknowns")]
+    for i in numeric:
+        for number in NUMBERS:
+            value = f"{number},1" if command[i - 1] in ("--z0", "--guess") else number
+            argv = command[:i - 1] + [f"{command[i - 1]}={value}"] + command[i + 1:]
+            assert run_cli(argv) in {0, 1, 2, 3}, argv
+            assert "Traceback" not in capsys.readouterr().err, argv

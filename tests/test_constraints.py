@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyode import constraints
 from polyode.constraints import (
     RATE_K,
     CoefficientSlot,
@@ -17,7 +18,9 @@ from polyode.errors import (
     SingularSystem,
     ValidationError,
 )
+from polyode.generate import generate_random_instance
 from polyode.polysys import PolynomialSystem, evaluate_rhs
+from polyode.serialization import parse_instance_file, write_instance_file
 
 from test_polysys import random_system
 
@@ -74,7 +77,7 @@ class TestLinearSolve:
         selection = UnknownSelection((RATE_K, CoefficientSlot(2, (0, 2))))
         inst = solve_linear_selection(sys, [1, 1], None, selection)
         assert inst.k == pytest.approx(-1)
-        assert inst.system.coefficient(2, (0, 2)) == pytest.approx(1)
+        assert inst.system.coefficients[(2, (0, 2))] == pytest.approx(1)
         assert np.abs(inst.residual()).max() < 1e-13
 
     @pytest.mark.parametrize("seed", range(10))
@@ -143,6 +146,54 @@ class TestInstanceValidation:
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
         inst = SolvableInstance(sys, [1, 0], -0.9, tol=1.0)
         assert np.abs(inst.residual()).max() > 0
+
+    @pytest.mark.parametrize(
+        "k", [complex(np.nan, 0), complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, np.nan)]
+    )
+    def test_rejects_non_finite_k(self, k):
+        # Zero coefficients and z0 make every constraint term vanish but K z0.
+        sys = PolynomialSystem(2, 2, {})
+        with pytest.raises(ValidationError, match="finite"):
+            SolvableInstance(sys, [1, 0], k, tol=1.0)
+
+    def test_nan_tolerance_admits_nothing(self):
+        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        with pytest.raises(ConstraintNotSatisfied):
+            SolvableInstance(sys, [1, 0], -1.0, tol=np.nan)
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, still calling through."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    def test_instance_evaluates_the_rhs_once(self, monkeypatch):
+        instance = generate_random_instance(3, 4, 2)
+        calls = counting(monkeypatch, constraints, "evaluate_rhs")
+        SolvableInstance(instance.system, instance.z0, instance.k)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_generation_validates_two_systems(self, monkeypatch, density):
+        calls = counting(monkeypatch, PolynomialSystem, "__post_init__")
+        generate_random_instance(3, 4, 5, density=density)
+        assert len(calls) == 2
+
+    def test_instance_file_read_validates_one_system(self, monkeypatch, tmp_path):
+        path = tmp_path / "instance.json"
+        write_instance_file(generate_random_instance(3, 4, 5), path)
+        calls = counting(monkeypatch, PolynomialSystem, "__post_init__")
+        parse_instance_file(path)
+        assert len(calls) == 1
 
 
 class TestJacobian:

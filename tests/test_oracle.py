@@ -10,7 +10,6 @@ from polyode.oracle import (
     _P,
     IntegratorConfig,
     integrate,
-    integrate_rk4,
     verify_instance,
     verify_periodic,
 )
@@ -190,12 +189,18 @@ class TestIntegrate:
         one_way = np.abs(fwd.states[-1] - instance.z0).max()  # scale reference only
         assert np.abs(back.states[-1] - instance.z0).max() < 10 * 1e-8
 
-    def test_rk4_cross_check(self):
-        sys = riccati_decay_system()
-        traj = integrate_rk4(
-            lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0, 2000
-        )
-        np.testing.assert_allclose(traj.states[-1, 0], 0.5, atol=1e-10)
+    def test_matches_scipy_dop853(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        for n, m, seed in [(2, 3, 4), (3, 4, 1)]:
+            instance = generate_random_instance(n, m, seed)
+            times = np.linspace(0.0, proposition_t_end(instance), 9)
+            ours = integrate(instance.system.rhs, instance.z0, times[-1], t_eval=times)
+            ref = scipy_integrate.solve_ivp(
+                lambda t, z: instance.system.rhs(z), (0.0, times[-1]), instance.z0,
+                method="DOP853", t_eval=times, rtol=1e-13, atol=1e-14,
+            )
+            assert ref.success
+            np.testing.assert_allclose(ours.states, ref.y.T, rtol=1e-8, atol=1e-10)
 
 
 class TestConfig:

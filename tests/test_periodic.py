@@ -10,11 +10,11 @@ from polyode.errors import SingularBracket, ValidationError, ZeroOmega
 from polyode.generate import generate_random_instance
 from polyode.periodic import (
     PeriodicClosedForm,
+    PeriodicSystem,
     bracket_values,
     detect_period,
     eval_periodic_closed_form,
     eval_periodic_rhs,
-    periodize,
     winding_number,
 )
 from polyode.polysys import PolynomialSystem, evaluate_rhs
@@ -39,24 +39,24 @@ class TestPeriodize:
     def test_rejects_zero_omega(self):
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
         with pytest.raises(ZeroOmega):
-            periodize(sys, 0.0)
+            PeriodicSystem(sys, 0.0)
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_omega(self, omega):
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
         with pytest.raises(ValidationError, match="finite"):
-            periodize(sys, omega)
+            PeriodicSystem(sys, omega)
         with pytest.raises(ValidationError, match="finite"):
             PeriodicClosedForm(small_k_instance(), omega)
 
     def test_degree_four_rotation_rate(self):
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
-        assert periodize(sys, 1.5).rotation_rate == pytest.approx(0.5)
+        assert PeriodicSystem(sys, 1.5).rotation_rate == pytest.approx(0.5)
 
     def test_real_state_splits_cleanly(self):
         rng = np.random.default_rng(2)
         base = random_system(rng, 2, 4)
-        psys = periodize(base, 1.0)
+        psys = PeriodicSystem(base, 1.0)
         x = rng.uniform(-1, 1, 2)
         xdot, ydot = real_form_rhs(psys, x, np.zeros(2))
         np.testing.assert_allclose(xdot, evaluate_rhs(base, x).real, rtol=1e-14)
@@ -68,7 +68,7 @@ class TestPeriodize:
     def test_complex_and_real_forms_agree(self, seed):
         rng = np.random.default_rng(10 + seed)
         base = random_system(rng, 2, 4)
-        psys = periodize(base, -0.7)
+        psys = PeriodicSystem(base, -0.7)
         x = rng.uniform(-1, 1, 2)
         y = rng.uniform(-1, 1, 2)
         complex_rhs = eval_periodic_rhs(psys, x + 1j * y)
@@ -80,18 +80,18 @@ class TestPeriodize:
 class TestPeriodicRhs:
     def test_zero_state(self):
         rng = np.random.default_rng(0)
-        psys = periodize(random_system(rng, 2, 3), 1.0)
+        psys = PeriodicSystem(random_system(rng, 2, 3), 1.0)
         np.testing.assert_array_equal(eval_periodic_rhs(psys, [0, 0]), [0j, 0j])
 
     def test_pure_rotation_when_no_coefficients(self):
-        psys = periodize(PolynomialSystem(2, 3, {}), 2.0)
+        psys = PeriodicSystem(PolynomialSystem(2, 3, {}), 2.0)
         w = np.array([1 + 1j, -2j])
         np.testing.assert_allclose(eval_periodic_rhs(psys, w), 1j * 1.0 * w, rtol=1e-15)
 
     def test_two_term_assembly(self):
         rng = np.random.default_rng(4)
         base = random_system(rng, 3, 3)
-        psys = periodize(base, 0.9)
+        psys = PeriodicSystem(base, 0.9)
         w = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         expected = 1j * (0.9 / 2) * w + evaluate_rhs(base, w)
         np.testing.assert_allclose(eval_periodic_rhs(psys, w), expected, rtol=1e-14)

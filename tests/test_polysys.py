@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from polyode.constraints import jacobian
 from polyode.errors import ValidationError
 from polyode.polysys import (
+    MAX_BASIS_SIZE,
     PolynomialSystem,
+    check_basis_size,
     enumerate_multi_indices,
     evaluate_rhs,
     factor_indices,
@@ -90,6 +92,41 @@ class TestEnumerate:
             enumerate_multi_indices(0, 3)
 
 
+class TestBasisSizeGuard:
+    # The guard is tested by arithmetic and at sizes whose unguarded
+    # allocation would be small: never by a call that could allocate.
+
+    def test_limit_sits_well_above_the_tested_sizes(self):
+        assert 20 * math.comb(15, 9) * (10 + 6) <= MAX_BASIS_SIZE
+        check_basis_size(10, 6)
+
+    @pytest.mark.parametrize("n,m", [(30, 30), (10**6, 10**6), (2, 10**30), (10**30, 2)])
+    def test_refuses_huge_sizes_by_arithmetic(self, n, m):
+        with pytest.raises(ValidationError, match="exceeds"):
+            check_basis_size(n, m)
+
+    def test_matches_the_binomial(self):
+        for n in range(1, 25):
+            for m in range(0, 40):
+                refused = math.comb(m + n - 1, n - 1) * (n + m) > MAX_BASIS_SIZE
+                try:
+                    check_basis_size(n, m)
+                except ValidationError:
+                    assert refused, (n, m)
+                else:
+                    assert not refused, (n, m)
+
+    def test_enumerate_refuses_a_cheap_oversized_degree(self):
+        # (2, 1500) has 1,501 multi-indices but 1,501 * 1,502 basis entries.
+        with pytest.raises(ValidationError, match="exceeds"):
+            enumerate_multi_indices(2, 1500)
+
+    def test_mapping_refuses_more_terms_than_the_limit_allows(self):
+        terms = {(1, (m, 2000 - m)): 1.0 for m in range(1001)}
+        with pytest.raises(ValidationError, match="exceeds"):
+            PolynomialSystem(2, 2000, terms)
+
+
 class TestSystemValidation:
     def test_rejects_small_n_or_m(self):
         with pytest.raises(ValidationError):
@@ -116,6 +153,81 @@ class TestSystemValidation:
     def test_coefficients_stored_in_canonical_order(self):
         sys = PolynomialSystem(2, 2, {(2, (0, 2)): 1.0, (1, (0, 2)): 2.0, (1, (2, 0)): 3.0})
         assert list(sys.coefficients) == [(1, (2, 0)), (1, (0, 2)), (2, (0, 2))]
+
+
+class TestSystemArrays:
+    def test_mapping_builds_the_arrays(self):
+        sys = PolynomialSystem(2, 2, {(2, (0, 2)): 1.0, (1, (0, 2)): 2.0, (1, (2, 0)): 3.0})
+        np.testing.assert_array_equal(sys.exponents, [[2, 0], [0, 2]])
+        np.testing.assert_array_equal(sys.coeffs, [[3, 2], [0, 1]])
+
+    def test_arrays_round_trip_through_the_mapping(self):
+        sys = random_system(np.random.default_rng(3), 3, 4, density=0.5)
+        again = PolynomialSystem(3, 4, coeffs=sys.coeffs, exponents=sys.exponents)
+        assert again.coefficients == sys.coefficients
+        assert PolynomialSystem(3, 4, dict(sys.coefficients)).coefficients == sys.coefficients
+
+    def test_zero_columns_are_dropped(self):
+        sys = PolynomialSystem(
+            2, 2, coeffs=[[1, 0, 0], [2, 0, 3]], exponents=[[2, 0], [1, 1], [0, 2]]
+        )
+        np.testing.assert_array_equal(sys.exponents, [[2, 0], [0, 2]])
+        assert sys.coefficients == {(1, (2, 0)): 1, (2, (2, 0)): 2, (2, (0, 2)): 3}
+
+    def test_state_is_read_only(self):
+        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        with pytest.raises(ValueError):
+            sys.coeffs[0, 0] = 2
+        with pytest.raises(ValueError):
+            sys.exponents[0, 0] = 1
+        with pytest.raises(TypeError):
+            sys.coefficients[(1, (2, 0))] = 2
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            [[0, 2], [2, 0]],  # ascending
+            [[2, 0], [2, 0]],  # duplicate
+            [[3, -1], [0, 2]],  # negative
+            [[2, 1], [0, 2]],  # wrong sum
+            [[2.0, 0.0], [0.0, 2.0]],  # not integers
+            [[2, 0, 0], [0, 2, 0]],  # wrong length
+        ],
+    )
+    def test_rejects_bad_exponents(self, exponents):
+        with pytest.raises(ValidationError):
+            PolynomialSystem(2, 2, coeffs=np.ones((2, 2)), exponents=exponents)
+
+    @pytest.mark.parametrize("coeffs", [np.ones((2, 3)), np.ones(2), [[1, np.inf], [0, 1]]])
+    def test_rejects_bad_coefficients(self, coeffs):
+        with pytest.raises(ValidationError):
+            PolynomialSystem(2, 2, coeffs=coeffs, exponents=[[2, 0], [0, 2]])
+
+    def test_rejects_mapping_and_arrays_together(self):
+        with pytest.raises(ValidationError, match="not both"):
+            PolynomialSystem(
+                2, 2, {(1, (2, 0)): 1.0}, coeffs=np.ones((2, 1)), exponents=[[2, 0]]
+            )
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(True, (2, 0)): 1.0},
+            {(1.0, (2, 0)): 1.0},
+            {(1, (2.5, -0.5)): 1.0},
+            {(1, (2, 0)): 1.0, (1, (1,)): 1.0},
+            {(1, (2, 0)): "x"},
+            {(1, 2): 1.0},
+        ],
+    )
+    def test_rejects_malformed_mappings(self, terms):
+        with pytest.raises(ValidationError):
+            PolynomialSystem(2, 2, terms)
+
+    @pytest.mark.parametrize("n,m", [(2.5, 2), (2, "3"), (10**30, 2)])
+    def test_rejects_bad_dimensions(self, n, m):
+        with pytest.raises(ValidationError):
+            PolynomialSystem(n, m, {})
 
 
 class TestEvaluateRhs:
@@ -179,7 +291,7 @@ def assert_matches_power_table(system, z):
     multi-index). Each value may differ by 4*M*eps times the sum of the
     moduli of its terms."""
     m = system.m
-    coeffs, exponents, _ = system._basis
+    coeffs, exponents = system.coeffs, system.exponents
     tol = 4 * m * EPS
 
     values = power_table_monomials(z, exponents, m)

@@ -79,6 +79,60 @@ class TestSystemFormat:
         assert (again.n, again.m) == (system.n, system.m)
 
 
+class TestStrictReader:
+    """Only JSON integers (not bools) are read as n, m, eq and exponents,
+    and only JSON numbers as real and imaginary parts."""
+
+    def doc(self):
+        return {
+            "n": 2,
+            "m": 4,
+            "coefficients": [{"eq": 1, "exponents": [4, 0], "re": 1.0, "im": 0.0}],
+        }
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(n=2.7),
+            lambda d: d.update(n=1e400),
+            lambda d: d.update(m=True),
+            lambda d: d.update(coefficients=5),
+            lambda d: d.update(coefficients=[7]),
+            lambda d: d["coefficients"][0].update(eq=True),
+            lambda d: d["coefficients"][0].update(eq=1e400),
+            lambda d: d["coefficients"][0].update(exponents=[2.5, 1.5]),
+            lambda d: d["coefficients"][0].update(exponents="40"),
+            lambda d: d["coefficients"][0].update(re="1.0"),
+            lambda d: d["coefficients"][0].update(im=10**400),
+            lambda d: d["coefficients"][0].pop("im"),
+            lambda d: d.pop("n"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, edit):
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(ValidationError):
+            system_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "z0,k",
+        [([[1, 0]], [0, 0]), ([[1, 0], [0]], [0, 0]), ([[1, 0], [0, 1]], [0]),
+         ([[1, 0], [0, 1]], [True, 0]), ([[1, 0], [0, 1]], "0"), ([[1, 0], [0, 1]], [10**400, 0])],
+    )
+    def test_rejects_malformed_initial_data_and_k(self, z0, k):
+        doc = dict(self.doc(), coefficients=[], z0=z0, k=k)
+        with pytest.raises(ValidationError):
+            serialization.instance_from_dict(doc)
+
+    def test_writer_bytes_survive_a_read(self, tmp_path):
+        path = tmp_path / "inst.json"
+        for n, m, seed in [(2, 4, 23), (3, 3, 1)]:
+            write_instance_file(generate_random_instance(n, m, seed, density=0.6), path)
+            text = path.read_bytes()
+            write_instance_file(parse_instance_file(path), path)
+            assert path.read_bytes() == text
+
+
 class TestInstanceFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         instance = generate_random_instance(2, 4, 23)
