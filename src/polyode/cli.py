@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, blow_up_time, eval_closed_form
+from .closedform import ClosedFormSolution, eval_closed_form
 from .constraints import (
     RATE_K,
     CoefficientSlot,
@@ -33,6 +32,8 @@ from .errors import (
     SingularTime,
     StepUnderflow,
     ValidationError,
+    check_count,
+    check_positive,
 )
 from .generate import generate_random_instance
 from .oracle import IntegratorConfig, sample_times, verify_instance
@@ -45,17 +46,10 @@ from .serialization import (
     write_instance_file,
     write_trajectory_csv,
 )
-from .trajectory import SOURCE_CLOSED_FORM, Trajectory
+from .trajectory import Trajectory
 
 _SINGULAR_ERRORS = (SingularSystem, SingularJacobian, SingularTime, SingularBracket, StepUnderflow)
 _TOLERANCE_ERRORS = (NotClosed, NoConvergence)
-
-
-def _parse_complex_list(text: str) -> np.ndarray:
-    try:
-        return np.array([complex(tok) for tok in text.split(",")], dtype=complex)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse complex list {text!r}: {exc}") from exc
 
 
 def _parse_complex(text: str) -> complex:
@@ -63,6 +57,10 @@ def _parse_complex(text: str) -> complex:
         return complex(text)
     except ValueError as exc:
         raise ValidationError(f"cannot parse complex number {text!r}: {exc}") from exc
+
+
+def _parse_complex_list(text: str) -> np.ndarray:
+    return np.array([_parse_complex(tok) for tok in text.split(",")], dtype=complex)
 
 
 def _parse_unknowns(text: str) -> UnknownSelection:
@@ -120,19 +118,14 @@ def _cmd_newton(args) -> int:
 
 def _cmd_eval(args) -> int:
     instance = parse_instance_file(args.instance)
-    sol = ClosedFormSolution.from_instance(instance)
-    t_star = blow_up_time(sol)
-    if t_star is not None and args.t_max >= t_star:
-        raise SingularTime(f"t_max={args.t_max} at or beyond blow-up time {t_star}")
     times = sample_times(args.t_max, args.samples)
-    states = eval_closed_form(sol, times)
-    write_trajectory_csv(Trajectory(times, states, SOURCE_CLOSED_FORM), args.out)
+    states = eval_closed_form(ClosedFormSolution.from_instance(instance), times)
+    write_trajectory_csv(Trajectory(times, states), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if not (math.isfinite(args.max_dev) and args.max_dev > 0):
-        raise ValidationError(f"max-dev must be finite and positive, got {args.max_dev}")
+    check_positive("max-dev", args.max_dev)
     instance = parse_instance_file(args.instance)
     config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     deviation = verify_instance(instance, args.t_max, args.samples, config)
@@ -141,8 +134,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_periodize(args) -> int:
-    if args.samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {args.samples}")
+    check_count("samples", args.samples, 1)
     instance = parse_instance_file(args.instance)
     pcf = PeriodicClosedForm(instance, args.omega)
     times = sample_times(pcf.base_period, args.samples + 1)
@@ -251,15 +243,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SINGULAR_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _TOLERANCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PolyOdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, _SINGULAR_ERRORS):
+            return 3
+        return 2 if isinstance(exc, _TOLERANCE_ERRORS) else 1
 
 
 if __name__ == "__main__":

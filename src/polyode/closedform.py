@@ -8,12 +8,13 @@ valid for t >= 0 up to the blow-up time (the positive real root of
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import SolvableInstance
-from .errors import NegativeTime, SingularTime, ValidationError
+from .errors import NegativeTime, SingularTime, ValidationError, check_count
 from .polysys import as_state
 
 BRACKET_GUARD = 1e-12
@@ -26,10 +27,12 @@ class ClosedFormSolution:
     m: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValidationError(f"degree must be >= 2, got {self.m}")
-        object.__setattr__(self, "z0", as_state(self.z0, len(self.z0)))
-        object.__setattr__(self, "k", complex(self.k))
+        k = complex(self.k)
+        if not cmath.isfinite(k):
+            raise ValidationError(f"K must be finite, got {k}")
+        object.__setattr__(self, "m", check_count("m", self.m, 2))
+        object.__setattr__(self, "z0", as_state(self.z0, np.size(self.z0)))
+        object.__setattr__(self, "k", k)
 
     @classmethod
     def from_instance(cls, instance: SolvableInstance) -> "ClosedFormSolution":
@@ -58,8 +61,8 @@ def eval_closed_form(sol: ClosedFormSolution, t) -> np.ndarray:
     |1 + K t| < 1e-12 and t at or beyond blow-up.
     """
     times = np.asarray(t, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValidationError("closed form needs finite times")
+    if times.ndim > 1 or not np.isfinite(times).all():
+        raise ValidationError("closed form needs one finite time or a 1-D array of them")
     if (times < 0).any():
         raise NegativeTime(f"closed form is defined for t >= 0, got t={times.min()}")
     t_star = blow_up_time(sol)

@@ -13,7 +13,6 @@ the initial data (damped Newton solve).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,8 @@ from .errors import (
     SingularJacobian,
     SingularSystem,
     ValidationError,
+    check_count,
+    check_positive,
 )
 from .polysys import (
     MultiIndex,
@@ -163,7 +164,6 @@ def solve_linear_selection(
     z0,
     k_given,
     selection: UnknownSelection,
-    tol: float = 1e-10,
 ) -> SolvableInstance:
     """Solve the constraints for the selected coefficient slots (and
     optionally K), with the initial data given.
@@ -220,7 +220,7 @@ def solve_linear_selection(
         else:
             coeffs[slot.eq - 1, column[slot.index]] = value
     solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
-    return SolvableInstance(solved, z0, k, tol=tol)
+    return SolvableInstance(solved, z0, k)
 
 
 def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
@@ -251,10 +251,8 @@ def newton_solve_initial_data(
     decreases. Returns z0 with residual max-modulus <= tol. ``history``,
     if supplied, collects the residual norm after each accepted iterate.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    tol = check_positive("tol", tol)
+    max_iter = check_count("max_iter", max_iter, 1)
     k = complex(k)
     z = as_state(guess, system.n).copy()
     res = constraint_residual(system, z, k)

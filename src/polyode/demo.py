@@ -20,7 +20,7 @@ from .serialization import (
     write_system_file,
     write_trajectory_csv,
 )
-from .trajectory import SOURCE_CLOSED_FORM, Trajectory
+from .trajectory import Trajectory
 
 DEMO_SEED_EXAMPLE1 = 101
 DEMO_SEED_EXAMPLE2 = 202
@@ -36,7 +36,7 @@ def _emit_base_artifacts(instance, out: Path) -> dict:
     t_end = 0.8 * min(t_star if t_star is not None else 1.0, 1.0)
     times = np.linspace(0.0, t_end, 201)
     states = eval_closed_form(sol, times)
-    write_trajectory_csv(Trajectory(times, states, SOURCE_CLOSED_FORM), out / "closed_form.csv")
+    write_trajectory_csv(Trajectory(times, states), out / "closed_form.csv")
 
     integrated = integrate(instance.system.rhs, instance.z0, t_end, t_eval=times)
     write_trajectory_csv(integrated, out / "integrated.csv")

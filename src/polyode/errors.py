@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its argument checks."""
+
+import math
+import numbers
 
 
 class PolyOdeError(Exception):
@@ -7,6 +10,27 @@ class PolyOdeError(Exception):
 
 class ValidationError(PolyOdeError, ValueError):
     """Malformed input: bad dimensions, bad schema, out-of-domain arguments."""
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integer >= ``minimum`` (a bool is
+    not an integer); anything else is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float if it is a finite real > 0 (a bool is not a
+    real); anything else is a ValidationError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer or fraction beyond the double range
+        number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+    return number
 
 
 class ConstraintNotSatisfied(ValidationError):

@@ -18,7 +18,7 @@ from .constraints import (
     UnknownSelection,
     solve_linear_selection,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_positive
 from .polysys import PolynomialSystem, enumerate_multi_indices
 
 _RESEED_ATTEMPTS = 16
@@ -43,18 +43,18 @@ def generate_random_instance(
     drawn uniformly from [-1, 1]^2. ``k_cap`` rescales K to that modulus
     when exceeded (used for the small-K periodic regime).
     """
-    if n < 2 or m < 2:
-        raise ValidationError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
-    if not 0 < density <= 1:
-        raise ValidationError(f"density must be in (0, 1], got {density}")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    n, m = check_count("n", n, 2), check_count("m", m, 2)
+    seed = check_count("seed", seed, 0)
+    if check_positive("density", density) > 1:
+        raise ValidationError(f"density must be in (0, 1], got {density!r}")
+    if k_cap is not None:
+        k_cap = check_positive("k_cap", k_cap)
     indices = enumerate_multi_indices(n, m)
     exponents = np.array(indices, dtype=np.intp)
     pure = [_pure_slot(eq, n, m) for eq in range(1, n + 1)]
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
-        rng = np.random.default_rng([int(seed), attempt])
+        rng = np.random.default_rng([seed, attempt])
         mags = rng.uniform(0.2, 1.0, size=(n, 2))
         signs = rng.choice([-1.0, 1.0], size=(n, 2))
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]

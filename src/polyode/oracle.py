@@ -8,19 +8,27 @@ right-hand-side callables; it never touches the closed-form formulas.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import ClosedFormSolution, blow_up_time, eval_closed_form
 from .constraints import SolvableInstance
-from .errors import MaxStepsExceeded, StepUnderflow, ValidationError
+from .errors import MaxStepsExceeded, StepUnderflow, ValidationError, check_count, check_positive
 from .periodic import PeriodicClosedForm, eval_periodic_closed_form
 from .periodic import eval_periodic_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
-from .trajectory import SOURCE_INTEGRATED, StepStats, Trajectory
+from .trajectory import StepStats, Trajectory
+
+# Step control: the first step, the step below which StepUnderflow signals a
+# nearby blow-up, and the budget of accepted plus rejected steps.
+INITIAL_STEP = 1e-3
+MIN_STEP = 1e-12
+MAX_STEPS = 10_000_000
+
+# Most sample times a grid may have: far above the 12,289 points of the
+# largest grid in use, and refused before any array is allocated.
+MAX_SAMPLES = 1 << 18
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -56,17 +64,10 @@ _P = np.array(
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    initial_step: float = 1e-3
-    max_steps: int = 10_000_000
-    min_step: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "initial_step", "min_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive, got {value}")
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps > 0):
-            raise ValidationError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        for name in ("rel_tol", "abs_tol"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
         if self.rel_tol < 1e-14:
             raise ValidationError(f"rel_tol must be >= 1e-14, got {self.rel_tol}")
 
@@ -85,15 +86,17 @@ def integrate(
     non-empty, and the first RHS result must have its shape. The six stage
     states of a step are checked together after the step's RHS calls, so
     ``rhs`` may see a non-finite state just before ValidationError is
-    raised. When ``t_eval`` is given, states are produced at those times
-    via the dense output interpolant; otherwise the accepted step points
-    are returned. Deterministic given the configuration.
+    raised. When ``t_eval`` (a 1-D array of times in [0, t_end]) is given,
+    states are produced at those times via the dense output interpolant;
+    otherwise the accepted step points are returned. Deterministic.
     """
     if config is None:
         config = IntegratorConfig()
-    t_end = float(t_end)
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValidationError(f"t_end must be finite and positive, got {t_end}")
+    t_end = check_positive("t_end", t_end)
+    if t_eval is not None:
+        times = np.asarray(t_eval, dtype=float)
+        if times.ndim != 1 or not np.all((times >= 0) & (times <= t_end + 1e-12 * max(1.0, t_end))):
+            raise ValidationError("t_eval must be a 1-D array of times within [0, t_end]")
     z0 = np.array(z0, dtype=complex)
     if z0.ndim != 1 or z0.size == 0:
         raise ValidationError(
@@ -111,7 +114,7 @@ def integrate(
     # rows of its real view.
     y = z0.view(float)
     t = 0.0
-    h = min(config.initial_step, t_end)
+    h = min(INITIAL_STEP, t_end)
     stats = StepStats()
     step_t0: list[float] = []
     step_h: list[float] = []
@@ -119,7 +122,7 @@ def integrate(
     step_stages: list[np.ndarray] = []
 
     while t < t_end:
-        if h < config.min_step:
+        if h < MIN_STEP:
             raise StepUnderflow(t)
         final = h >= t_end - t
         h_step = t_end - t if final else h
@@ -151,8 +154,8 @@ def integrate(
             stats.min_step = min(stats.min_step, h_step)
         else:
             stats.rejected += 1
-        if stats.accepted + stats.rejected > config.max_steps:
-            raise MaxStepsExceeded(f"exceeded {config.max_steps} steps at t={t}")
+        if stats.accepted + stats.rejected > MAX_STEPS:
+            raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at t={t}")
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h = h_step * min(5.0, max(0.2, factor))
 
@@ -161,11 +164,8 @@ def integrate(
     if t_eval is None:
         times = np.concatenate([[0.0], ends])
         states = np.array(step_y0 + [y]).view(complex)
-        return Trajectory(times, states, SOURCE_INTEGRATED, meta=stats)
+        return Trajectory(times, states, meta=stats)
 
-    times = np.asarray(t_eval, dtype=float)
-    if not np.all((times >= 0) & (times <= t_end + 1e-12 * max(1.0, t_end))):
-        raise ValidationError("t_eval must lie within [0, t_end]")
     idx = np.minimum(np.searchsorted(ends, times, side="left"), t0.size - 1)
     theta = ((times - t0[idx]) / hs[idx])[:, None]
     # _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
@@ -174,17 +174,17 @@ def integrate(
         "sk,skd->sd", weights, np.array(step_stages)[idx].view(float)
     )
     y_s[times >= t_end] = y
-    return Trajectory(times, y_s.view(complex), SOURCE_INTEGRATED, meta=stats)
+    return Trajectory(times, y_s.view(complex), meta=stats)
 
 
 def sample_times(t_end: float, samples: int) -> np.ndarray:
-    """``samples`` uniform times on [0, t_end]. One sample would be t = 0
-    alone, where a check compares z0 with itself: a vacuous pass."""
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValidationError(f"t_end must be finite and positive, got {t_end}")
-    return np.linspace(0.0, t_end, samples)
+    """``samples`` uniform times on [0, t_end], at most ``MAX_SAMPLES``. One
+    sample would be t = 0 alone, where a check compares z0 with itself: a
+    vacuous pass."""
+    samples = check_count("samples", samples, 2)
+    if samples > MAX_SAMPLES:
+        raise ValidationError(f"samples must be <= {MAX_SAMPLES}, got {samples!r}")
+    return np.linspace(0.0, check_positive("t_end", t_end), samples)
 
 
 def _deviation(integrated: np.ndarray, reference: np.ndarray) -> float:
@@ -200,11 +200,11 @@ def verify_instance(
     """Integrate the base system and compare against the closed form at
     uniform sample times; returns the max relative deviation
     |z_int - z_cf| / (1 + |z_cf|)."""
+    times = sample_times(t_end, samples)
     sol = ClosedFormSolution.from_instance(instance)
     t_star = blow_up_time(sol)
-    if t_star is not None and t_end >= t_star:
+    if t_star is not None and times[-1] >= t_star:
         raise ValidationError(f"t_end={t_end} not below blow-up time {t_star}")
-    times = sample_times(float(t_end), samples)
     traj = integrate(instance.system.rhs, instance.z0, t_end, config, t_eval=times)
     return _deviation(traj.states, eval_closed_form(sol, times))
 
@@ -217,9 +217,7 @@ def verify_periodic(
 ) -> float:
     """Integrate the complexified system over whole base periods and compare
     against the periodic closed form on the same grid."""
-    if periods < 1:
-        raise ValidationError("periods must be >= 1")
-    t_end = periods * pcf.base_period
+    t_end = check_count("periods", periods, 1) * pcf.base_period
     times = sample_times(t_end, samples)
     reference = eval_periodic_closed_form(pcf, times)
     traj = integrate(pcf.system().rhs, pcf.z0, t_end, config, t_eval=times)

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import SolvableInstance
-from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
+from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega, check_positive
 from .polysys import PolynomialSystem, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
-from .trajectory import SOURCE_CLOSED_FORM, Trajectory
+from .trajectory import Trajectory
 
 BRACKET_GUARD = 1e-10
 DEFAULT_CLOSURE_TOL = 1e-8
@@ -146,7 +146,7 @@ def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
     log_g, _ = _log_bracket(pcf, times)
     states = np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (pcf.m - 1)), pcf.z0)
     states[times == 0] = pcf.z0
-    return Trajectory(times, states, SOURCE_CLOSED_FORM)
+    return Trajectory(times, states)
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def detect_period(pcf: PeriodicClosedForm, tol: float = DEFAULT_CLOSURE_TOL) -> 
     k = (M-1)/gcd(M-1, (1 - q*sgn(omega)) mod (M-1)), k = 1 when the
     residue vanishes. The numeric closure check is authoritative.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"closure tolerance must be finite and positive, got {tol}")
+    tol = check_positive("closure tolerance", tol)
     m = pcf.m
     q = winding_number(pcf)
     sign = 1 if pcf.omega > 0 else -1

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 # A multi-index is a plain tuple of N nonnegative integers summing to M.
 MultiIndex = tuple
@@ -57,10 +57,7 @@ def enumerate_multi_indices(n: int, m: int) -> list[MultiIndex]:
     ``check_basis_size`` refuses raise ValidationError before anything is
     allocated.
     """
-    if n < 1:
-        raise ValidationError(f"need at least one variable, got n={n}")
-    if m < 0:
-        raise ValidationError(f"degree must be nonnegative, got m={m}")
+    n, m = check_count("n", n, 1), check_count("m", m, 0)
     check_basis_size(n, m)
     return _multi_indices(n, m)
 
@@ -130,9 +127,7 @@ class PolynomialSystem:
     exponents: np.ndarray = field(default=None, kw_only=True)
 
     def __post_init__(self, terms):
-        n, m = self.n, self.m
-        if not all(isinstance(v, numbers.Integral) for v in (n, m)) or min(n, m) < 2:
-            raise ValidationError(f"need integers n >= 2 and m >= 2, got n={n!r}, m={m!r}")
+        n, m = check_count("n", self.n, 2), check_count("m", self.m, 2)
         coeffs, exponents = self.coeffs, self.exponents
         given = coeffs is not None or exponents is not None
         if terms is not None and given:
@@ -158,8 +153,8 @@ class PolynomialSystem:
         if not stored.all():
             coeffs, exponents = coeffs.compress(stored, axis=1), exponents[stored]
         coeffs.flags.writeable = exponents.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "exponents", exponents)
+        for name, value in (("n", n), ("m", m), ("coeffs", coeffs), ("exponents", exponents)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def coefficients(self) -> Mapping[tuple[int, MultiIndex], complex]:

@@ -92,19 +92,19 @@ def instance_to_dict(instance: SolvableInstance) -> dict:
     return doc
 
 
-def instance_from_dict(data: dict, tol: float = 1e-10) -> SolvableInstance:
+def instance_from_dict(data: dict) -> SolvableInstance:
     system = system_from_dict(data)
     z0 = [_complex(z, "z0 component") for z in _get(data, "z0", (list,))]
     k = _complex(_get(data, "k", (list,)), "k")
-    return SolvableInstance(system, np.array(z0, dtype=complex), k, tol=tol)
+    return SolvableInstance(system, np.array(z0, dtype=complex), k)
 
 
 def write_instance_file(instance: SolvableInstance, path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2) + "\n")
 
 
-def parse_instance_file(path, tol: float = 1e-10) -> SolvableInstance:
-    return instance_from_dict(_load_json(path), tol=tol)
+def parse_instance_file(path) -> SolvableInstance:
+    return instance_from_dict(_load_json(path))
 
 
 def _load_json(path) -> dict:

@@ -1,4 +1,4 @@
-"""Sampled trajectories with provenance metadata."""
+"""Sampled trajectories, with the integrator's step counts when integrated."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-
-SOURCE_CLOSED_FORM = "closed-form"
-SOURCE_INTEGRATED = "integrated"
-
 
 @dataclass
 class StepStats:
@@ -21,12 +17,11 @@ class StepStats:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Times (strictly increasing) and complex states, tagged with how they
-    were produced (closed form vs numerical integration)."""
+    """Times (strictly increasing) and complex states, one row per time;
+    ``meta`` holds the step counts of an integrated trajectory."""
 
     times: np.ndarray
     states: np.ndarray
-    source: str
     meta: StepStats | None = None
 
     def __post_init__(self):
@@ -38,8 +33,6 @@ class Trajectory:
             )
         if times.size and np.any(np.diff(times) <= 0):
             raise ValidationError("trajectory times must be strictly increasing")
-        if self.source not in (SOURCE_CLOSED_FORM, SOURCE_INTEGRATED):
-            raise ValidationError(f"unknown trajectory source {self.source!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
