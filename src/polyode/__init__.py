@@ -4,11 +4,7 @@ independent numerical-integration oracle for verifying both."""
 
 from .closedform import ClosedFormSolution, blow_up_time, eval_closed_form
 from .constraints import (
-    RATE_K,
-    CoefficientSlot,
-    RateK,
     SolvableInstance,
-    UnknownSelection,
     constraint_residual,
     jacobian,
     newton_solve_initial_data,
@@ -38,18 +34,14 @@ from .trajectory import StepStats, Trajectory
 
 __all__ = [
     "ClosedFormSolution",
-    "CoefficientSlot",
     "IntegratorConfig",
     "PeriodReport",
     "PeriodicClosedForm",
     "PeriodicSystem",
     "PolynomialSystem",
-    "RATE_K",
-    "RateK",
     "SolvableInstance",
     "StepStats",
     "Trajectory",
-    "UnknownSelection",
     "blow_up_time",
     "constraint_residual",
     "detect_period",

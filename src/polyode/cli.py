@@ -13,14 +13,7 @@ import sys
 import numpy as np
 
 from .closedform import ClosedFormSolution, eval_closed_form
-from .constraints import (
-    RATE_K,
-    CoefficientSlot,
-    SolvableInstance,
-    UnknownSelection,
-    newton_solve_initial_data,
-    solve_linear_selection,
-)
+from .constraints import SolvableInstance, newton_solve_initial_data, solve_linear_selection
 from .demo import run_demo
 from .errors import (
     NoConvergence,
@@ -63,24 +56,24 @@ def _parse_complex_list(text: str) -> np.ndarray:
     return np.array([_parse_complex(tok) for tok in text.split(",")], dtype=complex)
 
 
-def _parse_unknowns(text: str) -> UnknownSelection:
-    """Selection syntax: comma-separated slots, e.g. "K,c:1:4-0,c:2:0-4"."""
-    slots = []
-    for token in text.split(","):
-        token = token.strip()
+def _parse_unknowns(text: str) -> tuple[list, bool]:
+    """Unknowns syntax: comma-separated K and coefficient keys, e.g.
+    "K,c:1:4-0,c:2:0-4". Returns the keys and whether K was listed."""
+    tokens = [token.strip() for token in text.split(",")]
+    if tokens.count("K") > 1:
+        raise ValidationError("K is listed more than once")
+    keys = []
+    for token in tokens:
         if token == "K":
-            slots.append(RATE_K)
             continue
         parts = token.split(":")
         if len(parts) != 3 or parts[0] != "c":
-            raise ValidationError(f"bad unknown slot {token!r}; expected K or c:EQ:EXPONENTS")
+            raise ValidationError(f"bad unknown {token!r}; expected K or c:EQ:EXPONENTS")
         try:
-            eq = int(parts[1])
-            index = tuple(int(e) for e in parts[2].split("-"))
+            keys.append((int(parts[1]), tuple(int(e) for e in parts[2].split("-"))))
         except ValueError as exc:
-            raise ValidationError(f"bad unknown slot {token!r}: {exc}") from exc
-        slots.append(CoefficientSlot(eq, index))
-    return UnknownSelection(tuple(slots))
+            raise ValidationError(f"bad unknown {token!r}: {exc}") from exc
+    return keys, "K" in tokens
 
 
 def _emit_instance(instance: SolvableInstance, out: str | None) -> None:
@@ -99,9 +92,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_solve(args) -> int:
     system = parse_system_file(args.system)
     z0 = _parse_complex_list(args.z0)
-    selection = _parse_unknowns(args.unknowns)
-    k_given = _parse_complex(args.k) if args.k is not None else None
-    instance = solve_linear_selection(system, z0, k_given, selection)
+    keys, k_listed = _parse_unknowns(args.unknowns)
+    if k_listed == (args.k is not None):
+        raise ValidationError("give K exactly once: listed in --unknowns or as --k")
+    k = None if k_listed else _parse_complex(args.k)
+    instance = solve_linear_selection(system, z0, k, keys)
     _emit_instance(instance, args.out)
     return 0
 

@@ -8,13 +8,12 @@ valid for t >= 0 up to the blow-up time (the positive real root of
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import SolvableInstance
-from .errors import NegativeTime, SingularTime, ValidationError, check_count
+from .errors import NegativeTime, SingularTime, ValidationError, check_complex, check_count
 from .polysys import as_state
 
 BRACKET_GUARD = 1e-12
@@ -27,12 +26,9 @@ class ClosedFormSolution:
     m: int
 
     def __post_init__(self):
-        k = complex(self.k)
-        if not cmath.isfinite(k):
-            raise ValidationError(f"K must be finite, got {k}")
+        object.__setattr__(self, "k", check_complex("K", self.k))
         object.__setattr__(self, "m", check_count("m", self.m, 2))
         object.__setattr__(self, "z0", as_state(self.z0, np.size(self.z0)))
-        object.__setattr__(self, "k", k)
 
     @classmethod
     def from_instance(cls, instance: SolvableInstance) -> "ClosedFormSolution":

@@ -12,7 +12,6 @@ the initial data (damped Newton solve).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,72 +22,32 @@ from .errors import (
     SingularJacobian,
     SingularSystem,
     ValidationError,
+    check_complex,
     check_count,
     check_positive,
 )
 from .polysys import (
-    MultiIndex,
     PolynomialSystem,
     as_state,
+    coefficient_keys,
     evaluate_rhs,
-    exponent_rows,
     factor_indices,
     monomials,
 )
 
 
-@dataclass(frozen=True)
-class RateK:
-    """Designates the rate parameter K as an unknown."""
-
-
-RATE_K = RateK()
-
-
-@dataclass(frozen=True)
-class CoefficientSlot:
-    """Designates coefficient (eq, index) as an unknown."""
-
-    eq: int
-    index: MultiIndex
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(self.index))
-
-
-@dataclass(frozen=True)
-class UnknownSelection:
-    """The N unknowns to solve the constraints for: coefficient slots,
-    optionally with K in place of one of them."""
-
-    slots: tuple
-
-    def __post_init__(self):
-        slots = tuple(self.slots)
-        if len(set(slots)) != len(slots):
-            raise ValidationError("selection contains duplicate slots")
-        if sum(isinstance(s, RateK) for s in slots) > 1:
-            raise ValidationError("selection contains more than one K slot")
-        for s in slots:
-            if not isinstance(s, (RateK, CoefficientSlot)):
-                raise ValidationError(f"unsupported unknown designator {s!r}")
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def has_rate_k(self) -> bool:
-        return any(isinstance(s, RateK) for s in self.slots)
-
-
 def constraint_residual(system: PolynomialSystem, z0, k) -> np.ndarray:
     """Residual of the solvability constraints at (system, z0, K)."""
     z0 = as_state(z0, system.n)
-    return _residual(system.m, z0, complex(k), evaluate_rhs(system, z0))
+    return _residual(system.m, z0, check_complex("K", k), evaluate_rhs(system, z0))
 
 
 def residual_scale(system: PolynomialSystem, z0, k) -> float:
-    """Magnitude of the largest constraint term; floor 1 (absolute scale)."""
+    """max(1, max_n |K z0_n|, (M - 1) max_n |rhs(z0)_n|), the residual's
+    scale. After a solve rhs(z0) can be a cancelled sum of much larger
+    terms, whose rounding this scale does not cover."""
     z0 = as_state(z0, system.n)
-    return _scale(system.m, z0, complex(k), evaluate_rhs(system, z0))
+    return _scale(system.m, z0, check_complex("K", k), evaluate_rhs(system, z0))
 
 
 def _residual(m: int, z0: np.ndarray, k: complex, f: np.ndarray) -> np.ndarray:
@@ -115,9 +74,7 @@ class SolvableInstance:
 
     def __post_init__(self):
         z0 = as_state(self.z0, self.system.n)
-        k = complex(self.k)
-        if not cmath.isfinite(k):
-            raise ValidationError(f"K must be finite, got {k}")
+        k = check_complex("K", self.k)
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "k", k)
         f = evaluate_rhs(self.system, z0)
@@ -159,42 +116,38 @@ def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:
     return x
 
 
-def solve_linear_selection(
-    system: PolynomialSystem,
-    z0,
-    k_given,
-    selection: UnknownSelection,
-) -> SolvableInstance:
-    """Solve the constraints for the selected coefficient slots (and
-    optionally K), with the initial data given.
+def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> SolvableInstance:
+    """Solve the constraints for the coefficients named by ``unknowns``, and
+    for K when ``k`` is None, with the initial data given.
 
-    Any values the input system stores at selected slots are discarded; the
-    solved values replace them. Raises SingularSystem on rank deficiency.
+    ``unknowns`` holds keys (eq, multi-index) of ``PolynomialSystem.coefficients``,
+    stored or not: N of them when K is given, N - 1 when it is not. K's
+    column of the linear system comes first, then the keys' in the order
+    given. Any values the input system stores at the keys are discarded;
+    the solved values replace them. Raises SingularSystem on rank deficiency.
     """
     z0 = as_state(z0, system.n)
-    slots = selection.slots
-    if len(slots) != system.n:
-        raise ValidationError(f"selection has {len(slots)} slots, expected {system.n}")
-    if selection.has_rate_k:
-        if k_given is not None:
-            raise ValidationError("K is a selected unknown; do not pass k_given")
-    elif k_given is None:
-        raise ValidationError("K is not among the unknowns; k_given is required")
-    picked = [s for s in slots if isinstance(s, CoefficientSlot)]
-    for s in picked:
-        if not 1 <= s.eq <= system.n:
-            raise ValidationError(f"slot equation index {s.eq} outside 1..{system.n}")
-    exponent_rows([s.index for s in picked], system.n, system.m)
+    keys = coefficient_keys(unknowns, system.n, system.m)
+    k_unknown = int(k is None)  # 1 when K takes the first column
+    expected = system.n - k_unknown
+    if len(keys) != expected:
+        state = "unknown" if k_unknown else "given"
+        raise ValidationError(f"{len(keys)} unknowns with K {state}, expected {expected}")
+    if len(set(keys)) != len(keys):
+        raise ValidationError("unknowns contain a duplicate key")
+    k = 0j if k_unknown else check_complex("K", k)
 
-    # The system over its basis plus the slots' multi-indices, with the
-    # selected entries masked: one vector of monomials at z0 gives both the
+    # The system over its basis plus the keys' multi-indices, with the
+    # unknown entries masked: one vector of monomials at z0 gives both the
     # base residual and the columns of the linear system.
     own = [tuple(index) for index in system.exponents.tolist()]
-    indices = sorted(set(own).union(s.index for s in picked), reverse=True)
+    indices = sorted(set(own).union(index for _, index in keys), reverse=True)
     column = {index: u for u, index in enumerate(indices)}
+    rows = [eq - 1 for eq, _ in keys]
+    cols = [column[index] for _, index in keys]
     coeffs = np.zeros((system.n, len(indices)), dtype=complex)
     coeffs[:, [column[index] for index in own]] = system.coeffs
-    coeffs[[s.eq - 1 for s in picked], [column[s.index] for s in picked]] = 0
+    coeffs[rows, cols] = 0
     exponents = np.array(indices, dtype=np.intp)
     values = monomials(z0, factor_indices(exponents))
 
@@ -202,23 +155,16 @@ def solve_linear_selection(
     # system holding only them would sum them: an all-zero column shifts
     # the BLAS summation order, and with it the last bits of the solution.
     stored = coeffs.any(axis=0)
-    k0 = 0j if selection.has_rate_k else complex(k_given)
-    base = _residual(system.m, z0, k0, coeffs.compress(stored, axis=1).dot(values[stored]))
+    base = _residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
 
     a = np.zeros((system.n, system.n), dtype=complex)
-    for col, slot in enumerate(slots):
-        if isinstance(slot, RateK):
-            a[:, col] = z0
-        else:
-            a[slot.eq - 1, col] = -(1 - system.m) * values[column[slot.index]]
+    if k_unknown:
+        a[:, 0] = z0
+    a[rows, range(k_unknown, system.n)] = -(1 - system.m) * values[cols]
     solution = _gauss_solve(a, -base, SingularSystem)
-
-    k = k0
-    for slot, value in zip(slots, solution):
-        if isinstance(slot, RateK):
-            k = complex(value)
-        else:
-            coeffs[slot.eq - 1, column[slot.index]] = value
+    coeffs[rows, cols] = solution[k_unknown:]
+    if k_unknown:
+        k = complex(solution[0])
     solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
     return SolvableInstance(solved, z0, k)
 
@@ -228,12 +174,12 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
 
     Entry (n, j) is K*delta_{nj} - (1-M) * sum_m c_{n,m} m_j z^{m - e_j}.
     """
-    z = as_state(z, system.n)
+    z, k = as_state(z, system.n), check_complex("K", k)
     rows, cols, multiplicity, factors = system._derivatives
     # deriv[u, j] = m_j z^{m - e_j} for basis monomial u = z^m.
     deriv = np.zeros((len(system.exponents), system.n), dtype=complex)
     deriv[rows, cols] = multiplicity * monomials(z, factors)
-    return complex(k) * np.eye(system.n, dtype=complex) - (1 - system.m) * (system.coeffs @ deriv)
+    return k * np.eye(system.n, dtype=complex) - (1 - system.m) * (system.coeffs @ deriv)
 
 
 def newton_solve_initial_data(
@@ -253,7 +199,7 @@ def newton_solve_initial_data(
     """
     tol = check_positive("tol", tol)
     max_iter = check_count("max_iter", max_iter, 1)
-    k = complex(k)
+    k = check_complex("K", k)
     z = as_state(guess, system.n).copy()
     res = constraint_residual(system, z, k)
     norm = float(np.abs(res).max())

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and its argument checks."""
 
+import cmath
 import math
 import numbers
 
@@ -31,6 +32,19 @@ def check_positive(name: str, value) -> float:
     if not (math.isfinite(number) and number > 0):
         raise ValidationError(f"{name} must be finite and positive, got {value!r}")
     return number
+
+
+def check_complex(name: str, value) -> complex:
+    """``value`` as a complex if it is a finite number (a bool is not a
+    number); anything else is a ValidationError."""
+    number = isinstance(value, numbers.Complex) and not isinstance(value, bool)
+    try:
+        z = complex(value) if number else complex(math.nan)
+    except OverflowError:  # an integer or fraction beyond the double range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return z
 
 
 class ConstraintNotSatisfied(ValidationError):

@@ -30,8 +30,10 @@ MAX_STEPS = 10_000_000
 # largest grid in use, and refused before any array is allocated.
 MAX_SAMPLES = 1 << 18
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Samples per block of dense output: its temporaries stay at a few MB.
+DENSE_OUTPUT_BLOCK = 4096
+
+# Dormand-Prince 5(4) tableau, without nodes: the system is autonomous.
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -41,7 +43,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # 5th-order minus embedded 4th-order weights (local error estimator).
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -136,7 +137,7 @@ def integrate(
             stages[i] = rhs(z_stages[i - 1])
         if not np.isfinite(y_stages).all():
             raise ValidationError("state contains non-finite components")
-        # The last stage state is the 5th-order solution: _A[6] holds _B's weights.
+        # The last stage state is the 5th-order solution: _A[6] holds its weights.
         y_new = y_stages[5]
         err = h_step * _E.dot(k)
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -166,13 +167,17 @@ def integrate(
         states = np.array(step_y0 + [y]).view(complex)
         return Trajectory(times, states, meta=stats)
 
-    idx = np.minimum(np.searchsorted(ends, times, side="left"), t0.size - 1)
-    theta = ((times - t0[idx]) / hs[idx])[:, None]
-    # _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
-    weights = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
-    y_s = np.array(step_y0)[idx] + hs[idx, None] * np.einsum(
-        "sk,skd->sd", weights, np.array(step_stages)[idx].view(float)
-    )
+    y0s, ks = np.array(step_y0), np.array(step_stages).view(float)
+    y_s = np.empty((times.size, y.size))
+    for s in range(0, times.size, DENSE_OUTPUT_BLOCK):
+        block = times[s : s + DENSE_OUTPUT_BLOCK]
+        idx = np.minimum(np.searchsorted(ends, block, side="left"), t0.size - 1)
+        theta = ((block - t0[idx]) / hs[idx])[:, None]
+        # _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
+        weights = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
+        y_s[s : s + block.size] = y0s[idx] + hs[idx, None] * np.einsum(
+            "sk,skd->sd", weights, ks[idx]
+        )
     y_s[times >= t_end] = y
     return Trajectory(times, y_s.view(complex), meta=stats)
 

@@ -23,12 +23,14 @@ multiple of the base period, unless g hits zero on the real axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import SolvableInstance
-from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega, check_positive
+from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
+from .errors import check_complex, check_positive
 from .polysys import PolynomialSystem, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import Trajectory
@@ -38,11 +40,13 @@ DEFAULT_CLOSURE_TOL = 1e-8
 
 
 def _checked_omega(omega) -> float:
-    omega = float(omega)
+    """``omega`` as a float if it is a finite nonzero real (a bool is not a
+    real); zero is a ZeroOmega, anything else a ValidationError."""
+    if isinstance(omega, bool) or not isinstance(omega, numbers.Real):
+        raise ValidationError(f"omega must be a real number, got {omega!r}")
+    omega = check_complex("omega", omega).real
     if omega == 0:
         raise ZeroOmega("omega must be nonzero")
-    if not math.isfinite(omega):
-        raise ValidationError(f"omega must be finite, got {omega}")
     return omega
 
 

@@ -91,7 +91,10 @@ def exponent_rows(rows, n: int, m: int) -> np.ndarray:
 
 def as_state(z, n: int) -> np.ndarray:
     """Validate and convert a state to a length-``n`` complex array."""
-    arr = np.asarray(z, dtype=complex)
+    try:
+        arr = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"state is not an array of numbers: {exc}") from exc
     if arr.shape != (n,):
         raise ValidationError(f"state has shape {arr.shape}, expected ({n},)")
     if not np.isfinite(arr).all():
@@ -112,9 +115,9 @@ class PolynomialSystem:
     pays only for the monomials it stores. Both arrays are read-only.
 
     ``PolynomialSystem(n, m, {(eq, multi-index): value})`` builds the arrays
-    from a mapping of nonzero coefficients, with eq in 1..n;
-    ``PolynomialSystem(n, m, coeffs=..., exponents=...)`` takes them as
-    they are. Either way ``__post_init__`` validates them, once.
+    from a mapping of nonzero coefficients, whose keys ``coefficient_keys``
+    validates; ``PolynomialSystem(n, m, coeffs=..., exponents=...)`` takes
+    them as they are. Either way ``__post_init__`` validates them, once.
     ``coefficients`` is the derived read-only mapping, in canonical order:
     equation ascending, then exponents descending. Systems compare by
     identity.
@@ -138,7 +141,8 @@ class PolynomialSystem:
             coeffs = np.array(coeffs, dtype=complex)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed coefficients: {exc}") from exc
-        exponents = exponent_rows(exponents, n, m)
+        if given:  # coefficient_keys has validated a mapping's multi-indices
+            exponents = exponent_rows(exponents, n, m)
         if coeffs.shape != (n, len(exponents)):
             raise ValidationError(
                 f"coefficients {coeffs.shape} do not fit exponents {exponents.shape}"
@@ -185,24 +189,39 @@ class PolynomialSystem:
         return self.coeffs.dot(monomials(z, self._factors))
 
 
+def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, MultiIndex]]:
+    """``keys`` as ``PolynomialSystem.coefficients`` keys (eq, multi-index
+    tuple): eq an integer in 1..n (a bool is not an integer), the
+    multi-index one that ``exponent_rows`` accepts; else a ValidationError."""
+    pairs = []
+    for key in keys:
+        try:
+            eq, index = key
+            index = tuple(index)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"coefficient key {key!r} is not (eq, multi-index)") from exc
+        if isinstance(eq, bool) or not isinstance(eq, numbers.Integral) or not 1 <= eq <= n:
+            raise ValidationError(f"equation index must be an integer in 1..{n}, got {eq!r}")
+        pairs.append((eq, index))
+    exponent_rows([index for _, index in pairs] or np.zeros((0, n), dtype=np.intp), n, m)
+    return pairs
+
+
 def _arrays_from_terms(n: int, m: int, terms: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """(coeffs, exponents) of a mapping {(eq, multi-index): nonzero value}:
-    one column per distinct multi-index, in canonical order. The
-    constructor validates the exponents."""
+    one column per distinct multi-index, in canonical order."""
     columns = {}
-    for (eq, index), value in terms.items():
-        if isinstance(eq, bool) or not isinstance(eq, numbers.Integral) or not 1 <= eq <= n:
-            raise ValidationError(f"equation index {eq!r} outside 1..{n}")
+    for (eq, index), value in zip(coefficient_keys(terms, n, m), terms.values()):
         if value == 0:
             raise ValidationError(f"stored coefficient for eq {eq}, index {index} is exactly zero")
-        columns.setdefault(tuple(index), []).append((eq - 1, value))
+        columns.setdefault(index, []).append((eq - 1, value))
     check_basis_size(n, m, len(columns))
     indices = sorted(columns, reverse=True)
     coeffs = np.zeros((n, len(indices)), dtype=complex)
     for u, index in enumerate(indices):
         for row, value in columns[index]:
             coeffs[row, u] = value
-    return coeffs, np.array(indices) if indices else np.zeros((0, n), dtype=np.intp)
+    return coeffs, np.array(indices, dtype=np.intp).reshape(-1, n)
 
 
 def factor_indices(exponents) -> np.ndarray:

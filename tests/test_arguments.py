@@ -1,6 +1,7 @@
-"""Bad counts, positive reals and time arrays at every public entry point:
-each must raise ValidationError (never an untyped error, never a silent
-result), and its CLI form must exit 1 with ``error:``."""
+"""Bad counts, positive reals, scalars, states, coefficient keys and time
+arrays at every public entry point: each must raise ValidationError (never
+an untyped error, never a silent result), and its CLI form must exit 1 with
+``error:``."""
 
 from fractions import Fraction
 from functools import cache
@@ -11,12 +12,18 @@ import pytest
 from polyode import oracle
 from polyode.cli import main
 from polyode.closedform import ClosedFormSolution, eval_closed_form
-from polyode.constraints import newton_solve_initial_data
-from polyode.errors import ValidationError, check_count, check_positive
+from polyode.constraints import (
+    SolvableInstance,
+    constraint_residual,
+    jacobian,
+    newton_solve_initial_data,
+    solve_linear_selection,
+)
+from polyode.errors import ValidationError, ZeroOmega, check_complex, check_count, check_positive
 from polyode.generate import generate_random_instance
 from polyode.oracle import IntegratorConfig, integrate, sample_times, verify_instance, verify_periodic
-from polyode.periodic import PeriodicClosedForm, detect_period
-from polyode.polysys import enumerate_multi_indices
+from polyode.periodic import PeriodicClosedForm, PeriodicSystem, detect_period
+from polyode.polysys import as_state, enumerate_multi_indices
 from polyode.serialization import write_instance_file
 
 
@@ -35,6 +42,11 @@ def solution():
 
 def too_many_samples():
     return oracle.MAX_SAMPLES + 1
+
+
+def solve(k, unknowns):
+    """The linear solve on the (2, 4) instance, for K when ``k`` is None."""
+    return solve_linear_selection(instance().system, instance().z0, k, unknowns)
 
 
 # (id, library call, CLI form or None). A CLI form is run on the instance
@@ -70,6 +82,45 @@ BAD_ARGUMENTS = [
         "eval_samples_above_bound",
         lambda: sample_times(0.4, too_many_samples()),
         lambda: ["eval", "--t-max", "0.4", "--samples", str(too_many_samples()), "--out", "OUT"],
+    ),
+    ("as_state_str", lambda: as_state("x", 1), None),
+    ("as_state_ragged", lambda: as_state([[1], [1, 2]], 2), None),
+    ("pcf_omega_str", lambda: PeriodicClosedForm(instance(), "x"), None),
+    ("pcf_omega_numeric_str", lambda: PeriodicClosedForm(instance(), "1.0"), None),
+    ("pcf_omega_bool", lambda: PeriodicClosedForm(instance(), True), None),
+    ("pcf_omega_complex", lambda: PeriodicClosedForm(instance(), 1j), None),
+    ("pcf_omega_huge_int", lambda: PeriodicClosedForm(instance(), 10**400), None),
+    ("periodic_system_omega_none", lambda: PeriodicSystem(instance().system, None), None),
+    ("closed_form_k_str", lambda: ClosedFormSolution(instance().z0, "x", 3), None),
+    ("closed_form_k_huge_int", lambda: ClosedFormSolution(instance().z0, 10**400, 3), None),
+    ("instance_k_none", lambda: SolvableInstance(instance().system, instance().z0, None), None),
+    (
+        "instance_k_str",
+        lambda: SolvableInstance(instance().system, instance().z0, str(instance().k)),
+        None,
+    ),
+    ("residual_k_str", lambda: constraint_residual(instance().system, instance().z0, "x"), None),
+    ("residual_k_bool", lambda: constraint_residual(instance().system, instance().z0, True), None),
+    ("jacobian_k_str", lambda: jacobian(instance().system, instance().z0, "x"), None),
+    ("newton_k_str", lambda: newton_solve_initial_data(instance().system, "x", [1, 1]), None),
+    ("solve_k_str", lambda: solve("x", [(1, (4, 0)), (2, (0, 4))]), None),
+    ("solve_key_not_a_pair", lambda: solve(None, [5]), None),
+    ("solve_key_one_entry", lambda: solve(None, [(1,)]), None),
+    ("solve_key_bool_eq", lambda: solve(None, [(True, (2, 2))]), None),
+    ("solve_key_index_not_iterable", lambda: solve(None, [(1, 5)]), None),
+    ("solve_key_eq_zero", lambda: solve(None, [(0, (2, 2))]), None),
+    ("solve_key_eq_above_n", lambda: solve(None, [(3, (2, 2))]), None),
+    ("solve_key_eq_float", lambda: solve(None, [(1.0, (2, 2))]), None),
+    ("solve_key_bad_multi_index", lambda: solve(None, [(1, (3, 0))]), None),
+    ("solve_key_multi_index_too_long", lambda: solve(None, [(1, (2, 1, 1))]), None),
+    ("solve_key_duplicate", lambda: solve(1.0, [(1, (2, 2)), (1, (2, 2))]), None),
+    ("solve_k_unknown_too_many_keys", lambda: solve(None, [(1, (4, 0)), (2, (0, 4))]), None),
+    ("solve_k_unknown_no_keys", lambda: solve(None, []), None),
+    ("solve_k_given_too_few_keys", lambda: solve(1.0, [(1, (4, 0))]), None),
+    (
+        "solve_k_given_too_many_keys",
+        lambda: solve(1.0, [(1, (4, 0)), (2, (0, 4)), (1, (2, 2))]),
+        None,
     ),
     (
         "periodize_samples_above_bound",
@@ -115,3 +166,21 @@ def test_check_positive_returns_a_float(value):
 def test_check_positive_refuses(value):
     with pytest.raises(ValidationError, match=r"tol must be finite and positive, got .+"):
         check_positive("tol", value)
+
+
+@pytest.mark.parametrize("value", [1, -2.5, np.float32(0.5), np.complex128(1 - 2j), Fraction(1, 3)])
+def test_check_complex_returns_a_complex(value):
+    assert check_complex("K", value) == complex(value)
+    assert type(check_complex("K", value)) is complex
+
+
+@pytest.mark.parametrize("value", [complex("nan"), complex(0, np.inf), 10**400, "1", None, True])
+def test_check_complex_refuses(value):
+    with pytest.raises(ValidationError, match=r"K must be a finite number, got .+"):
+        check_complex("K", value)
+
+
+@pytest.mark.parametrize("omega", [0, 0.0, -0.0, np.float64(0)])
+def test_zero_omega_is_its_own_error(omega):
+    with pytest.raises(ZeroOmega):
+        PeriodicClosedForm(instance(), omega)

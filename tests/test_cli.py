@@ -68,6 +68,45 @@ def test_solve_singular_exit_code(tmp_path):
     assert code == 3
 
 
+SOLVE_EXIT_CODES = [
+    ("K,c:2:0-2", None, 0),
+    ("c:2:0-2,K", None, 0),
+    ("c:1:0-2,c:2:0-2", "1", 0),
+    ("K,c:2:0-2", "1", 1),  # K listed and given
+    ("c:1:0-2,c:2:0-2", None, 1),  # K neither listed nor given
+    ("K,K", None, 1),
+    ("K", None, 1),  # too few
+    ("K,c:1:0-2,c:2:0-2", None, 1),  # too many
+    ("c:2:0-2", "1", 1),  # too few
+    ("c:1:0-2,c:2:0-2,c:2:1-1", "1", 1),  # too many
+    ("c:1:0-2,c:1:0-2", "1", 1),  # duplicate key
+    ("K,c:0:0-2", None, 1),
+    ("K,c:3:0-2", None, 1),
+    ("K,c:1:3-0", None, 1),  # exponents do not sum to M
+    ("K,c:1:1-0-1", None, 1),  # multi-index of the wrong length
+]
+
+
+@pytest.mark.parametrize("unknowns,k,code", SOLVE_EXIT_CODES)
+def test_solve_exit_codes(tmp_path, capsys, unknowns, k, code):
+    sys_path = tmp_path / "system.json"
+    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (1, 1)): 0.5}), sys_path)
+    argv = ["solve", "--system", str(sys_path), "--z0", "1,0.5", "--unknowns", unknowns]
+    assert main(argv + (["--k", k] if k is not None else [])) == code
+    assert capsys.readouterr().err.startswith("error: ") == (code != 0)
+
+
+def test_solve_places_k_first_wherever_it_is_listed(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (1, 1)): 0.5}), sys_path)
+    outputs = []
+    for unknowns in ("K,c:2:0-2", "c:2:0-2,K"):
+        argv = ["solve", "--system", str(sys_path), "--z0", "1,0.5", "--unknowns", unknowns]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_newton(tmp_path):
     system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0})
     sys_path = tmp_path / "system.json"

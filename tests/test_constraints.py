@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyode import constraints
 from polyode.constraints import (
-    RATE_K,
-    CoefficientSlot,
     SolvableInstance,
-    UnknownSelection,
     constraint_residual,
     jacobian,
     newton_solve_initial_data,
@@ -19,7 +18,7 @@ from polyode.errors import (
     ValidationError,
 )
 from polyode.generate import generate_random_instance
-from polyode.polysys import PolynomialSystem, evaluate_rhs
+from polyode.polysys import PolynomialSystem, enumerate_multi_indices, evaluate_rhs
 from polyode.serialization import parse_instance_file, write_instance_file
 
 from test_polysys import random_system
@@ -60,13 +59,9 @@ class TestResidual:
 
 class TestSelection:
     def test_rejects_duplicates(self):
-        slot = CoefficientSlot(1, (2, 0))
+        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
         with pytest.raises(ValidationError):
-            UnknownSelection((slot, slot))
-
-    def test_rejects_two_rate_k(self):
-        with pytest.raises(ValidationError):
-            UnknownSelection((RATE_K, RATE_K))
+            solve_linear_selection(sys, [1, 1], 1.0, [(1, (2, 0)), (1, (2, 0))])
 
 
 class TestLinearSolve:
@@ -74,8 +69,7 @@ class TestLinearSolve:
         # Fixed c_{1,(2,0)} = 1, z0 = (1,1); unknowns K and c_{2,(0,2)}.
         # Equation 1 forces K = -1, equation 2 then forces c_{2,(0,2)} = 1.
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
-        selection = UnknownSelection((RATE_K, CoefficientSlot(2, (0, 2))))
-        inst = solve_linear_selection(sys, [1, 1], None, selection)
+        inst = solve_linear_selection(sys, [1, 1], None, [(2, (0, 2))])
         assert inst.k == pytest.approx(-1)
         assert inst.system.coefficients[(2, (0, 2))] == pytest.approx(1)
         assert np.abs(inst.residual()).max() < 1e-13
@@ -86,33 +80,23 @@ class TestLinearSolve:
         sys = random_system(rng, 2, 4)
         z0 = rng.uniform(0.2, 1, 2) + 1j * rng.uniform(0.2, 1, 2)
         k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        selection = UnknownSelection(
-            (CoefficientSlot(1, (4, 0)), CoefficientSlot(2, (0, 4)))
-        )
-        inst = solve_linear_selection(sys, z0, k, selection)
+        inst = solve_linear_selection(sys, z0, k, [(1, (4, 0)), (2, (0, 4))])
         assert np.abs(inst.residual()).max() < 1e-12
 
     def test_zero_initial_data_is_singular(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
-        selection = UnknownSelection(
-            (CoefficientSlot(1, (0, 2)), CoefficientSlot(2, (0, 2)))
-        )
         with pytest.raises(SingularSystem):
-            solve_linear_selection(sys, [0, 0], 1.0, selection)
+            solve_linear_selection(sys, [0, 0], 1.0, [(1, (0, 2)), (2, (0, 2))])
 
     def test_requires_k_when_not_selected(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
-        selection = UnknownSelection(
-            (CoefficientSlot(1, (0, 2)), CoefficientSlot(2, (0, 2)))
-        )
         with pytest.raises(ValidationError):
-            solve_linear_selection(sys, [1, 1], None, selection)
+            solve_linear_selection(sys, [1, 1], None, [(1, (0, 2)), (2, (0, 2))])
 
     def test_rejects_k_given_when_selected(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
-        selection = UnknownSelection((RATE_K, CoefficientSlot(2, (0, 2))))
         with pytest.raises(ValidationError):
-            solve_linear_selection(sys, [1, 1], 1.0, selection)
+            solve_linear_selection(sys, [1, 1], 1.0, [(2, (0, 2))])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_linearity_witness(self, seed):
@@ -121,12 +105,12 @@ class TestLinearSolve:
         rng = np.random.default_rng(40 + seed)
         base = random_system(rng, 2, 4)
         z0 = rng.uniform(0.2, 1, 2) + 1j * rng.uniform(0.2, 1, 2)
-        slots = [CoefficientSlot(1, (4, 0)), CoefficientSlot(2, (0, 4))]
+        keys = [(1, (4, 0)), (2, (0, 4))]
 
         def residual_at(u):
             coeffs = dict(base.coefficients)
-            for slot, value in zip(slots, u[1:]):
-                coeffs[(slot.eq, slot.index)] = value
+            for key, value in zip(keys, u[1:]):
+                coeffs[key] = value
             sys = PolynomialSystem(2, 4, coeffs)
             return constraint_residual(sys, z0, u[0])
 
@@ -134,6 +118,38 @@ class TestLinearSolve:
         u2 = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         gap = residual_at(u1) + residual_at(u2) - 2 * residual_at((u1 + u2) / 2)
         assert np.abs(gap).max() < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 5),
+        density=st.floats(0.05, 1.0),
+        k_given=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_solve_touches_only_the_unknowns(self, n, m, density, k_given, seed, data):
+        # The keys range over every (eq, multi-index), stored or not.
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n, m, density)
+        z0 = rng.uniform(0.2, 1, n) * rng.choice([-1, 1], n) + 1j * rng.uniform(-1, 1, n)
+        k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if k_given else None
+        indices = enumerate_multi_indices(n, m)
+        every_key = [(eq, index) for eq in range(1, n + 1) for index in indices]
+        count = n - (k is None)
+        keys = data.draw(
+            st.lists(st.sampled_from(every_key), min_size=count, max_size=count, unique=True)
+        )
+        try:
+            inst = solve_linear_selection(system, z0, k, keys)
+        except SingularSystem:
+            return
+        if k is not None:
+            assert inst.k == k
+        bits = lambda coefficients: {
+            key: (v.real.hex(), v.imag.hex()) for key, v in coefficients.items() if key not in keys
+        }
+        assert bits(inst.system.coefficients) == bits(system.coefficients)
 
 
 class TestInstanceValidation:

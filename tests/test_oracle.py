@@ -140,7 +140,7 @@ class TestIntegrate:
             integrate(lambda z: np.zeros(6, dtype=complex), np.zeros(4, dtype=complex), 1.0)
 
     @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 4, 3), (3, 3, 4), (3, 4, 2)])
-    def test_dense_output_matches_per_sample_loop(self, n, m, seed):
+    def test_dense_output_matches_per_sample_loop(self, monkeypatch, n, m, seed):
         instance = generate_random_instance(n, m, seed)
         rhs = lambda z: evaluate_rhs(instance.system, z)
         t_end = proposition_t_end(instance)
@@ -151,6 +151,11 @@ class TestIntegrate:
         reference = dense_output_loop(rhs, steps, t_end, t_eval)
         np.testing.assert_allclose(dense.states, reference, rtol=1e-14)
         np.testing.assert_array_equal(dense.states[-1], steps.states[-1])
+        # Blocks of 7 samples put block boundaries inside and between steps;
+        # the blocks change the memory used, never a bit of the result.
+        monkeypatch.setattr(oracle, "DENSE_OUTPUT_BLOCK", 7)
+        blocked = integrate(rhs, instance.z0, t_end, t_eval=t_eval)
+        np.testing.assert_array_equal(blocked.states, dense.states)
 
     def test_step_points_are_accepted_states(self):
         sys = riccati_decay_system()

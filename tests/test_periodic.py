@@ -178,13 +178,12 @@ class TestClosedForm:
 
 def _instance_with_k(k, m=4, seed=99):
     """Valid N=2 instance of degree m with a prescribed K (pure slots solved)."""
-    from polyode.constraints import CoefficientSlot, UnknownSelection, solve_linear_selection
+    from polyode.constraints import solve_linear_selection
 
     rng = np.random.default_rng(seed)
     sys = random_system(rng, 2, m, density=0.5)
     z0 = rng.uniform(0.2, 1, 2) + 1j * rng.uniform(0.2, 1, 2)
-    selection = UnknownSelection((CoefficientSlot(1, (m, 0)), CoefficientSlot(2, (0, m))))
-    return solve_linear_selection(sys, z0, k, selection)
+    return solve_linear_selection(sys, z0, k, [(1, (m, 0)), (2, (0, m))])
 
 
 def unwrapped_closed_form(pcf, times):
