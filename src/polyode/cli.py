@@ -33,6 +33,7 @@ from .oracle import IntegratorConfig, sample_times, verify_instance
 from .periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
 from .polysys import enumerate_multi_indices
 from .serialization import (
+    document_text,
     instance_to_dict,
     parse_instance_file,
     parse_system_file,
@@ -80,7 +81,7 @@ def _emit_instance(instance: SolvableInstance, out: str | None) -> None:
     if out:
         write_instance_file(instance, out)
     else:
-        print(json.dumps(instance_to_dict(instance), indent=2))
+        sys.stdout.write(document_text(instance_to_dict(instance)))
 
 
 def _cmd_enumerate(args) -> int:

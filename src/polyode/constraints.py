@@ -27,6 +27,7 @@ from .errors import (
     check_positive,
 )
 from .polysys import (
+    MAX_BASIS_SIZE,
     PolynomialSystem,
     as_state,
     coefficient_keys,
@@ -169,11 +170,19 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     return SolvableInstance(solved, z0, k)
 
 
+def _check_jacobian_size(n: int) -> None:
+    """Refuse, before anything is allocated, a dimension whose n x n
+    Jacobian would exceed ``MAX_BASIS_SIZE`` entries."""
+    if n * n > MAX_BASIS_SIZE:
+        raise ValidationError(f"an n x n Jacobian at n = {n} exceeds {MAX_BASIS_SIZE} entries")
+
+
 def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     """Analytic Jacobian of the constraint residual with respect to z.
 
     Entry (n, j) is K*delta_{nj} - (1-M) * sum_m c_{n,m} m_j z^{m - e_j}.
     """
+    _check_jacobian_size(system.n)
     z, k = as_state(z, system.n), check_complex("K", k)
     rows, cols, multiplicity, factors = system._derivatives
     # deriv[u, j] = m_j z^{m - e_j} for basis monomial u = z^m.
@@ -196,7 +205,10 @@ def newton_solve_initial_data(
     The step is halved (at most 30 times) until the residual max-modulus
     decreases. Returns z0 with residual max-modulus <= tol. ``history``,
     if supplied, collects the residual norm after each accepted iterate.
+    A system whose n x n Jacobian would exceed ``MAX_BASIS_SIZE`` entries
+    is a ValidationError, raised before anything is allocated.
     """
+    _check_jacobian_size(system.n)
     tol = check_positive("tol", tol)
     max_iter = check_count("max_iter", max_iter, 1)
     k = check_complex("K", k)

@@ -41,6 +41,10 @@ def generate_random_instance(
     indices = enumerate_multi_indices(n, m)
     exponents = np.array(indices, dtype=np.intp)
     pure = [(eq + 1, (0,) * eq + (m,) + (0,) * (n - 1 - eq)) for eq in range(n)]
+    # The free entries, in draw order: equation by equation, each over the
+    # basis in canonical order, skipping the equation's pure monomial.
+    free = np.ones((n, len(indices)), dtype=bool)
+    free[range(n), [indices.index(own) for _, own in pure]] = False
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -49,10 +53,7 @@ def generate_random_instance(
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]
 
         coeffs = np.zeros((n, len(indices)), dtype=complex)
-        for row, (_, own) in enumerate(pure):
-            for u, index in enumerate(indices):
-                if index != own and rng.random() < density:
-                    coeffs[row, u] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        coeffs[free] = _free_coefficients(rng, int(free.sum()), density)
         k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
@@ -63,3 +64,27 @@ def generate_random_instance(
         except SingularSystem as exc:
             last_error = exc
     raise last_error
+
+
+def _free_coefficients(rng, count: int, density: float) -> list[complex]:
+    """Values of ``count`` free entries drawn in order: an entry is kept when
+    its first uniform draw is below ``density`` and takes the next two as
+    -1 + 2u (exactly ``rng.uniform(-1, 1)``); a dropped entry is 0. Each
+    ``rng.random`` block holds only draws the entries ahead are sure to take
+    (3 each at density 1, else 1; 3 for a kept one), so ``rng`` ends where
+    per-entry calls would leave it and K's draw is unchanged."""
+    sure = 3 if density >= 1 else 1
+    values = [0j] * count
+    block, i = [], 0
+    for entry in range(count):
+        if i == len(block):
+            block, i = rng.random(sure * (count - entry)).tolist(), 0
+        if block[i] < density:
+            if len(block) - i < 3:
+                rest = 3 + sure * (count - entry - 1) - (len(block) - i)
+                block, i = block[i:] + rng.random(rest).tolist(), 0
+            values[entry] = complex(-1 + 2 * block[i + 1], -1 + 2 * block[i + 2])
+            i += 3
+        else:
+            i += 1
+    return values

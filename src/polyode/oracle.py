@@ -33,20 +33,18 @@ MAX_SAMPLES = 1 << 18
 # Samples per block of dense output: its temporaries stay at a few MB.
 DENSE_OUTPUT_BLOCK = 4096
 
-# Dormand-Prince 5(4) tableau, without nodes: the system is autonomous.
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# 5th-order minus embedded 4th-order weights (local error estimator).
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Dormand-Prince 5(4) tableau, without nodes: the system is autonomous. Row
+# i = 1..6 holds the weights of stage i's state over the stages k1..ki; row 6
+# is also the 5th-order solution. Row 7 holds the error weights over k1..k7:
+# 5th-order minus embedded 4th-order (local error estimator).
+_TABLEAU = np.zeros((8, 7))
+_TABLEAU[1, :1] = [1 / 5]
+_TABLEAU[2, :2] = [3 / 40, 9 / 40]
+_TABLEAU[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_TABLEAU[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_TABLEAU[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_TABLEAU[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_TABLEAU[7] = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 # Dense-output polynomial (4th order in the step fraction).
 _P = np.array(
     [
@@ -110,47 +108,66 @@ def integrate(
         raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {z0.shape}")
 
     # A complex state is integrated as the real view of its memory, with the
-    # real and imaginary parts of each component interleaved. The stages of
-    # a step are the rows of a complex (7, n) array; the tableau combines the
-    # rows of its real view.
-    y = z0.view(float)
+    # real and imaginary parts of each component interleaved. ``rows`` holds
+    # the step's start state y and its stages k1..k7 as complex (n,) rows.
+    # Stage i's state y + h * (a_i . k) is a dot over the stages' real view,
+    # a scaling and an add, each into its row of ``stage_states``; the error
+    # estimate h * (e . k) likewise. Every buffer and view is made once. One
+    # dot with h folded into the weights would round differently, and that
+    # alone changed the step counts of some generated instances.
+    n = z0.size
+    rows = np.empty((8, n), dtype=complex)
+    rows[0], rows[1] = z0, k1
+    stage_states = np.empty((6, n), dtype=complex)
+    row_view, state_view = rows.view(float), stage_states.view(float)
+    y, y_new, k = row_view[0], state_view[5], row_view[1:]
+    stage_dots = [
+        (_TABLEAU[i, :i], k[:i], state_view[i - 1], stage_states[i - 1]) for i in range(1, 7)
+    ]
+    error_weights = _TABLEAU[7]
+    # |y| is kept from the step that produced y; |y_new| is formed per step.
+    err, scale, abs_y, abs_y_new = np.empty(2 * n), np.empty(2 * n), np.abs(y), np.empty(2 * n)
+    finite = np.empty(state_view.shape, dtype=bool)
+    # Accepted steps: start times, sizes, and start states and stages as rows.
+    starts, sizes = [], []
+    history = np.empty((32, 8, n), dtype=complex)
     t = 0.0
     h = min(INITIAL_STEP, t_end)
     stats = StepStats()
-    step_t0: list[float] = []
-    step_h: list[float] = []
-    step_y0: list[np.ndarray] = []
-    step_stages: list[np.ndarray] = []
 
     while t < t_end:
         if h < MIN_STEP:
             raise StepUnderflow(t)
         final = h >= t_end - t
         h_step = t_end - t if final else h
-        stages = np.empty((7, z0.size), dtype=complex)
-        stages[0] = k1
-        k = stages.view(float)
-        z_stages = np.empty((6, z0.size), dtype=complex)
-        y_stages = z_stages.view(float)
-        for i in range(1, 7):
-            np.add(y, h_step * _A[i].dot(k[:i]), out=y_stages[i - 1])
-            stages[i] = rhs(z_stages[i - 1])
-        if not np.isfinite(y_stages).all():
+        for i, (a, stages, state, z) in enumerate(stage_dots, start=2):
+            a.dot(stages, out=state)
+            state *= h_step
+            state += y
+            rows[i] = rhs(z)
+        # ufunc reductions: ndarray.all and ndarray.max add a Python wrapper.
+        if not np.logical_and.reduce(np.isfinite(state_view, out=finite), axis=None):
             raise ValidationError("state contains non-finite components")
-        # The last stage state is the 5th-order solution: _A[6] holds its weights.
-        y_new = y_stages[5]
-        err = h_step * _E.dot(k)
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float((np.abs(err) / scale).max())
+        # The last stage state is the 5th-order solution (_TABLEAU row 6).
+        error_weights.dot(k, out=err)
+        err *= h_step
+        np.abs(err, out=err)
+        np.maximum(abs_y, np.abs(y_new, out=abs_y_new), out=scale)
+        scale *= config.rel_tol
+        scale += config.abs_tol
+        err /= scale
+        err_norm = float(np.maximum.reduce(err))
 
         if err_norm <= 1.0:
-            step_t0.append(t)
-            step_h.append(h_step)
-            step_y0.append(y)
-            step_stages.append(stages)
+            if stats.accepted == len(history):
+                history = np.concatenate([history, np.empty_like(history)])
+            history[stats.accepted] = rows
+            starts.append(t)
+            sizes.append(h_step)
             t = t_end if final else t + h_step
-            y = y_new
-            k1 = stages[6]
+            y[:] = y_new
+            abs_y, abs_y_new = abs_y_new, abs_y
+            rows[1] = rows[7]
             stats.accepted += 1
             stats.min_step = min(stats.min_step, h_step)
         else:
@@ -160,14 +177,14 @@ def integrate(
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h = h_step * min(5.0, max(0.2, factor))
 
-    t0, hs = np.array(step_t0), np.array(step_h)
+    t0, hs = np.array(starts), np.array(sizes)
     ends = t0 + hs
+    steps = history[: stats.accepted]
     if t_eval is None:
         times = np.concatenate([[0.0], ends])
-        states = np.array(step_y0 + [y]).view(complex)
-        return Trajectory(times, states, meta=stats)
+        return Trajectory(times, np.concatenate([steps[:, 0], rows[:1]]), meta=stats)
 
-    y0s, ks = np.array(step_y0), np.array(step_stages).view(float)
+    y0s, ks = steps[:, 0].view(float), steps[:, 1:].view(float)
     y_s = np.empty((times.size, y.size))
     for s in range(0, times.size, DENSE_OUTPUT_BLOCK):
         block = times[s : s + DENSE_OUTPUT_BLOCK]

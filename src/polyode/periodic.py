@@ -60,6 +60,8 @@ class PeriodicSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _checked_omega(self.omega))
+        # The linear part's factor i * omega / (M - 1), formed once.
+        object.__setattr__(self, "_spin", 1j * self.rotation_rate)
 
     @property
     def rotation_rate(self) -> float:
@@ -68,7 +70,7 @@ class PeriodicSystem:
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """The right-hand sides at ``w``, unchecked: ``w`` must be a finite
         complex array of shape (n,). ``eval_periodic_rhs`` validates first."""
-        return self.base.rhs(w) + 1j * self.rotation_rate * w
+        return self.base.rhs(w) + self._spin * w
 
 
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:

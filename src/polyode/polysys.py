@@ -8,12 +8,11 @@ equation ``eq``, where the exponents are nonnegative integers summing to M.
 
 from __future__ import annotations
 
-import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -135,6 +134,10 @@ class PolynomialSystem:
         given = coeffs is not None or exponents is not None
         if terms is not None and given:
             raise ValidationError("give the coefficients as a mapping or as arrays, not both")
+        if terms is not None and not isinstance(terms, Mapping):
+            raise ValidationError(
+                f"terms must be a mapping {{(eq, multi-index): value}}, got {type(terms).__name__}"
+            )
         try:
             if not given:
                 coeffs, exponents = _arrays_from_terms(n, m, {} if terms is None else terms)
@@ -185,8 +188,10 @@ class PolynomialSystem:
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """The right-hand sides at ``z``, unchecked: ``z`` must be a finite
-        complex array of shape (n,). ``evaluate_rhs`` validates first."""
-        return self.coeffs.dot(monomials(z, self._factors))
+        complex array of shape (n,). ``evaluate_rhs`` validates first. The
+        body is ``monomials`` inlined: the integrator calls it six times a
+        step."""
+        return self.coeffs.dot(np.multiply.reduce(z.take(self._factors), axis=-1))
 
 
 def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, MultiIndex]]:
@@ -242,7 +247,8 @@ def monomials(z: np.ndarray, factors: np.ndarray) -> np.ndarray:
     Each monomial is the product of its factors gathered from ``z``, taken
     in factor order; a monomial with no factors is 1.
     """
-    return z.take(factors).prod(axis=-1)
+    # ufunc.reduce, not ndarray.prod, which goes through a Python wrapper.
+    return np.multiply.reduce(z.take(factors), axis=-1)
 
 
 def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:

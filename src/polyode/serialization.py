@@ -1,16 +1,18 @@
 """File formats: system/instance JSON, trajectory CSV, JSON reports.
 
 Numbers are written with 17 significant digits so that doubles round-trip
-bit-exactly. A trajectory CSV is ASCII: a header row, then one row per
-sample, each value formatted as ``"%.17g" % x`` (so ``-0``, ``5e-324``,
-``nan``, ``inf``), fields separated by ``,``, rows ended by ``\r\n``, and
-nothing quoted.
+bit-exactly. A system or instance document is written as JSON on one line
+and read in any JSON layout. A trajectory CSV is ASCII: a header row, then
+one row per sample, each value formatted as ``"%.17g" % x`` (so ``-0``,
+``5e-324``, ``nan``, ``inf``), fields separated by ``,``, rows ended by
+``\r\n``, and nothing quoted.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,20 +67,50 @@ def _complex(pair, what: str) -> complex:
         raise ValidationError(f"{what} does not fit a double: {exc}") from exc
 
 
+def _column(values: list, types: tuple, what: str) -> list:
+    """``values`` if the type of each is exactly one of ``types``, checked
+    once over the set of their types."""
+    if not set(map(type, values)).issubset(types):
+        _typed(next(v for v in values if type(v) not in types), types, what)
+    return values
+
+
 def system_from_dict(data: dict) -> PolynomialSystem:
-    coeffs = {}
-    for entry in _get(data, "coefficients", (list,)):
-        exponents = _get(entry, "exponents", (list,))
-        key = (_get(entry, "eq", (int,)), tuple(_typed(e, (int,), "exponent") for e in exponents))
-        if key in coeffs:
-            raise ValidationError(f"duplicate coefficient key {key}")
-        value = [_get(entry, "re", _NUMBER), _get(entry, "im", _NUMBER)]
-        coeffs[key] = _complex(value, "coefficient")
+    """The system of a document ``{"n", "m", "coefficients": [{"eq",
+    "exponents", "re", "im"}, ...]}``. Each field is checked as a column:
+    JSON integers (not bools) for eq and the exponents, JSON numbers for re
+    and im."""
+    entries = _get(data, "coefficients", (list,))
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise ValidationError("each coefficient must be a JSON object")
+    try:
+        eqs, exponents, res, ims = (
+            [entry[field] for entry in entries] for field in ("eq", "exponents", "re", "im")
+        )
+    except KeyError as exc:
+        raise ValidationError(f"expected a JSON object with key {exc.args[0]!r}") from None
+    _column(eqs, (int,), "eq")
+    _column(list(chain.from_iterable(_column(exponents, (list,), "exponents"))), (int,), "exponent")
+    try:
+        values = list(map(complex, _column(res, _NUMBER, "re"), _column(ims, _NUMBER, "im")))
+    except OverflowError as exc:
+        raise ValidationError(f"coefficient does not fit a double: {exc}") from exc
+    keys = list(zip(eqs, map(tuple, exponents)))
+    coeffs = dict(zip(keys, values))
+    if len(coeffs) != len(keys):
+        duplicate = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValidationError(f"duplicate coefficient key {duplicate}")
     return PolynomialSystem(_get(data, "n", (int,)), _get(data, "m", (int,)), coeffs)
 
 
+def document_text(doc: dict) -> str:
+    """A system or instance document as written: JSON on one line, then a
+    newline. Without ``indent``, ``json.dumps`` runs its C encoder."""
+    return json.dumps(doc) + "\n"
+
+
 def write_system_file(system: PolynomialSystem, path) -> None:
-    Path(path).write_text(json.dumps(system_to_dict(system), indent=2) + "\n")
+    Path(path).write_text(document_text(system_to_dict(system)))
 
 
 def parse_system_file(path) -> PolynomialSystem:
@@ -100,7 +132,7 @@ def instance_from_dict(data: dict) -> SolvableInstance:
 
 
 def write_instance_file(instance: SolvableInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2) + "\n")
+    Path(path).write_text(document_text(instance_to_dict(instance)))
 
 
 def parse_instance_file(path) -> SolvableInstance:

@@ -23,8 +23,8 @@ from polyode.errors import ValidationError, ZeroOmega, check_complex, check_coun
 from polyode.generate import generate_random_instance
 from polyode.oracle import IntegratorConfig, integrate, sample_times, verify_instance, verify_periodic
 from polyode.periodic import PeriodicClosedForm, PeriodicSystem, detect_period
-from polyode.polysys import as_state, enumerate_multi_indices
-from polyode.serialization import write_instance_file
+from polyode.polysys import MAX_BASIS_SIZE, PolynomialSystem, as_state, enumerate_multi_indices
+from polyode.serialization import write_instance_file, write_system_file
 
 
 @cache
@@ -42,6 +42,17 @@ def solution():
 
 def too_many_samples():
     return oracle.MAX_SAMPLES + 1
+
+
+# A dimension whose n x n Jacobian exceeds MAX_BASIS_SIZE entries.
+WIDE = 1500
+assert WIDE**2 > MAX_BASIS_SIZE
+
+
+@cache
+def wide_system():
+    """One term at n = WIDE: small to build, but its Jacobian is too large."""
+    return PolynomialSystem(WIDE, 2, {(1, (2,) + (0,) * (WIDE - 1)): 1.0})
 
 
 def solve(k, unknowns):
@@ -122,6 +133,13 @@ BAD_ARGUMENTS = [
         lambda: solve(1.0, [(1, (4, 0)), (2, (0, 4)), (1, (2, 2))]),
         None,
     ),
+    ("system_terms_list", lambda: PolynomialSystem(2, 2, [(1, (2, 0))]), None),
+    ("jacobian_dimension_above_bound", lambda: jacobian(wide_system(), np.ones(WIDE), 1.0), None),
+    (
+        "newton_dimension_above_bound",
+        lambda: newton_solve_initial_data(wide_system(), 1.0, np.ones(WIDE)),
+        None,
+    ),
     (
         "periodize_samples_above_bound",
         lambda: sample_times(pcf().base_period, too_many_samples()),
@@ -148,6 +166,14 @@ def test_bad_argument_cli_form_exits_1(tmp_path, capsys, argv):
     assert main(args[:1] + ["--instance", str(path)] + args[1:]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_newton_dimension_above_bound_exits_1(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    write_system_file(wide_system(), path)
+    guess = ",".join(["1"] * WIDE)
+    assert main(["newton", "--system", str(path), "--k", "1", "--guess", guess]) == 1
+    assert capsys.readouterr().err.startswith("error: an n x n Jacobian")
 
 
 @pytest.mark.parametrize("value", [2, np.int64(7), 10**30])

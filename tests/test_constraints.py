@@ -237,6 +237,24 @@ class TestJacobian:
         k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         np.testing.assert_allclose(jacobian(sys, z, k), fd_jacobian(sys, z, k), atol=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 5),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_finite_differences_property(self, n, m, density, seed):
+        # Central differences with step 1e-6 err by O(step^2) in truncation
+        # and O(eps / step) in rounding, both far below 1e-6 at |z| <= 1.
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, n, m, density)
+        z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        jac = jacobian(sys, z, k)
+        scale = max(1.0, float(np.abs(jac).max()))
+        assert np.abs(jac - fd_jacobian(sys, z, k)).max() <= 1e-6 * scale
+
 
 class TestNewton:
     def diagonal_system(self):

@@ -7,8 +7,8 @@ from polyode.constraints import SolvableInstance
 from polyode.errors import MaxStepsExceeded, StepUnderflow, ValidationError
 from polyode.generate import generate_random_instance
 from polyode.oracle import (
-    _A,
     _P,
+    _TABLEAU,
     IntegratorConfig,
     integrate,
     verify_instance,
@@ -43,11 +43,46 @@ def dense_output_loop(rhs, steps, t_end, t_eval):
         y0 = steps.states[idx]
         stages = np.empty((7, y0.size), dtype=complex)
         for j in range(7):
-            stages[j] = rhs(y0 + h[idx] * (_A[j] @ stages[:j]))
+            stages[j] = rhs(y0 + h[idx] * (_TABLEAU[j, :j] @ stages[:j]))
         theta = (s - t0[idx]) / h[idx]
         p = np.array([theta, theta**2, theta**3, theta**4])
         out[i] = y0 + h[idx] * ((_P @ p) @ stages)
     return out
+
+
+def reference_step_points(rhs, z0, t_end, config=IntegratorConfig()):
+    """The DP5 step loop with fresh arrays each step and Python lists of
+    step points: the reference for the integrator's buffered loop, which
+    must reproduce its arithmetic bit for bit. Returns the step times, the
+    states and the accepted and rejected step counts."""
+    y, k1 = np.array(z0, dtype=complex).view(float), np.asarray(rhs(z0))
+    t, h, accepted, rejected = 0.0, min(oracle.INITIAL_STEP, t_end), 0, 0
+    times, states = [0.0], [y]
+    while t < t_end:
+        final = h >= t_end - t
+        h_step = t_end - t if final else h
+        stages = np.empty((7, k1.size), dtype=complex)
+        stages[0] = k1
+        k = stages.view(float)
+        z_stages = np.empty((6, k1.size), dtype=complex)
+        y_stages = z_stages.view(float)
+        for i in range(1, 7):
+            np.add(y, h_step * _TABLEAU[i, :i].dot(k[:i]), out=y_stages[i - 1])
+            stages[i] = rhs(z_stages[i - 1])
+        err = h_step * _TABLEAU[7].dot(k)
+        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_stages[5]))
+        err_norm = float((np.abs(err) / scale).max())
+        if err_norm <= 1.0:
+            times.append(t + h_step)
+            t = t_end if final else t + h_step
+            y, k1 = y_stages[5], stages[6]
+            states.append(y)
+            accepted += 1
+        else:
+            rejected += 1
+        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        h = h_step * min(5.0, max(0.2, factor))
+    return np.array(times), np.array(states).view(complex), accepted, rejected
 
 
 def proposition_t_end(instance):
@@ -56,15 +91,34 @@ def proposition_t_end(instance):
 
 
 # Accepted and rejected DP5 steps of verify_instance's integration (64
-# samples, default config) for seeds 0-4 of each (n, M) cell, as recorded
-# before the integrator and the RHS changed their arithmetic layout.
+# samples, default config) for seeds 0-19 of each (n, M) cell. Seeds 0-4
+# were recorded before the integrator and the RHS changed their arithmetic
+# layout, seeds 5-19 before the step loop moved into buffers made once.
 RECORDED_STEPS = {
-    (2, 2): [(23, 0), (44, 1), (30, 0), (21, 0), (47, 1)],
-    (2, 3): [(11, 0), (26, 0), (34, 1), (19, 0), (6, 0)],
-    (2, 4): [(11, 0), (19, 0), (32, 2), (21, 0), (10, 0)],
-    (3, 2): [(36, 0), (62, 1), (44, 1), (30, 0), (31, 0)],
-    (3, 3): [(27, 0), (22, 0), (23, 0), (13, 0), (47, 3)],
-    (3, 4): [(18, 0), (14, 0), (12, 0), (14, 0), (23, 0)],
+    (2, 2): [
+        (23, 0), (44, 1), (30, 0), (21, 0), (47, 1), (34, 0), (25, 0), (36, 0), (16, 0), (35, 2),
+        (61, 1), (22, 0), (38, 0), (21, 0), (34, 0), (35, 0), (23, 0), (77, 2), (16, 0), (31, 0),
+    ],
+    (2, 3): [
+        (11, 0), (26, 0), (34, 1), (19, 0), (6, 0), (21, 0), (14, 0), (45, 0), (57, 4), (25, 0),
+        (12, 0), (13, 0), (52, 1), (27, 0), (26, 0), (19, 0), (31, 0), (24, 0), (24, 0), (15, 0),
+    ],
+    (2, 4): [
+        (11, 0), (19, 0), (32, 2), (21, 0), (10, 0), (22, 0), (11, 0), (14, 0), (15, 0), (11, 0),
+        (27, 0), (14, 0), (15, 0), (18, 0), (20, 0), (18, 0), (32, 0), (27, 0), (20, 0), (18, 0),
+    ],
+    (3, 2): [
+        (36, 0), (62, 1), (44, 1), (30, 0), (31, 0), (41, 3), (49, 0), (42, 0), (31, 0), (27, 0),
+        (30, 0), (26, 0), (28, 0), (14, 0), (67, 3), (27, 0), (18, 0), (7, 0), (29, 0), (29, 0),
+    ],
+    (3, 3): [
+        (27, 0), (22, 0), (23, 0), (13, 0), (47, 3), (24, 0), (39, 0), (54, 1), (23, 0), (21, 0),
+        (20, 0), (31, 0), (34, 0), (17, 0), (49, 0), (18, 0), (20, 0), (19, 0), (14, 0), (20, 0),
+    ],
+    (3, 4): [
+        (18, 0), (14, 0), (12, 0), (14, 0), (23, 0), (20, 0), (25, 0), (23, 0), (39, 1), (37, 0),
+        (19, 0), (20, 0), (40, 1), (45, 4), (19, 0), (22, 0), (10, 0), (20, 0), (22, 0), (31, 0),
+    ],
 }
 
 
@@ -176,6 +230,23 @@ class TestIntegrate:
             )
             assert (traj.meta.accepted, traj.meta.rejected) == recorded, (n, m, seed)
 
+    @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
+    def test_step_points_match_reference_loop_bit_for_bit(self, cell):
+        # Many runs pass the 32 accepted steps the history starts with, and
+        # so grow it, most of all at the tight tolerance.
+        n, m = cell
+        for seed in range(20):
+            instance = generate_random_instance(n, m, seed)
+            t_end = proposition_t_end(instance)
+            for config in (IntegratorConfig(), IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)):
+                traj = integrate(instance.system.rhs, instance.z0, t_end, config)
+                times, states, accepted, rejected = reference_step_points(
+                    instance.system.rhs, instance.z0, t_end, config
+                )
+                assert (traj.meta.accepted, traj.meta.rejected) == (accepted, rejected)
+                assert traj.times.tobytes() == times.tobytes()
+                assert traj.states.tobytes() == states.tobytes()
+
     def test_deterministic(self):
         sys = riccati_decay_system()
         ts = np.linspace(0, 1, 17)
@@ -196,7 +267,7 @@ class TestIntegrate:
 
     def test_matches_scipy_dop853(self):
         scipy_integrate = pytest.importorskip("scipy.integrate")
-        for n, m, seed in [(2, 3, 4), (3, 4, 1)]:
+        for n, m, seed in [(2, 2, 1), (2, 3, 4), (2, 4, 1), (3, 2, 1), (3, 3, 1), (3, 4, 1)]:
             instance = generate_random_instance(n, m, seed)
             times = np.linspace(0.0, proposition_t_end(instance), 9)
             ours = integrate(instance.system.rhs, instance.z0, times[-1], t_eval=times)

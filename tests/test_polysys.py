@@ -284,6 +284,26 @@ class TestEvaluateRhs:
         rhs = lam**m * evaluate_rhs(sys, z)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 6),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+    )
+    def test_homogeneity_property(self, n, m, density, seed, lam):
+        # rhs(lam z) = lam^M rhs(z), to within 1e-12 of the sum of the
+        # moduli of lam^M's terms: far above the (4M + 2U) eps that the
+        # products and the sums over U monomials can round.
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, n, m, density)
+        z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+        terms = np.abs(sys.coeffs) @ np.abs(monomials(z, factor_indices(sys.exponents)))
+        lhs = evaluate_rhs(sys, lam * z)
+        rhs = lam**m * evaluate_rhs(sys, z)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * abs(lam) ** m * terms)
+
 
 def assert_matches_power_table(system, z):
     """The factor-gather kernel against the power-table reference: the RHS,

@@ -143,6 +143,21 @@ class TestInstanceFormat:
         assert again.k == instance.k
         assert again.system.coefficients == instance.system.coefficients
 
+    def test_written_on_one_line_and_read_in_any_layout(self, tmp_path):
+        instance = generate_random_instance(3, 3, 7, density=0.6)
+        path = tmp_path / "inst.json"
+        write_instance_file(instance, path)
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc) + "\n"
+        assert "\n" not in text[:-1]
+        for layout in (dict(indent=2), dict(indent="\t", separators=(" , ", " : "))):
+            path.write_text(json.dumps(doc, **layout))
+            again = parse_instance_file(path)
+            assert again.system.coeffs.tobytes() == instance.system.coeffs.tobytes()
+            assert again.z0.tobytes() == instance.z0.tobytes()
+            assert again.k == instance.k
+
     def test_rejects_inconsistent_instance(self, tmp_path):
         instance = generate_random_instance(2, 4, 23)
         path = tmp_path / "inst.json"
