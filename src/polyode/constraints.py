@@ -12,6 +12,7 @@ the initial data (damped Newton solve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,34 @@ def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:
     return x
 
 
+def _divide_per_equation(rows: list, pivots: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The solution x of a x = b for the n x n matrix a whose column j holds
+    ``pivots[j]`` in row ``rows[j]`` and zeros elsewhere, by one division
+    per equation; SingularSystem, or None where ``_gauss_solve`` must decide.
+
+    This is the linear selection with K given: an unknown coefficient
+    enters only its own equation. With finite pivots, ``_gauss_solve``
+    raises on such a system exactly when two columns share a row or a pivot
+    modulus is at most 1e-13 times the largest. Otherwise all its
+    elimination factors are zero, so its result is these divisions, bit for
+    bit, except that its zero updates decide the sign of a zero and turn an
+    infinity into NaNs. So non-finite pivots, and a solution with a zero or
+    non-finite part, give None.
+    """
+    moduli = np.abs(pivots)
+    largest = float(np.maximum.reduce(moduli))  # NaN if any modulus is
+    if not math.isfinite(largest):
+        return None
+    if len(set(rows)) < len(rows):
+        raise SingularSystem("two unknowns share an equation")
+    smallest, threshold = float(np.minimum.reduce(moduli)), 1e-13 * largest
+    if smallest <= threshold:
+        raise SingularSystem(f"pivot {smallest:.3e} below threshold {threshold:.3e}")
+    x = b[rows] / pivots
+    parts = np.abs(x.view(float))
+    return x if 0 < np.minimum.reduce(parts) and np.maximum.reduce(parts) < math.inf else None
+
+
 def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> SolvableInstance:
     """Solve the constraints for the coefficients named by ``unknowns``, and
     for K when ``k`` is None, with the initial data given.
@@ -126,6 +155,8 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     column of the linear system comes first, then the keys' in the order
     given. Any values the input system stores at the keys are discarded;
     the solved values replace them. Raises SingularSystem on rank deficiency.
+    With K given, each equation holds one unknown and is solved by one
+    division (``_divide_per_equation``); with K unknown, by elimination.
     """
     z0 = as_state(z0, system.n)
     keys = coefficient_keys(unknowns, system.n, system.m)
@@ -138,31 +169,40 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
         raise ValidationError("unknowns contain a duplicate key")
     k = 0j if k_unknown else check_complex("K", k)
 
-    # The system over its basis plus the keys' multi-indices, with the
-    # unknown entries masked: one vector of monomials at z0 gives both the
-    # base residual and the columns of the linear system.
-    own = [tuple(index) for index in system.exponents.tolist()]
-    indices = sorted(set(own).union(index for _, index in keys), reverse=True)
-    column = {index: u for u, index in enumerate(indices)}
+    # The system over its basis plus any multi-indices of the keys it lacks,
+    # with the unknown entries masked: one vector of monomials at z0 gives
+    # both the base residual and the columns of the linear system. When the
+    # basis holds every key, as in generation, it is reused as it is.
+    own = {index: u for u, index in enumerate(map(tuple, system.exponents.tolist()))}
+    lacking = {index for _, index in keys}.difference(own)
+    if lacking:
+        indices = sorted(own.keys() | lacking, reverse=True)
+        column = {index: u for u, index in enumerate(indices)}
+        coeffs = np.zeros((system.n, len(indices)), dtype=complex)
+        coeffs[:, [column[index] for index in own]] = system.coeffs
+        exponents = np.array(indices, dtype=np.intp)
+        factors = factor_indices(exponents)
+    else:
+        column, coeffs = own, system.coeffs.copy()
+        exponents, factors = system.exponents, system._factors
     rows = [eq - 1 for eq, _ in keys]
     cols = [column[index] for _, index in keys]
-    coeffs = np.zeros((system.n, len(indices)), dtype=complex)
-    coeffs[:, [column[index] for index in own]] = system.coeffs
     coeffs[rows, cols] = 0
-    exponents = np.array(indices, dtype=np.intp)
-    values = monomials(z0, factor_indices(exponents))
+    values = monomials(z0, factors)
 
     # The fixed terms are summed over the columns they use, as the rhs of a
     # system holding only them would sum them: an all-zero column shifts
     # the BLAS summation order, and with it the last bits of the solution.
     stored = coeffs.any(axis=0)
     base = _residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
-
-    a = np.zeros((system.n, system.n), dtype=complex)
-    if k_unknown:
-        a[:, 0] = z0
-    a[rows, range(k_unknown, system.n)] = -(1 - system.m) * values[cols]
-    solution = _gauss_solve(a, -base, SingularSystem)
+    pivots = -(1 - system.m) * values[cols]
+    solution = None if k_unknown else _divide_per_equation(rows, pivots, -base)
+    if solution is None:
+        a = np.zeros((system.n, system.n), dtype=complex)
+        if k_unknown:
+            a[:, 0] = z0
+        a[rows, range(k_unknown, system.n)] = pivots
+        solution = _gauss_solve(a, -base, SingularSystem)
     coeffs[rows, cols] = solution[k_unknown:]
     if k_unknown:
         k = complex(solution[0])

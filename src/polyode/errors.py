@@ -13,10 +13,18 @@ class ValidationError(PolyOdeError, ValueError):
     """Malformed input: bad dimensions, bad schema, out-of-domain arguments."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not. The exact type is
+    tested first, since the ``numbers.Integral`` check is an ABC lookup."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
 def check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int if it is an integer >= ``minimum`` (a bool is
     not an integer); anything else is a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not is_integer(value) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -4,15 +4,25 @@ Generation fixes the initial data, the rate parameter and all but N
 coefficients, then solves for the remaining N linearly: those of the
 "pure" monomials, exponent M on the equation's own variable. Their
 linear-solve coefficient is z_n(0)^M, which is nonzero because the initial
-data is drawn bounded away from 0.
+data is drawn bounded away from 0. A draw whose solve is singular, or
+whose solved instance misses the constraint tolerance (at large M the
+solved coefficients are cancelled sums), is replaced by the next attempt's.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .constraints import SingularSystem, SolvableInstance, solve_linear_selection
-from .errors import ValidationError, check_count, check_positive
+from .constraints import SolvableInstance, solve_linear_selection
+from .errors import (
+    ConstraintNotSatisfied,
+    SingularSystem,
+    ValidationError,
+    check_count,
+    check_positive,
+)
 from .polysys import PolynomialSystem, enumerate_multi_indices
 
 _RESEED_ATTEMPTS = 16
@@ -38,13 +48,7 @@ def generate_random_instance(
         raise ValidationError(f"density must be in (0, 1], got {density!r}")
     if k_cap is not None:
         k_cap = check_positive("k_cap", k_cap)
-    indices = enumerate_multi_indices(n, m)
-    exponents = np.array(indices, dtype=np.intp)
-    pure = [(eq + 1, (0,) * eq + (m,) + (0,) * (n - 1 - eq)) for eq in range(n)]
-    # The free entries, in draw order: equation by equation, each over the
-    # basis in canonical order, skipping the equation's pure monomial.
-    free = np.ones((n, len(indices)), dtype=bool)
-    free[range(n), [indices.index(own) for _, own in pure]] = False
+    exponents, pure, free, free_count = _layout(n, m)
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -52,8 +56,8 @@ def generate_random_instance(
         signs = rng.choice([-1.0, 1.0], size=(n, 2))
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]
 
-        coeffs = np.zeros((n, len(indices)), dtype=complex)
-        coeffs[free] = _free_coefficients(rng, int(free.sum()), density)
+        coeffs = np.zeros(free.shape, dtype=complex)
+        coeffs[free] = _free_coefficients(rng, free_count, density)
         k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
@@ -61,9 +65,24 @@ def generate_random_instance(
         system = PolynomialSystem(n, m, coeffs=coeffs, exponents=exponents)
         try:
             return solve_linear_selection(system, z0, k, pure)
-        except SingularSystem as exc:
+        except (SingularSystem, ConstraintNotSatisfied) as exc:
             last_error = exc
     raise last_error
+
+
+@lru_cache(maxsize=8)
+def _layout(n: int, m: int) -> tuple:
+    """What every draw of (n, m) shares, read-only: the basis exponents, the
+    pure keys, and the mask and count of the free entries. The mask lists
+    them in draw order: equation by equation, each over the basis in
+    canonical order, skipping the equation's pure monomial."""
+    indices = enumerate_multi_indices(n, m)
+    exponents = np.array(indices, dtype=np.intp)
+    pure = tuple((eq + 1, (0,) * eq + (m,) + (0,) * (n - 1 - eq)) for eq in range(n))
+    free = np.ones((n, len(indices)), dtype=bool)
+    free[range(n), [indices.index(own) for _, own in pure]] = False
+    exponents.flags.writeable = free.flags.writeable = False
+    return exponents, pure, free, int(free.sum())
 
 
 def _free_coefficients(rng, count: int, density: float) -> list[complex]:

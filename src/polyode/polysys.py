@@ -8,7 +8,6 @@ equation ``eq``, where the exponents are nonnegative integers summing to M.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -16,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, is_integer
 
 # A multi-index is a plain tuple of N nonnegative integers summing to M.
 MultiIndex = tuple
@@ -142,6 +141,8 @@ class PolynomialSystem:
             if not given:
                 coeffs, exponents = _arrays_from_terms(n, m, {} if terms is None else terms)
             coeffs = np.array(coeffs, dtype=complex)
+        except ValidationError:  # a bad key, already worded as one
+            raise
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed coefficients: {exc}") from exc
         if given:  # coefficient_keys has validated a mapping's multi-indices
@@ -205,7 +206,7 @@ def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, MultiIndex]]:
             index = tuple(index)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"coefficient key {key!r} is not (eq, multi-index)") from exc
-        if isinstance(eq, bool) or not isinstance(eq, numbers.Integral) or not 1 <= eq <= n:
+        if not is_integer(eq) or not 1 <= eq <= n:
             raise ValidationError(f"equation index must be an integer in 1..{n}, got {eq!r}")
         pairs.append((eq, index))
     exponent_rows([index for _, index in pairs] or np.zeros((0, n), dtype=np.intp), n, m)
@@ -234,9 +235,12 @@ def factor_indices(exponents) -> np.ndarray:
     of an integer exponent array (..., n) with equal row sums d: index j
     repeated e_j times, ascending, so the result has shape (..., d)."""
     exponents = np.asarray(exponents, dtype=np.intp)
-    degree = int(exponents.sum(axis=-1).max(initial=0))
-    variables = np.broadcast_to(np.arange(exponents.shape[-1]), exponents.shape)
-    factors = np.repeat(variables.ravel(), exponents.ravel())
+    degree = int(np.maximum.reduce(np.add.reduce(exponents, axis=-1), axis=None, initial=0))
+    # Filled in place: np.broadcast_to and ndarray.max are Python wrappers,
+    # whose cost a small basis notices.
+    variables = np.empty_like(exponents)
+    variables[...] = np.arange(exponents.shape[-1])
+    factors = variables.ravel().repeat(exponents.ravel())
     return factors.reshape(exponents.shape[:-1] + (degree,))
 
 

@@ -30,12 +30,18 @@ CSV_BLOCK_ROWS = 256
 
 
 def system_to_dict(system: PolynomialSystem) -> dict:
+    """The document of ``system``: its nonzero coefficients in the order of
+    ``PolynomialSystem.coefficients``, read from the arrays directly."""
+    rows, cols = np.nonzero(system.coeffs)
+    entries = zip(
+        (rows + 1).tolist(), system.exponents[cols].tolist(), system.coeffs[rows, cols].tolist()
+    )
     return {
         "n": system.n,
         "m": system.m,
         "coefficients": [
-            {"eq": eq, "exponents": list(index), "re": value.real, "im": value.imag}
-            for (eq, index), value in system.coefficients.items()
+            {"eq": eq, "exponents": index, "re": value.real, "im": value.imag}
+            for eq, index, value in entries
         ],
     }
 

@@ -176,6 +176,22 @@ def test_newton_dimension_above_bound_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: an n x n Jacobian")
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({(0, (2, 0)): 1.0}, r"equation index must be an integer in 1\.\.2, got 0"),
+        ({(True, (2, 0)): 1.0}, r"equation index must be an integer in 1\.\.2, got True"),
+        ({(1, (3, 0)): 1.0}, r"multi-index \[3, 0\] is not 2 nonnegative integers summing to 2"),
+        ({5: 1.0}, r"coefficient key 5 is not \(eq, multi-index\)"),
+        ({(1, (2, 0)): "x"}, r"malformed coefficients: "),
+    ],
+)
+def test_system_mapping_errors_keep_their_message(terms, message):
+    # A key's own ValidationError is not rewrapped as a malformed value.
+    with pytest.raises(ValidationError, match="^" + message):
+        PolynomialSystem(2, 2, terms)
+
+
 @pytest.mark.parametrize("value", [2, np.int64(7), 10**30])
 def test_check_count_returns_an_int(value):
     assert check_count("n", value, 2) == value

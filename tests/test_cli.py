@@ -241,6 +241,14 @@ def test_gen_density(tmp_path):
     assert np.abs(instance.residual()).max() < 1e-10
 
 
+def test_gen_draws_again_when_the_solve_misses_the_tolerance(tmp_path):
+    # The first draw of (2, 40) seed 0 solves to a residual above 1e-10 of
+    # its scale; the file holds the next attempt's instance, which reads back.
+    out = tmp_path / "instance.json"
+    assert main(["gen", "--n", "2", "--m", "40", "--seed", "0", "--out", str(out)]) == 0
+    assert parse_instance_file(out).system.m == 40
+
+
 def test_demo_example1(tmp_path, capsys):
     out_dir = tmp_path / "demo1"
     assert main(["demo", "example1", "--out-dir", str(out_dir)]) == 0

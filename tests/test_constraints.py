@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,18 @@ from polyode.constraints import (
 from polyode.errors import (
     ConstraintNotSatisfied,
     NoConvergence,
+    PolyOdeError,
     SingularSystem,
     ValidationError,
 )
 from polyode.generate import generate_random_instance
-from polyode.polysys import PolynomialSystem, enumerate_multi_indices, evaluate_rhs
+from polyode.polysys import (
+    PolynomialSystem,
+    enumerate_multi_indices,
+    evaluate_rhs,
+    factor_indices,
+    monomials,
+)
 from polyode.serialization import parse_instance_file, write_instance_file
 
 from test_polysys import random_system
@@ -57,11 +66,127 @@ class TestResidual:
         np.testing.assert_allclose(constraint_residual(sys, z0, k), expected, rtol=1e-14)
 
 
+def union_gauss_selection(system, z0, k, keys):
+    """The linear selection as it was solved before the basis was reused
+    and K given was solved per equation: a new basis, the union of the
+    system's and the keys' multi-indices, then ``_gauss_solve``. The
+    reference for ``solve_linear_selection``'s bytes; it takes valid keys."""
+    z0 = np.asarray(z0, dtype=complex)
+    k_unknown = int(k is None)
+    k = 0j if k_unknown else complex(k)
+    own = [tuple(index) for index in system.exponents.tolist()]
+    indices = sorted(set(own).union(index for _, index in keys), reverse=True)
+    column = {index: u for u, index in enumerate(indices)}
+    rows = [eq - 1 for eq, _ in keys]
+    cols = [column[index] for _, index in keys]
+    coeffs = np.zeros((system.n, len(indices)), dtype=complex)
+    coeffs[:, [column[index] for index in own]] = system.coeffs
+    coeffs[rows, cols] = 0
+    exponents = np.array(indices, dtype=np.intp)
+    values = monomials(z0, factor_indices(exponents))
+    stored = coeffs.any(axis=0)
+    base = k * z0 - (1 - system.m) * coeffs.compress(stored, axis=1).dot(values[stored])
+    a = np.zeros((system.n, system.n), dtype=complex)
+    if k_unknown:
+        a[:, 0] = z0
+    a[rows, range(k_unknown, system.n)] = -(1 - system.m) * values[cols]
+    solution = constraints._gauss_solve(a, -base, SingularSystem)
+    coeffs[rows, cols] = solution[k_unknown:]
+    if k_unknown:
+        k = complex(solution[0])
+    solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
+    return SolvableInstance(solved, z0, k)
+
+
+def selection_outcome(solve, system, z0, k, keys):
+    """The bytes of the solved instance, or the class of the error raised."""
+    try:
+        instance = solve(system, z0, k, keys)
+    except PolyOdeError as exc:
+        return type(exc)
+    return (
+        instance.system.coeffs.tobytes(),
+        instance.system.exponents.tobytes(),
+        instance.z0.tobytes(),
+        np.complex128(instance.k).tobytes(),
+    )
+
+
 class TestSelection:
     def test_rejects_duplicates(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
         with pytest.raises(ValidationError):
             solve_linear_selection(sys, [1, 1], 1.0, [(1, (2, 0)), (1, (2, 0))])
+
+    @pytest.mark.parametrize("k_given", [True, False])
+    def test_matches_union_gauss_reference(self, k_given):
+        # Random selections over stored and unstored keys. Half of them take
+        # one key per equation; the rest draw keys at random, so two often
+        # share an equation. A zero z0 component makes the monomials of its
+        # variable vanish, the pure one among them. On real data the solved
+        # coefficients have zero imaginary parts, whose signs must match too;
+        # so must the errors of a z0 whose monomials overflow.
+        rng = np.random.default_rng(7 + k_given)
+        seen = Counter()
+        for _ in range(400):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            system = random_system(rng, n, m, float(rng.uniform(0.1, 1.0)))
+            z0 = rng.uniform(0.2, 1, n) * rng.choice([-1, 1], n) + 1j * rng.uniform(-1, 1, n)
+            k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if k_given else None
+            if rng.random() < 0.25:
+                system = PolynomialSystem(n, m, coeffs=system.coeffs.real, exponents=system.exponents)
+                z0, k = z0.real, None if k is None else k.real
+            if rng.random() < 0.2:
+                z0[rng.integers(n)] = 0
+            if rng.random() < 0.05:  # the monomials overflow at M >= 4
+                z0 = z0 * 1e80
+            indices = enumerate_multi_indices(n, m)
+            count = n - (k is None)
+            if rng.random() < 0.5:
+                eqs = rng.permutation(n)[:count] + 1
+                keys = [(int(eq), indices[rng.integers(len(indices))]) for eq in eqs]
+            else:
+                every_key = [(eq, index) for eq in range(1, n + 1) for index in indices]
+                keys = [every_key[i] for i in rng.choice(len(every_key), count, replace=False)]
+            with np.errstate(all="ignore"):
+                new = selection_outcome(solve_linear_selection, system, z0, k, keys)
+                assert new == selection_outcome(union_gauss_selection, system, z0, k, keys)
+            stored = all(key in system.coefficients for key in keys)
+            seen[new if isinstance(new, type) else ("solved", stored)] += 1
+        # Both kinds of key, and the singular cases, occurred.
+        assert seen[("solved", True)] and seen[("solved", False)] and seen[SingularSystem], seen
+
+    @pytest.mark.parametrize("k", [0.5 - 0.25j, None])
+    def test_shared_equation_is_singular_on_both_paths(self, k):
+        rng = np.random.default_rng(3)
+        system = random_system(rng, 3, 3)
+        keys = [(1, (3, 0, 0)), (1, (0, 3, 0)), (2, (0, 0, 3))][: 3 - (k is None)]
+        z0 = [0.5 + 0.1j, -0.3 + 0.7j, 0.9 - 0.2j]
+        for solve in (solve_linear_selection, union_gauss_selection):
+            with pytest.raises(SingularSystem):
+                solve(system, z0, k, keys)
+
+    @pytest.mark.parametrize("ratio, singular", [(5e-14, True), (5e-13, False)])
+    def test_pivot_ratio_at_the_threshold_matches_reference(self, ratio, singular):
+        # The pivots are 3 z_1^4 and 3 z_2^4, whose moduli have this ratio;
+        # the threshold is 1e-13 of the largest.
+        system = random_system(np.random.default_rng(5), 2, 4)
+        z0 = np.array([1, ratio**0.25]) * (0.6 + 0.8j)
+        keys = [(1, (4, 0)), (2, (0, 4))]
+        new = selection_outcome(solve_linear_selection, system, z0, 0.3 - 0.1j, keys)
+        assert new == selection_outcome(union_gauss_selection, system, z0, 0.3 - 0.1j, keys)
+        assert (new is SingularSystem) == singular
+
+    @pytest.mark.parametrize("k", [0.5 - 0.25j, None])
+    def test_vanishing_pure_monomial_is_singular_on_both_paths(self, k):
+        # z0[1] = 0, so the pure monomial z_2^3 of equation 2 vanishes.
+        rng = np.random.default_rng(4)
+        system = random_system(rng, 3, 3)
+        keys = [(2, (0, 3, 0)), (1, (3, 0, 0)), (3, (0, 0, 3))][: 3 - (k is None)]
+        z0 = [0.5 + 0.1j, 0, 0.9 - 0.2j]
+        for solve in (solve_linear_selection, union_gauss_selection):
+            with pytest.raises(SingularSystem):
+                solve(system, z0, k, keys)
 
 
 class TestLinearSolve:

@@ -9,11 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyode import generate
 from polyode.closedform import ClosedFormSolution, blow_up_time
-from polyode.constraints import SingularSystem, jacobian, solve_linear_selection
+from polyode.constraints import jacobian, solve_linear_selection
+from polyode.errors import ConstraintNotSatisfied, SingularSystem
 from polyode.generate import generate_random_instance
 from polyode.oracle import IntegratorConfig, verify_instance
 from polyode.polysys import PolynomialSystem, enumerate_multi_indices
+
+from test_constraints import counting
 
 MAX_DEVIATION = 1e-6
 
@@ -39,7 +43,7 @@ def per_entry_generate(n, m, seed, density=1.0, k_cap=None):
         system = PolynomialSystem(n, m, coeffs=coeffs, exponents=np.array(indices))
         try:
             return solve_linear_selection(system, z0, k, pure)
-        except SingularSystem:
+        except (SingularSystem, ConstraintNotSatisfied):
             continue
     raise AssertionError("no solvable draw")
 
@@ -62,6 +66,18 @@ def test_bulk_draws_match_per_entry_draws(n, m, density):
             new = generate_random_instance(n, m, seed, density=density, k_cap=k_cap)
             old = per_entry_generate(n, m, seed, density=density, k_cap=k_cap)
             assert bits(new) == bits(old), (seed, k_cap)
+
+
+def test_draws_again_when_the_solve_misses_the_tolerance(monkeypatch):
+    # At M of 36 and 40 some first draws solve to a residual above 1e-10 of
+    # its scale (the pure coefficients are cancelled sums of 40 terms). Such
+    # a draw is replaced by the next attempt's, as a singular one is, so
+    # every seed yields an instance.
+    solves = counting(monkeypatch, generate, "solve_linear_selection")
+    for m in (36, 40):
+        for seed in range(40):
+            assert generate_random_instance(2, m, seed).system.m == m
+    assert len(solves) > 80
 
 
 def t_end(instance):

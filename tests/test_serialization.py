@@ -36,6 +36,18 @@ class TestSystemFormat:
         system = parse_system_file(path)
         assert system.coefficients == {(1, (2, 0)): 1 + 0j}
 
+    @pytest.mark.parametrize("n,m,density", [(2, 4, 1.0), (3, 3, 0.4), (4, 2, 0.7)])
+    def test_document_lists_the_coefficients_mapping_in_order(self, n, m, density):
+        # The writer reads the arrays; the mapping is the reference for the
+        # entries' order, keys and value bits.
+        system = random_system(np.random.default_rng(n * 10 + m), n, m, density)
+        expected = [
+            {"eq": eq, "exponents": list(index), "re": value.real, "im": value.imag}
+            for (eq, index), value in system.coefficients.items()
+        ]
+        document = serialization.system_to_dict(system)
+        assert json.dumps(document["coefficients"]) == json.dumps(expected)
+
     def test_rejects_wrong_exponent_sum(self, tmp_path):
         doc = {
             "n": 2,
