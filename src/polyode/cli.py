@@ -29,8 +29,9 @@ from .errors import (
     check_positive,
 )
 from .generate import generate_random_instance
-from .oracle import IntegratorConfig, sample_times, verify_instance
-from .periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
+from .oracle import MAX_DEVIATION, MAX_SAMPLES, IntegratorConfig, sample_times, verify_instance
+from .periodic import DEFAULT_CLOSURE_TOL, PeriodicClosedForm, detect_period
+from .periodic import eval_periodic_closed_form
 from .polysys import enumerate_multi_indices
 from .serialization import (
     document_text,
@@ -107,7 +108,7 @@ def _cmd_newton(args) -> int:
     k = _parse_complex(args.k)
     guess = _parse_complex_list(args.guess)
     z0 = newton_solve_initial_data(system, k, guess, tol=args.tol, max_iter=args.max_iter)
-    instance = SolvableInstance(system, z0, k, tol=max(args.tol, 1e-10))
+    instance = SolvableInstance(system, z0, k)
     _emit_instance(instance, args.out)
     return 0
 
@@ -130,10 +131,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_periodize(args) -> int:
-    check_count("samples", args.samples, 1)
+    samples = check_count("samples", args.samples, 1)
+    if samples > MAX_SAMPLES - 1:  # the grid also holds the period's end
+        raise ValidationError(f"samples must be <= {MAX_SAMPLES - 1}, got {samples!r}")
     instance = parse_instance_file(args.instance)
     pcf = PeriodicClosedForm(instance, args.omega)
-    times = sample_times(pcf.base_period, args.samples + 1)
+    times = sample_times(pcf.base_period, samples + 1)
     zeta = eval_periodic_closed_form(pcf, times)
     write_trajectory_csv(zeta, args.out, periodic=True)
     return 0
@@ -200,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-dev", type=float, default=1e-6)
+    p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
+    p.add_argument("--max-dev", type=float, default=MAX_DEVIATION)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("periodize", help="sample the periodic closed form to CSV")
@@ -215,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="detect the period of the periodized solution")
     p.add_argument("--instance", required=True)
     p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_CLOSURE_TOL)
     p.set_defaults(func=_cmd_period)
 
     p = sub.add_parser("gen", help="generate a seeded random solvable instance")

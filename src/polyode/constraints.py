@@ -63,32 +63,31 @@ def _scale(m: int, z0: np.ndarray, k: complex, f: np.ndarray) -> float:
                (m - 1) * float(np.abs(f).max(initial=0.0)))
 
 
+# The acceptance bound on the constraint residual, relative to ``residual_scale``.
+RESIDUAL_TOL = 1e-10
+
+
 @dataclass(frozen=True, eq=False)
 class SolvableInstance:
     """A polynomial system together with initial data and a finite rate
-    parameter K satisfying the solvability constraints to within ``tol``
-    (relative to the largest constraint term)."""
+    parameter K satisfying the solvability constraints to within the one
+    bound, ``RESIDUAL_TOL`` times the ``residual_scale``."""
 
     system: PolynomialSystem
     z0: np.ndarray
     k: complex
-    tol: float = 1e-10
 
     def __post_init__(self):
-        z0 = as_state(self.z0, self.system.n)
-        k = check_complex("K", self.k)
+        z0, k = as_state(self.z0, self.system.n), check_complex("K", self.k)
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "k", k)
         f = evaluate_rhs(self.system, z0)
         res = np.abs(_residual(self.system.m, z0, k, f)).max()
         scale = _scale(self.system.m, z0, k, f)
-        if not res <= self.tol * scale:
+        if not res <= RESIDUAL_TOL * scale:
             raise ConstraintNotSatisfied(
-                f"constraint residual {res:.3e} exceeds {self.tol:.1e} * scale {scale:.3e}"
+                f"constraint residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}"
             )
-
-    def residual(self) -> np.ndarray:
-        return constraint_residual(self.system, self.z0, self.k)
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:

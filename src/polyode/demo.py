@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import ClosedFormSolution, blow_up_time, eval_closed_form
-from .constraints import constraint_residual
+from .constraints import RESIDUAL_TOL, constraint_residual
 from .errors import ValidationError
 from .generate import generate_random_instance
-from .oracle import integrate, verify_instance, verify_periodic
-from .periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
+from .oracle import MAX_DEVIATION, integrate, verify_instance, verify_periodic
+from .periodic import DEFAULT_CLOSURE_TOL, PeriodicClosedForm, detect_period
+from .periodic import eval_periodic_closed_form
 from .serialization import (
     write_instance_file,
     write_report,
@@ -42,11 +43,8 @@ def _emit_base_artifacts(instance, out: Path) -> dict:
     write_trajectory_csv(integrated, out / "integrated.csv")
 
     deviation = verify_instance(instance, t_end, 64)
-    write_report(
-        {"max_deviation": deviation, "samples": 64, "t_end": t_end},
-        out / "verify.json",
-    )
-    residual = float(np.abs(instance.residual()).max())
+    write_report({"max_deviation": deviation, "samples": 64, "t_end": t_end}, out / "verify.json")
+    residual = float(np.abs(constraint_residual(instance.system, instance.z0, instance.k)).max())
     return {"t_end": t_end, "max_deviation": deviation, "residual": residual}
 
 
@@ -60,7 +58,7 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
     if name == "example1":
         instance = generate_random_instance(2, 4, DEMO_SEED_EXAMPLE1)
         summary = _emit_base_artifacts(instance, out)
-        ok = summary["max_deviation"] < 1e-6 and summary["residual"] < 1e-10
+        ok = summary["max_deviation"] <= MAX_DEVIATION and summary["residual"] <= RESIDUAL_TOL
         return ok, summary
 
     # example2: small-K regime so the bracket stays in the right half-plane.
@@ -84,24 +82,21 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
 
     # Residual of the 2 complex (4 real) constraints for the periodized data.
     residual = constraint_residual(instance.system, instance.z0, instance.k)
-    real_residuals = np.concatenate([np.abs(residual.real), np.abs(residual.imag)])
     summary.update(
-        {
-            "omega": omega,
-            "q": report.q,
-            "k_multiple": report.k,
-            "period": report.T,
-            "closure_error": report.closure_error,
-            "periodic_deviation": periodic_deviation,
-            "max_real_residual": float(real_residuals.max()),
-        }
+        omega=omega,
+        q=report.q,
+        k_multiple=report.k,
+        period=report.T,
+        closure_error=report.closure_error,
+        periodic_deviation=periodic_deviation,
+        max_real_residual=float(np.abs(residual.view(float)).max()),
     )
     ok = (
-        summary["max_deviation"] < 1e-6
-        and summary["residual"] < 1e-10
+        summary["max_deviation"] <= MAX_DEVIATION
+        and summary["residual"] <= RESIDUAL_TOL
         and report.k == 3
-        and report.closure_error < 1e-8
-        and periodic_deviation < 1e-6
-        and summary["max_real_residual"] < 1e-10
+        and report.closure_error <= DEFAULT_CLOSURE_TOL
+        and periodic_deviation <= MAX_DEVIATION
+        and summary["max_real_residual"] <= RESIDUAL_TOL
     )
     return ok, summary

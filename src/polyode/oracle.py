@@ -59,6 +59,10 @@ _P = np.array(
 )
 
 
+# The acceptance bound on a verification's max relative deviation.
+MAX_DEVIATION = 1e-6
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10

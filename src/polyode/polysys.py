@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import ValidationError, check_count, is_integer
 
-# A multi-index is a plain tuple of N nonnegative integers summing to M.
-MultiIndex = tuple
-
 # Largest number of exponent and factor entries, U * (n + M) for U
 # multi-indices, that a system, enumeration or generation may allocate.
 # (10, 6), the largest size tested, has 5,005 * 16 = 80,080.
@@ -47,7 +44,7 @@ def check_basis_size(n: int, m: int, terms: int | None = None) -> None:
         )
 
 
-def enumerate_multi_indices(n: int, m: int) -> list[MultiIndex]:
+def enumerate_multi_indices(n: int, m: int) -> list[tuple]:
     """All tuples of ``n`` nonnegative integers summing to ``m``.
 
     Canonical order: lexicographically descending on the exponents. The
@@ -60,7 +57,7 @@ def enumerate_multi_indices(n: int, m: int) -> list[MultiIndex]:
     return _multi_indices(n, m)
 
 
-def _multi_indices(n: int, m: int) -> list[MultiIndex]:
+def _multi_indices(n: int, m: int) -> list[tuple]:
     if n == 1:
         return [(m,)]
     return [
@@ -115,7 +112,8 @@ class PolynomialSystem:
     ``PolynomialSystem(n, m, {(eq, multi-index): value})`` builds the arrays
     from a mapping of nonzero coefficients, whose keys ``coefficient_keys``
     validates; ``PolynomialSystem(n, m, coeffs=..., exponents=...)`` takes
-    them as they are. Either way ``__post_init__`` validates them, once.
+    them as they are. Either way ``__post_init__`` validates them, once,
+    and refuses a basis that ``check_basis_size`` refuses.
     ``coefficients`` is the derived read-only mapping, in canonical order:
     equation ascending, then exponents descending. Systems compare by
     identity.
@@ -160,12 +158,13 @@ class PolynomialSystem:
         stored = coeffs.any(axis=0)
         if not stored.all():
             coeffs, exponents = coeffs.compress(stored, axis=1), exponents[stored]
+        check_basis_size(n, m, len(exponents))
         coeffs.flags.writeable = exponents.flags.writeable = False
         for name, value in (("n", n), ("m", m), ("coeffs", coeffs), ("exponents", exponents)):
             object.__setattr__(self, name, value)
 
     @cached_property
-    def coefficients(self) -> Mapping[tuple[int, MultiIndex], complex]:
+    def coefficients(self) -> Mapping[tuple[int, tuple], complex]:
         rows, cols = np.nonzero(self.coeffs)
         indices = [tuple(index) for index in self.exponents.tolist()]
         values = self.coeffs[rows, cols].tolist()
@@ -195,7 +194,7 @@ class PolynomialSystem:
         return self.coeffs.dot(np.multiply.reduce(z.take(self._factors), axis=-1))
 
 
-def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, MultiIndex]]:
+def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, tuple]]:
     """``keys`` as ``PolynomialSystem.coefficients`` keys (eq, multi-index
     tuple): eq an integer in 1..n (a bool is not an integer), the
     multi-index one that ``exponent_rows`` accepts; else a ValidationError."""
@@ -221,7 +220,6 @@ def _arrays_from_terms(n: int, m: int, terms: Mapping) -> tuple[np.ndarray, np.n
         if value == 0:
             raise ValidationError(f"stored coefficient for eq {eq}, index {index} is exactly zero")
         columns.setdefault(index, []).append((eq - 1, value))
-    check_basis_size(n, m, len(columns))
     indices = sorted(columns, reverse=True)
     coeffs = np.zeros((n, len(indices)), dtype=complex)
     for u, index in enumerate(indices):

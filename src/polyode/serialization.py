@@ -125,7 +125,7 @@ def parse_system_file(path) -> PolynomialSystem:
 
 def instance_to_dict(instance: SolvableInstance) -> dict:
     doc = system_to_dict(instance.system)
-    doc["z0"] = [[z.real, z.imag] for z in instance.z0]
+    doc["z0"] = [[z.real, z.imag] for z in instance.z0.tolist()]
     doc["k"] = [instance.k.real, instance.k.imag]
     return doc
 

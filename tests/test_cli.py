@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyode.cli import main
+from polyode.cli import build_parser, main
+from polyode.constraints import RESIDUAL_TOL, constraint_residual, newton_solve_initial_data
 from polyode.generate import generate_random_instance
+from polyode.oracle import MAX_DEVIATION, MAX_SAMPLES, IntegratorConfig
+from polyode.periodic import DEFAULT_CLOSURE_TOL
 from polyode.serialization import (
     instance_to_dict,
     parse_instance_file,
@@ -126,6 +130,41 @@ def test_newton(tmp_path):
     np.testing.assert_allclose(instance.z0, [-1.0, -0.5], atol=1e-9)
 
 
+def test_newton_writes_no_instance_that_misses_the_residual_bound(tmp_path, capsys):
+    # Newton stops at a residual of at most 1e-2, far above the one bound
+    # every instance meets.
+    system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0})
+    sys_path = tmp_path / "system.json"
+    write_system_file(system, sys_path)
+    out_path = tmp_path / "instance.json"
+    args = ["--system", str(sys_path), "--k", "1", "--guess=-0.9,-0.4", "--out", str(out_path)]
+    assert main(["newton", *args, "--tol", "1e-2"]) == 1
+    assert "constraint residual" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_parser_defaults_are_the_library_names():
+    # The acceptance bounds of the north star, each defined once.
+    assert (MAX_DEVIATION, DEFAULT_CLOSURE_TOL, RESIDUAL_TOL) == (1e-6, 1e-8, 1e-10)
+    parser = build_parser()
+    verify = parser.parse_args(["verify", "--instance", "i.json", "--t-max", "1"])
+    assert verify.max_dev == MAX_DEVIATION
+    config = IntegratorConfig()
+    assert (verify.rel_tol, verify.abs_tol) == (config.rel_tol, config.abs_tol)
+    period = parser.parse_args(["period", "--instance", "i.json", "--omega", "1"])
+    assert period.tol == DEFAULT_CLOSURE_TOL
+    # Options that restate a library argument's default keep its value.
+    library = {
+        name: parameter.default
+        for function in (newton_solve_initial_data, generate_random_instance)
+        for name, parameter in inspect.signature(function).parameters.items()
+    }
+    newton = parser.parse_args(["newton", "--system", "s.json", "--k", "1", "--guess", "1"])
+    assert newton.max_iter == library["max_iter"]
+    gen = parser.parse_args(["gen", "--n", "2", "--m", "2", "--seed", "0"])
+    assert gen.density == library["density"]
+
+
 def test_eval_and_reload(tmp_path, instance_file):
     path, instance = instance_file
     out = tmp_path / "traj.csv"
@@ -222,6 +261,18 @@ def test_bad_omega_tol_and_samples_are_validation_errors(tmp_path, capsys, args)
     assert not out.exists()
 
 
+def test_periodize_refuses_one_sample_past_the_grid_bound(tmp_path, capsys):
+    # The grid holds samples + 1 times, so the largest count is MAX_SAMPLES - 1.
+    path = tmp_path / "instance.json"
+    write_instance_file(generate_random_instance(2, 4, 42, k_cap=0.1), path)
+    out = tmp_path / "zeta.csv"
+    args = ["--instance", str(path), "--omega", "1.0", "--out", str(out)]
+    assert main(["periodize", *args, "--samples", str(MAX_SAMPLES)]) == 1
+    message = f"error: samples must be <= {MAX_SAMPLES - 1}, got {MAX_SAMPLES}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -229,7 +280,7 @@ def test_gen_deterministic(tmp_path):
     assert main(["gen", "--n", "2", "--m", "4", "--seed", "1", "--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
     instance = parse_instance_file(a)
-    assert np.abs(instance.residual()).max() < 1e-10
+    assert np.abs(constraint_residual(instance.system, instance.z0, instance.k)).max() < 1e-10
 
 
 def test_gen_density(tmp_path):
@@ -238,7 +289,7 @@ def test_gen_density(tmp_path):
         ["gen", "--n", "3", "--m", "3", "--seed", "7", "--density", "0.3", "--out", str(out)]
     ) == 0
     instance = parse_instance_file(out)
-    assert np.abs(instance.residual()).max() < 1e-10
+    assert np.abs(constraint_residual(instance.system, instance.z0, instance.k)).max() < 1e-10
 
 
 def test_gen_draws_again_when_the_solve_misses_the_tolerance(tmp_path):

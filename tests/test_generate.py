@@ -14,12 +14,10 @@ from polyode.closedform import ClosedFormSolution, blow_up_time
 from polyode.constraints import jacobian, solve_linear_selection
 from polyode.errors import ConstraintNotSatisfied, SingularSystem
 from polyode.generate import generate_random_instance
-from polyode.oracle import IntegratorConfig, verify_instance
+from polyode.oracle import MAX_DEVIATION, IntegratorConfig, verify_instance
 from polyode.polysys import PolynomialSystem, enumerate_multi_indices
 
 from test_constraints import counting
-
-MAX_DEVIATION = 1e-6
 
 
 def per_entry_generate(n, m, seed, density=1.0, k_cap=None):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -307,7 +309,9 @@ class TestVerifyInstance:
 
     def test_broken_k_detected(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
-        broken = SolvableInstance(sys, [1, 0], -1 + 1e-2, tol=1.0)
+        # Violates the constraints, so it is not a SolvableInstance; the
+        # verifier reads only system, z0 and K.
+        broken = SimpleNamespace(system=sys, z0=np.array([1, 0], dtype=complex), k=-1 + 1e-2)
         assert verify_instance(broken, 0.5, 64) > 1e-4
 
     def test_zero_instance(self):

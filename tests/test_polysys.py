@@ -126,6 +126,15 @@ class TestBasisSizeGuard:
         with pytest.raises(ValidationError, match="exceeds"):
             PolynomialSystem(2, 2000, terms)
 
+    def test_both_forms_refuse_one_term_of_a_huge_degree(self):
+        # One monomial of degree 3,000,000 would need a factor table of
+        # 3,000,000 entries, built at the first RHS call.
+        m = 3_000_000
+        with pytest.raises(ValidationError, match="exceeds"):
+            PolynomialSystem(2, m, {(1, (m, 0)): 1.0})
+        with pytest.raises(ValidationError, match="exceeds"):
+            PolynomialSystem(2, m, coeffs=[[1.0], [0.0]], exponents=[[m, 0]])
+
 
 class TestSystemValidation:
     def test_rejects_small_n_or_m(self):

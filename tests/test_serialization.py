@@ -11,6 +11,8 @@ from polyode import serialization
 from polyode.errors import ConstraintNotSatisfied, ValidationError
 from polyode.generate import generate_random_instance
 from polyode.serialization import (
+    instance_from_dict,
+    instance_to_dict,
     parse_instance_file,
     parse_system_file,
     read_trajectory_csv,
@@ -154,6 +156,14 @@ class TestInstanceFormat:
         assert np.array_equal(again.z0, instance.z0)
         assert again.k == instance.k
         assert again.system.coefficients == instance.system.coefficients
+
+    def test_in_memory_round_trip_bit_exact(self):
+        instance = generate_random_instance(3, 4, 23)
+        again = instance_from_dict(instance_to_dict(instance))
+        assert again.z0.tobytes() == instance.z0.tobytes()
+        assert np.complex128(again.k).tobytes() == np.complex128(instance.k).tobytes()
+        assert again.system.coeffs.tobytes() == instance.system.coeffs.tobytes()
+        assert np.array_equal(again.system.exponents, instance.system.exponents)
 
     def test_written_on_one_line_and_read_in_any_layout(self, tmp_path):
         instance = generate_random_instance(3, 3, 7, density=0.6)
