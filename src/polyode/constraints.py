@@ -81,10 +81,13 @@ class SolvableInstance:
         z0, k = as_state(self.z0, self.system.n), check_complex("K", self.k)
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "k", k)
-        f = evaluate_rhs(self.system, z0)
-        res = np.abs(_residual(self.system.m, z0, k, f)).max()
-        scale = _scale(self.system.m, z0, k, f)
-        if not res <= RESIDUAL_TOL * scale:
+        # A finite z0 can overflow the RHS or the residual. The result is then
+        # refused, and an infinite scale must not admit an infinite residual.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = evaluate_rhs(self.system, z0)
+            res = np.abs(_residual(self.system.m, z0, k, f)).max()
+            scale = _scale(self.system.m, z0, k, f)
+        if not res <= RESIDUAL_TOL * scale < math.inf:
             raise ConstraintNotSatisfied(
                 f"constraint residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}"
             )

@@ -25,6 +25,9 @@ from .trajectory import StepStats, Trajectory
 INITIAL_STEP = 1e-3
 MIN_STEP = 1e-12
 MAX_STEPS = 10_000_000
+# Most complex entries (8 n per accepted step) the step history may hold,
+# 64 MB, refused before it doubles; tests, demos and benchmarks reach 6,816.
+MAX_HISTORY = 1 << 22
 
 # Most sample times a grid may have: far above the 12,289 points of the
 # largest grid in use, and refused before any array is allocated.
@@ -76,11 +79,7 @@ class IntegratorConfig:
 
 
 def integrate(
-    rhs,
-    z0,
-    t_end: float,
-    config: IntegratorConfig | None = None,
-    t_eval=None,
+    rhs, z0, t_end: float, config: IntegratorConfig | None = None, t_eval=None
 ) -> Trajectory:
     """Integrate dz/dt = rhs(z) from t=0 to t_end.
 
@@ -93,13 +92,14 @@ def integrate(
     states are produced at those times via the dense output interpolant;
     otherwise the accepted step points are returned. Deterministic.
     """
-    if config is None:
-        config = IntegratorConfig()
+    config = config or IntegratorConfig()
     t_end = check_positive("t_end", t_end)
     if t_eval is not None:
         times = np.asarray(t_eval, dtype=float)
         if times.ndim != 1 or not np.all((times >= 0) & (times <= t_end + 1e-12 * max(1.0, t_end))):
             raise ValidationError("t_eval must be a 1-D array of times within [0, t_end]")
+        if not np.all(times[1:] > times[:-1]):
+            raise ValidationError("t_eval times must be strictly increasing")
     z0 = np.array(z0, dtype=complex)
     if z0.ndim != 1 or z0.size == 0:
         raise ValidationError(
@@ -114,79 +114,81 @@ def integrate(
     # A complex state is integrated as the real view of its memory, with the
     # real and imaginary parts of each component interleaved. ``rows`` holds
     # the step's start state y and its stages k1..k7 as complex (n,) rows.
-    # Stage i's state y + h * (a_i . k) is a dot over the stages' real view,
-    # a scaling and an add, each into its row of ``stage_states``; the error
-    # estimate h * (e . k) likewise. Every buffer and view is made once. One
-    # dot with h folded into the weights would round differently, and that
-    # alone changed the step counts of some generated instances.
+    # Each step folds h into ``weights`` = [1 | h * A; 0 | h * e]: stage i's
+    # state y + h * (a_i . k) is one dot of row i - 1 with rows[:i + 1], and
+    # the error estimate h * (e . k) one dot of the last row with k. Buffers
+    # and views are made once; h and the tolerances are 0-d arrays for ufuncs.
     n = z0.size
     rows = np.empty((8, n), dtype=complex)
     rows[0], rows[1] = z0, k1
     stage_states = np.empty((6, n), dtype=complex)
     row_view, state_view = rows.view(float), stage_states.view(float)
     y, y_new, k = row_view[0], state_view[5], row_view[1:]
+    weights = np.zeros((7, 8))
+    weights[:6, 0] = 1.0
+    tableau, h_weights, error_weights = _TABLEAU[1:], weights[:, 1:], weights[6, 1:]
     stage_dots = [
-        (_TABLEAU[i, :i], k[:i], state_view[i - 1], stage_states[i - 1]) for i in range(1, 7)
+        (weights[i - 1, : i + 1], row_view[: i + 1], state_view[i - 1], stage_states[i - 1])
+        for i in range(1, 7)
     ]
-    error_weights = _TABLEAU[7]
+    h_arr, rel_tol, abs_tol = np.empty(()), np.array(config.rel_tol), np.array(config.abs_tol)
     # |y| is kept from the step that produced y; |y_new| is formed per step.
     err, scale, abs_y, abs_y_new = np.empty(2 * n), np.empty(2 * n), np.abs(y), np.empty(2 * n)
     finite = np.empty(state_view.shape, dtype=bool)
     # Accepted steps: start times, sizes, and start states and stages as rows.
     starts, sizes = [], []
     history = np.empty((32, 8, n), dtype=complex)
-    t = 0.0
+    t, accepted, rejected, min_step = 0.0, 0, 0, float("inf")
     h = min(INITIAL_STEP, t_end)
-    stats = StepStats()
 
     while t < t_end:
         if h < MIN_STEP:
             raise StepUnderflow(t)
         final = h >= t_end - t
         h_step = t_end - t if final else h
-        for i, (a, stages, state, z) in enumerate(stage_dots, start=2):
-            a.dot(stages, out=state)
-            state *= h_step
-            state += y
+        h_arr[()] = h_step
+        np.multiply(tableau, h_arr, out=h_weights)
+        for i, (a, operands, state, z) in enumerate(stage_dots, start=2):
+            a.dot(operands, out=state)
             rows[i] = rhs(z)
         # ufunc reductions: ndarray.all and ndarray.max add a Python wrapper.
         if not np.logical_and.reduce(np.isfinite(state_view, out=finite), axis=None):
             raise ValidationError("state contains non-finite components")
         # The last stage state is the 5th-order solution (_TABLEAU row 6).
         error_weights.dot(k, out=err)
-        err *= h_step
         np.abs(err, out=err)
         np.maximum(abs_y, np.abs(y_new, out=abs_y_new), out=scale)
-        scale *= config.rel_tol
-        scale += config.abs_tol
+        scale *= rel_tol
+        scale += abs_tol
         err /= scale
         err_norm = float(np.maximum.reduce(err))
 
         if err_norm <= 1.0:
-            if stats.accepted == len(history):
+            if accepted == len(history):
+                if 2 * history.size > MAX_HISTORY:
+                    raise MaxStepsExceeded(f"step history exceeds {MAX_HISTORY} entries at t={t}")
                 history = np.concatenate([history, np.empty_like(history)])
-            history[stats.accepted] = rows
+            history[accepted] = rows
             starts.append(t)
             sizes.append(h_step)
             t = t_end if final else t + h_step
             y[:] = y_new
             abs_y, abs_y_new = abs_y_new, abs_y
             rows[1] = rows[7]
-            stats.accepted += 1
-            stats.min_step = min(stats.min_step, h_step)
+            accepted += 1
+            min_step = min(min_step, h_step)
         else:
-            stats.rejected += 1
-        if stats.accepted + stats.rejected > MAX_STEPS:
+            rejected += 1
+        if accepted + rejected > MAX_STEPS:
             raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at t={t}")
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h = h_step * min(5.0, max(0.2, factor))
 
     t0, hs = np.array(starts), np.array(sizes)
     ends = t0 + hs
-    steps = history[: stats.accepted]
+    steps, stats = history[:accepted], StepStats(accepted, rejected, min_step)
     if t_eval is None:
-        times = np.concatenate([[0.0], ends])
-        return Trajectory(times, np.concatenate([steps[:, 0], rows[:1]]), meta=stats)
+        return Trajectory(np.append(0.0, ends), np.concatenate([steps[:, 0], rows[:1]]), meta=stats)
 
     y0s, ks = steps[:, 0].view(float), steps[:, 1:].view(float)
     y_s = np.empty((times.size, y.size))
@@ -194,11 +196,9 @@ def integrate(
         block = times[s : s + DENSE_OUTPUT_BLOCK]
         idx = np.minimum(np.searchsorted(ends, block, side="left"), t0.size - 1)
         theta = ((block - t0[idx]) / hs[idx])[:, None]
-        # _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
-        weights = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
-        y_s[s : s + block.size] = y0s[idx] + hs[idx, None] * np.einsum(
-            "sk,skd->sd", weights, ks[idx]
-        )
+        # b = _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
+        b = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
+        y_s[s : s + block.size] = y0s[idx] + hs[idx, None] * np.einsum("sk,skd->sd", b, ks[idx])
     y_s[times >= t_end] = y
     return Trajectory(times, y_s.view(complex), meta=stats)
 

@@ -77,8 +77,10 @@ def exponent_rows(rows, n: int, m: int) -> np.ndarray:
             f"exponents must be integer rows of length {n}, got {exponents.dtype} {exponents.shape}"
         )
     exponents = exponents.astype(np.intp)
-    bad = ((exponents < 0) | (exponents > m)).any(axis=1) | (exponents.sum(axis=1) != m)
-    if bad.any():
+    # ufunc reductions: the ndarray methods add a Python wrapper per call.
+    bad = np.logical_or.reduce((exponents < 0) | (exponents > m), axis=1)
+    bad |= np.add.reduce(exponents, axis=1) != m
+    if np.logical_or.reduce(bad):
         index = exponents[bad.argmax()].tolist()
         raise ValidationError(f"multi-index {index} is not {n} nonnegative integers summing to {m}")
     return exponents
@@ -151,12 +153,12 @@ class PolynomialSystem:
             )
         # Row u precedes row u + 1 iff their first differing exponent drops.
         step = exponents[:-1] - exponents[1:]
-        if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+        if np.logical_or.reduce(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0):
             raise ValidationError("exponent rows must be unique and in descending order")
-        if not np.isfinite(coeffs).all():
+        if not np.logical_and.reduce(np.isfinite(coeffs), axis=None):
             raise ValidationError("coefficients contain non-finite values")
-        stored = coeffs.any(axis=0)
-        if not stored.all():
+        stored = np.logical_or.reduce(coeffs, axis=0)
+        if not np.logical_and.reduce(stored):
             coeffs, exponents = coeffs.compress(stored, axis=1), exponents[stored]
         check_basis_size(n, m, len(exponents))
         coeffs.flags.writeable = exponents.flags.writeable = False

@@ -283,6 +283,14 @@ class TestInstanceValidation:
         with pytest.raises(ConstraintNotSatisfied):
             SolvableInstance(sys, [1, 0], -0.9)
 
+    @pytest.mark.parametrize("z2", [9.1e76, 1e80, 1e200])
+    def test_rejects_overflowing_initial_data_without_warnings(self, z2):
+        # z2^4 overflows the residual, and with it the scale; from 1e80 on
+        # the RHS itself. Warnings are errors under pytest.
+        inst = generate_random_instance(2, 4, 42, k_cap=0.1)
+        with pytest.raises(ConstraintNotSatisfied):
+            SolvableInstance(inst.system, [inst.z0[0], z2], inst.k)
+
     @pytest.mark.parametrize(
         "k", [complex(np.nan, 0), complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, np.nan)]
     )

@@ -55,7 +55,9 @@ def dense_output_loop(rhs, steps, t_end, t_eval):
 def reference_step_points(rhs, z0, t_end, config=IntegratorConfig()):
     """The DP5 step loop with fresh arrays each step and Python lists of
     step points: the reference for the integrator's buffered loop, which
-    must reproduce its arithmetic bit for bit. Returns the step times, the
+    must reproduce its arithmetic bit for bit. Stage i's state is one dot of
+    the weights [1, h a_i1, ..., h a_ii] with the rows [y; k1..ki], and the
+    error estimate one dot of h e with k1..k7. Returns the step times, the
     states and the accepted and rejected step counts."""
     y, k1 = np.array(z0, dtype=complex).view(float), np.asarray(rhs(z0))
     t, h, accepted, rejected = 0.0, min(oracle.INITIAL_STEP, t_end), 0, 0
@@ -63,21 +65,22 @@ def reference_step_points(rhs, z0, t_end, config=IntegratorConfig()):
     while t < t_end:
         final = h >= t_end - t
         h_step = t_end - t if final else h
-        stages = np.empty((7, k1.size), dtype=complex)
-        stages[0] = k1
-        k = stages.view(float)
+        rows = np.empty((8, k1.size), dtype=complex)
+        rows[0], rows[1] = y.view(complex), k1
+        operands = rows.view(float)
         z_stages = np.empty((6, k1.size), dtype=complex)
         y_stages = z_stages.view(float)
         for i in range(1, 7):
-            np.add(y, h_step * _TABLEAU[i, :i].dot(k[:i]), out=y_stages[i - 1])
-            stages[i] = rhs(z_stages[i - 1])
-        err = h_step * _TABLEAU[7].dot(k)
+            weights = np.concatenate([[1.0], h_step * _TABLEAU[i, :i]])
+            weights.dot(operands[: i + 1], out=y_stages[i - 1])
+            rows[i + 1] = rhs(z_stages[i - 1])
+        err = (h_step * _TABLEAU[7]).dot(operands[1:])
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_stages[5]))
         err_norm = float((np.abs(err) / scale).max())
         if err_norm <= 1.0:
             times.append(t + h_step)
             t = t_end if final else t + h_step
-            y, k1 = y_stages[5], stages[6]
+            y, k1 = y_stages[5], rows[7]
             states.append(y)
             accepted += 1
         else:
@@ -96,6 +99,8 @@ def proposition_t_end(instance):
 # samples, default config) for seeds 0-19 of each (n, M) cell. Seeds 0-4
 # were recorded before the integrator and the RHS changed their arithmetic
 # layout, seeds 5-19 before the step loop moved into buffers made once.
+# Folding h into the stage weights (one dot per stage) moved one pin:
+# (3, 4) seed 19, (31, 0) -> (31, 1), whose error growth bound is 24.2.
 RECORDED_STEPS = {
     (2, 2): [
         (23, 0), (44, 1), (30, 0), (21, 0), (47, 1), (34, 0), (25, 0), (36, 0), (16, 0), (35, 2),
@@ -119,7 +124,7 @@ RECORDED_STEPS = {
     ],
     (3, 4): [
         (18, 0), (14, 0), (12, 0), (14, 0), (23, 0), (20, 0), (25, 0), (23, 0), (39, 1), (37, 0),
-        (19, 0), (20, 0), (40, 1), (45, 4), (19, 0), (22, 0), (10, 0), (20, 0), (22, 0), (31, 0),
+        (19, 0), (20, 0), (40, 1), (45, 4), (19, 0), (22, 0), (10, 0), (20, 0), (22, 0), (31, 1),
     ],
 }
 
@@ -151,6 +156,50 @@ class TestIntegrate:
         monkeypatch.setattr(oracle, "MAX_STEPS", 3)
         with pytest.raises(MaxStepsExceeded):
             integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0)
+
+    def test_step_history_bounded(self, monkeypatch):
+        # The history starts at 32 steps (32 * 8 * 2 = 512 entries at n = 2)
+        # and is refused before it doubles past MAX_HISTORY.
+        rhs, z0 = riccati_decay_system().rhs, np.array([1, 0], dtype=complex)
+        config = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+        assert integrate(rhs, z0, 1.0, config).meta.accepted > 32
+        monkeypatch.setattr(oracle, "MAX_HISTORY", 512)
+        with pytest.raises(MaxStepsExceeded, match="history exceeds 512 entries"):
+            integrate(rhs, z0, 1.0, config)
+
+    @pytest.mark.parametrize("t_eval", [[0.5, 0.1], [0.1, 0.1], [0.0, 0.3, 0.2, 0.4]])
+    def test_rejects_unordered_t_eval_before_any_rhs_call(self, t_eval):
+        calls = []
+
+        def rhs(z):
+            calls.append(z)
+            return z
+
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            integrate(rhs, np.array([1 + 0j]), 1.0, t_eval=t_eval)
+        assert calls == []
+
+    def test_stage_weights_at_unit_step_reproduce_tableau(self, monkeypatch):
+        # One step of h = 1 on dz/dt = k from y: stage i's state is
+        # y + (a_i . 1) k = y + c_i k, with c_i the DP5 nodes, so an
+        # off-by-one in the folded weights [1 | h A] moves a stage state.
+        # The error row sums to 0, so the error estimate vanishes and the
+        # step is accepted at the default tolerances.
+        monkeypatch.setattr(oracle, "INITIAL_STEP", 1.0)
+        y, k = 2 - 1j, 1 + 0.5j
+        states = []
+
+        def rhs(z):
+            states.append(z.copy())
+            return np.full_like(z, k)
+
+        traj = integrate(rhs, np.array([y]), 1.0)
+        nodes = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
+        np.testing.assert_allclose(np.ravel(states[1:]), y + nodes * k, rtol=1e-15)
+        np.testing.assert_allclose(_TABLEAU[1:7].sum(axis=1), nodes, rtol=1e-15)
+        assert abs(_TABLEAU[7].sum()) < 1e-16
+        assert (traj.meta.accepted, traj.meta.rejected) == (1, 0)
+        np.testing.assert_allclose(traj.states[-1], y + k, rtol=1e-15)
 
     def test_step_stats_recorded(self):
         sys = riccati_decay_system()
@@ -268,7 +317,9 @@ class TestIntegrate:
         assert np.abs(back.states[-1] - instance.z0).max() < 10 * 1e-8
 
     def test_matches_scipy_dop853(self):
-        scipy_integrate = pytest.importorskip("scipy.integrate")
+        # scipy is in the test extra: its DOP853 is the independent reference.
+        from scipy import integrate as scipy_integrate
+
         for n, m, seed in [(2, 2, 1), (2, 3, 4), (2, 4, 1), (3, 2, 1), (3, 3, 1), (3, 4, 1)]:
             instance = generate_random_instance(n, m, seed)
             times = np.linspace(0.0, proposition_t_end(instance), 9)
