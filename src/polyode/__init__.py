@@ -11,12 +11,7 @@ from .constraints import (
     solve_linear_selection,
 )
 from .generate import generate_random_instance
-from .oracle import (
-    IntegratorConfig,
-    integrate,
-    verify_instance,
-    verify_periodic,
-)
+from .oracle import integrate, verify_instance, verify_periodic
 from .periodic import (
     PeriodicClosedForm,
     PeriodicSystem,
@@ -34,7 +29,6 @@ from .trajectory import StepStats, Trajectory
 
 __all__ = [
     "ClosedFormSolution",
-    "IntegratorConfig",
     "PeriodReport",
     "PeriodicClosedForm",
     "PeriodicSystem",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation error, 2 tolerance failure,
-3 singularity.
+Exit codes: 0 success, 1 validation error (a malformed command line
+too), 2 tolerance failure, 3 singularity. No option changes a tolerance
+bound of a check.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,11 +28,10 @@ from .errors import (
     StepUnderflow,
     ValidationError,
     check_count,
-    check_positive,
 )
 from .generate import generate_random_instance
-from .oracle import MAX_DEVIATION, MAX_SAMPLES, IntegratorConfig, sample_times, verify_instance
-from .periodic import DEFAULT_CLOSURE_TOL, PeriodicClosedForm, detect_period
+from .oracle import MAX_DEVIATION, MAX_SAMPLES, sample_times, verify_instance
+from .periodic import PeriodicClosedForm, detect_period
 from .periodic import eval_periodic_closed_form
 from .polysys import enumerate_multi_indices
 from .serialization import (
@@ -122,12 +123,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    check_positive("max-dev", args.max_dev)
     instance = parse_instance_file(args.instance)
-    config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    deviation = verify_instance(instance, args.t_max, args.samples, config)
+    deviation = verify_instance(instance, args.t_max, args.samples)
     print(json.dumps({"max_deviation": deviation, "samples": args.samples, "t_end": args.t_max}))
-    return 0 if deviation <= args.max_dev else 2
+    return 0 if deviation <= MAX_DEVIATION else 2
 
 
 def _cmd_periodize(args) -> int:
@@ -145,8 +144,7 @@ def _cmd_periodize(args) -> int:
 def _cmd_period(args) -> int:
     instance = parse_instance_file(args.instance)
     pcf = PeriodicClosedForm(instance, args.omega)
-    report = detect_period(pcf, tol=args.tol)
-    print(json.dumps(report.as_dict()))
+    print(json.dumps(asdict(detect_period(pcf))))
     return 0
 
 
@@ -162,8 +160,17 @@ def _cmd_demo(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ValidationErrors (exit 1), not
+    argparse's exit 2, which here means a failed check. Its subparsers
+    share the class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyode",
         description="Explicitly solvable homogeneous polynomial ODE systems "
         "and their periodic variants.",
@@ -203,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
-    p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
-    p.add_argument("--max-dev", type=float, default=MAX_DEVIATION)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("periodize", help="sample the periodic closed form to CSV")
@@ -218,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="detect the period of the periodized solution")
     p.add_argument("--instance", required=True)
     p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_CLOSURE_TOL)
     p.set_defaults(func=_cmd_period)
 
     p = sub.add_parser("gen", help="generate a seeded random solvable instance")
@@ -238,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PolyOdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ every tolerance check reported."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from .constraints import RESIDUAL_TOL, constraint_residual
 from .errors import ValidationError
 from .generate import generate_random_instance
 from .oracle import MAX_DEVIATION, integrate, verify_instance, verify_periodic
-from .periodic import DEFAULT_CLOSURE_TOL, PeriodicClosedForm, detect_period
+from .periodic import CLOSURE_TOL, PeriodicClosedForm, detect_period
 from .periodic import eval_periodic_closed_form
 from .serialization import (
     write_instance_file,
@@ -72,7 +73,7 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
     write_trajectory_csv(zeta, out / "zeta.csv", periodic=True)
 
     report = detect_period(pcf)
-    write_report(report.as_dict(), out / "period.json")
+    write_report(asdict(report), out / "period.json")
 
     periodic_deviation = verify_periodic(pcf, periods=1, samples=1025)
     write_report(
@@ -95,7 +96,7 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
         summary["max_deviation"] <= MAX_DEVIATION
         and summary["residual"] <= RESIDUAL_TOL
         and report.k == 3
-        and report.closure_error <= DEFAULT_CLOSURE_TOL
+        and report.closure_error <= CLOSURE_TOL
         and periodic_deviation <= MAX_DEVIATION
         and summary["max_real_residual"] <= RESIDUAL_TOL
     )

@@ -8,8 +8,6 @@ right-hand-side callables; it never touches the closed-form formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .closedform import ClosedFormSolution, blow_up_time, eval_closed_form
@@ -62,25 +60,14 @@ _P = np.array(
 )
 
 
-# The acceptance bound on a verification's max relative deviation.
+# The error control's tolerances, read at each call, and the acceptance bound
+# on a verification's max relative deviation. No option changes them.
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
 MAX_DEVIATION = 1e-6
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
-        if self.rel_tol < 1e-14:
-            raise ValidationError(f"rel_tol must be >= 1e-14, got {self.rel_tol}")
-
-
-def integrate(
-    rhs, z0, t_end: float, config: IntegratorConfig | None = None, t_eval=None
-) -> Trajectory:
+def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     """Integrate dz/dt = rhs(z) from t=0 to t_end.
 
     ``rhs`` maps a complex state vector to a complex state vector of the
@@ -92,7 +79,6 @@ def integrate(
     states are produced at those times via the dense output interpolant;
     otherwise the accepted step points are returned. Deterministic.
     """
-    config = config or IntegratorConfig()
     t_end = check_positive("t_end", t_end)
     if t_eval is not None:
         times = np.asarray(t_eval, dtype=float)
@@ -131,7 +117,7 @@ def integrate(
         (weights[i - 1, : i + 1], row_view[: i + 1], state_view[i - 1], stage_states[i - 1])
         for i in range(1, 7)
     ]
-    h_arr, rel_tol, abs_tol = np.empty(()), np.array(config.rel_tol), np.array(config.abs_tol)
+    h_arr, rel_tol, abs_tol = np.empty(()), np.array(REL_TOL), np.array(ABS_TOL)
     # |y| is kept from the step that produced y; |y_new| is formed per step.
     err, scale, abs_y, abs_y_new = np.empty(2 * n), np.empty(2 * n), np.abs(y), np.empty(2 * n)
     finite = np.empty(state_view.shape, dtype=bool)
@@ -181,7 +167,8 @@ def integrate(
             rejected += 1
         if accepted + rejected > MAX_STEPS:
             raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at t={t}")
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        # A NaN err_norm gives a NaN factor, which max(0.2, .) turns into 0.2.
+        factor = 0.9 * err_norm ** -0.2 if err_norm != 0 else 5.0
         h = h_step * min(5.0, max(0.2, factor))
 
     t0, hs = np.array(starts), np.array(sizes)
@@ -217,12 +204,7 @@ def _deviation(integrated: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(integrated - reference) / (1 + np.abs(reference))))
 
 
-def verify_instance(
-    instance: SolvableInstance,
-    t_end: float,
-    samples: int,
-    config: IntegratorConfig | None = None,
-) -> float:
+def verify_instance(instance: SolvableInstance, t_end: float, samples: int) -> float:
     """Integrate the base system and compare against the closed form at
     uniform sample times; returns the max relative deviation
     |z_int - z_cf| / (1 + |z_cf|)."""
@@ -231,20 +213,15 @@ def verify_instance(
     t_star = blow_up_time(sol)
     if t_star is not None and times[-1] >= t_star:
         raise ValidationError(f"t_end={t_end} not below blow-up time {t_star}")
-    traj = integrate(instance.system.rhs, instance.z0, t_end, config, t_eval=times)
+    traj = integrate(instance.system.rhs, instance.z0, t_end, t_eval=times)
     return _deviation(traj.states, eval_closed_form(sol, times))
 
 
-def verify_periodic(
-    pcf: PeriodicClosedForm,
-    periods: int,
-    samples: int,
-    config: IntegratorConfig | None = None,
-) -> float:
+def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> float:
     """Integrate the complexified system over whole base periods and compare
     against the periodic closed form on the same grid."""
     t_end = check_count("periods", periods, 1) * pcf.base_period
     times = sample_times(t_end, samples)
     reference = eval_periodic_closed_form(pcf, times)
-    traj = integrate(pcf.system().rhs, pcf.z0, t_end, config, t_eval=times)
+    traj = integrate(pcf.system().rhs, pcf.z0, t_end, t_eval=times)
     return _deviation(traj.states, reference.states)

@@ -30,13 +30,14 @@ import numpy as np
 
 from .constraints import SolvableInstance
 from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
-from .errors import check_complex, check_positive
+from .errors import check_complex
 from .polysys import PolynomialSystem, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import Trajectory
 
 BRACKET_GUARD = 1e-10
-DEFAULT_CLOSURE_TOL = 1e-8
+# The acceptance bound on a detected period's closure error.
+CLOSURE_TOL = 1e-8
 
 
 def _checked_omega(omega) -> float:
@@ -165,16 +166,13 @@ class PeriodReport:
     T: float
     closure_error: float
 
-    def as_dict(self) -> dict:
-        return {"q": self.q, "k": self.k, "T": self.T, "closure_error": self.closure_error}
-
 
 def winding_number(pcf: PeriodicClosedForm) -> int:
     """Winding number of g around the origin over one base period."""
     return _log_bracket(pcf, np.empty(0))[1]
 
 
-def detect_period(pcf: PeriodicClosedForm, tol: float = DEFAULT_CLOSURE_TOL) -> PeriodReport:
+def detect_period(pcf: PeriodicClosedForm) -> PeriodReport:
     """Predict the period multiplier from the bracket winding number and
     confirm it by evaluating the closed form at whole base periods.
 
@@ -184,7 +182,6 @@ def detect_period(pcf: PeriodicClosedForm, tol: float = DEFAULT_CLOSURE_TOL) -> 
     k = (M-1)/gcd(M-1, (1 - q*sgn(omega)) mod (M-1)), k = 1 when the
     residue vanishes. The numeric closure check is authoritative.
     """
-    tol = check_positive("closure tolerance", tol)
     m = pcf.m
     q = winding_number(pcf)
     sign = 1 if pcf.omega > 0 else -1
@@ -194,9 +191,9 @@ def detect_period(pcf: PeriodicClosedForm, tol: float = DEFAULT_CLOSURE_TOL) -> 
     traj = eval_periodic_closed_form(pcf, t_b * np.arange(k + 1))
     errors = np.abs(traj.states - pcf.z0).max(axis=1)
     closure = float(errors[k])
-    if not closure <= tol:
-        raise NotClosed(f"closure error {closure:.3e} at k={k} exceeds tol {tol:.1e}")
-    early = np.flatnonzero(errors[1:k] <= tol)
+    if not closure <= CLOSURE_TOL:
+        raise NotClosed(f"closure error {closure:.3e} at k={k} exceeds tol {CLOSURE_TOL:.1e}")
+    early = np.flatnonzero(errors[1:k] <= CLOSURE_TOL)
     if early.size:
         raise NotClosed(f"trajectory already closes at {early[0] + 1} base periods, predicted {k}")
     return PeriodReport(q=q, k=k, T=k * t_b, closure_error=closure)

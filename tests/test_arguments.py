@@ -21,8 +21,8 @@ from polyode.constraints import (
 )
 from polyode.errors import ValidationError, ZeroOmega, check_complex, check_count, check_positive
 from polyode.generate import generate_random_instance
-from polyode.oracle import IntegratorConfig, integrate, sample_times, verify_instance, verify_periodic
-from polyode.periodic import PeriodicClosedForm, PeriodicSystem, detect_period
+from polyode.oracle import integrate, sample_times, verify_instance, verify_periodic
+from polyode.periodic import PeriodicClosedForm, PeriodicSystem
 from polyode.polysys import MAX_BASIS_SIZE, PolynomialSystem, as_state, enumerate_multi_indices
 from polyode.serialization import write_instance_file, write_system_file
 
@@ -77,8 +77,6 @@ BAD_ARGUMENTS = [
     ),
     ("verify_samples_float", lambda: verify_instance(instance(), 0.1, 2.5), None),
     ("verify_periodic_periods_float", lambda: verify_periodic(pcf(), 1.5, 65), None),
-    ("detect_period_tol_str", lambda: detect_period(pcf(), tol="x"), None),
-    ("config_rel_tol_bool", lambda: IntegratorConfig(rel_tol=True), None),
     ("closed_form_m_float", lambda: ClosedFormSolution(instance().z0, instance().k, 2.5), None),
     ("closed_form_k_nan", lambda: ClosedFormSolution(instance().z0, complex("nan"), 4), None),
     ("closed_form_k_inf", lambda: ClosedFormSolution(instance().z0, complex("inf"), 4), None),

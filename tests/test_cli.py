@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from polyode.cli import build_parser, main
 from polyode.constraints import RESIDUAL_TOL, constraint_residual, newton_solve_initial_data
 from polyode.generate import generate_random_instance
-from polyode.oracle import MAX_DEVIATION, MAX_SAMPLES, IntegratorConfig
-from polyode.periodic import DEFAULT_CLOSURE_TOL
+from polyode.oracle import MAX_DEVIATION, MAX_SAMPLES
+from polyode.periodic import CLOSURE_TOL
 from polyode.serialization import (
     instance_to_dict,
     parse_instance_file,
@@ -145,14 +145,8 @@ def test_newton_writes_no_instance_that_misses_the_residual_bound(tmp_path, caps
 
 def test_parser_defaults_are_the_library_names():
     # The acceptance bounds of the north star, each defined once.
-    assert (MAX_DEVIATION, DEFAULT_CLOSURE_TOL, RESIDUAL_TOL) == (1e-6, 1e-8, 1e-10)
+    assert (MAX_DEVIATION, CLOSURE_TOL, RESIDUAL_TOL) == (1e-6, 1e-8, 1e-10)
     parser = build_parser()
-    verify = parser.parse_args(["verify", "--instance", "i.json", "--t-max", "1"])
-    assert verify.max_dev == MAX_DEVIATION
-    config = IntegratorConfig()
-    assert (verify.rel_tol, verify.abs_tol) == (config.rel_tol, config.abs_tol)
-    period = parser.parse_args(["period", "--instance", "i.json", "--omega", "1"])
-    assert period.tol == DEFAULT_CLOSURE_TOL
     # Options that restate a library argument's default keep its value.
     library = {
         name: parameter.default
@@ -194,6 +188,7 @@ def test_verify(instance_file, capsys):
         ["verify", "--t-max", "0.4", "--samples", "0"],
         ["verify", "--t-max", "0.4", "--samples", "1"],
         ["eval", "--t-max", "0.4", "--samples", "0", "--out", "unused.csv"],
+        # Options that no longer exist are refused like any unknown option.
         ["verify", "--t-max", "0.4", "--rel-tol", "nan"],
         ["verify", "--t-max", "0.4", "--rel-tol", "inf"],
         ["verify", "--t-max", "0.4", "--abs-tol", "nan"],
@@ -201,6 +196,11 @@ def test_verify(instance_file, capsys):
         ["verify", "--t-max", "0.4", "--max-dev", "nan"],
         ["verify", "--t-max", "0.4", "--max-dev", "inf"],
         ["verify", "--t-max", "0.4", "--max-dev", "0"],
+        # A malformed command line exits 1: argparse's 2 would read as a
+        # failed check.
+        ["verify", "--t-max", "0.4", "--samples", "x"],
+        ["verify", "--samples", "8"],
+        ["verify", "--t-max", "0.4", "--bogus", "1"],
     ],
 )
 def test_bad_times_and_samples_are_validation_errors(instance_file, capsys, args):
@@ -211,12 +211,22 @@ def test_bad_times_and_samples_are_validation_errors(instance_file, capsys, args
     assert captured.err.startswith("error: ")
 
 
-def test_verify_tolerance_failure(instance_file):
-    path, _ = instance_file
-    code = main(
-        ["verify", "--instance", str(path), "--t-max", "0.4", "--max-dev", "1e-18"]
-    )
-    assert code == 2
+def test_verify_tolerance_failure(tmp_path, capsys):
+    # A generated draw the oracle cannot follow to 1e-6 over [0, 0.8]: the
+    # check fails against the fixed MAX_DEVIATION, with no option set.
+    path = tmp_path / "instance.json"
+    assert main(["gen", "--n", "3", "--m", "4", "--seed", "66", "--out", str(path)]) == 0
+    assert main(["verify", "--instance", str(path), "--t-max", "0.8"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_deviation"] == pytest.approx(5.1e-4, rel=0.01)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polyode")
 
 
 def test_periodize_and_period(tmp_path, capsys):
@@ -241,6 +251,7 @@ def test_periodize_and_period(tmp_path, capsys):
     [
         ["period", "--omega", "nan"],
         ["period", "--omega", "inf"],
+        # period has no --tol: the closure bound is fixed.
         ["period", "--omega", "1.0", "--tol", "nan"],
         ["period", "--omega", "1.0", "--tol", "-1"],
         ["periodize", "--omega", "1.0", "--samples", "0", "--out", "unused.csv"],
@@ -351,15 +362,7 @@ COMMANDS_ON_AN_INSTANCE = [
 def run_on_instance(command, path, tmp_path):
     """Exit code of ``command`` run on the instance file ``path``."""
     argv = [str(tmp_path / "out.csv") if arg == "unused.csv" else arg for arg in command]
-    return run_cli(argv[:1] + ["--instance", str(path)] + argv[1:])
-
-
-def run_cli(argv):
-    """Exit code of ``main``, including argparse's exit on a bad argument."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+    return main(argv[:1] + ["--instance", str(path)] + argv[1:])
 
 
 @pytest.mark.parametrize("args", COMMANDS_ON_AN_INSTANCE)
@@ -458,11 +461,10 @@ def test_fuzz_malformed_instance_documents(tmp_path, capsys, edits, command):
 NUMBERS = ["0", "-1", "1", "2", "2.5", "nan", "inf", "-inf", "1e400", "1e-300", "x", ""]
 
 NUMERIC_COMMANDS = [
-    ["verify", "--instance", "INSTANCE", "--t-max", "0.2", "--samples", "8",
-     "--rel-tol", "1e-10", "--abs-tol", "1e-12", "--max-dev", "1e-6"],
+    ["verify", "--instance", "INSTANCE", "--t-max", "0.2", "--samples", "8"],
     ["eval", "--instance", "INSTANCE", "--t-max", "0.2", "--samples", "8", "--out", "OUT"],
     ["periodize", "--instance", "INSTANCE", "--omega", "1", "--samples", "8", "--out", "OUT"],
-    ["period", "--instance", "INSTANCE", "--omega", "1", "--tol", "1e-8"],
+    ["period", "--instance", "INSTANCE", "--omega", "1"],
     ["gen", "--n", "2", "--m", "3", "--seed", "0", "--density", "0.5"],
     ["enumerate", "--n", "2", "--m", "3"],
     ["newton", "--system", "SYSTEM", "--k", "1", "--guess", "-0.9,-0.4", "--tol", "1e-12",
@@ -492,5 +494,5 @@ def test_fuzz_numeric_arguments(tmp_path, capsys, command):
         for number in NUMBERS:
             value = f"{number},1" if command[i - 1] in ("--z0", "--guess") else number
             argv = command[:i - 1] + [f"{command[i - 1]}={value}"] + command[i + 1:]
-            assert run_cli(argv) in {0, 1, 2, 3}, argv
+            assert main(argv) in {0, 1, 2, 3}, argv
             assert "Traceback" not in capsys.readouterr().err, argv

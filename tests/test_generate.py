@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyode import generate
+from polyode import generate, oracle
 from polyode.closedform import ClosedFormSolution, blow_up_time
 from polyode.constraints import jacobian, solve_linear_selection
 from polyode.errors import ConstraintNotSatisfied, SingularSystem
 from polyode.generate import generate_random_instance
-from polyode.oracle import MAX_DEVIATION, IntegratorConfig, verify_instance
+from polyode.oracle import MAX_DEVIATION, verify_instance
 from polyode.polysys import PolynomialSystem, enumerate_multi_indices
 
 from test_constraints import counting
@@ -102,10 +102,10 @@ def log_error_growth(instance, times):
 def test_constraint_satisfied_implies_oracle_agrees(n, m, seed):
     # Generation returns only instances whose constraint residual is within
     # tolerance. The check is well posed when a local error at the oracle's
-    # rel_tol cannot grow past MAX_DEVIATION: growth below
-    # log(MAX_DEVIATION / rel_tol) ~ 9.2.
+    # REL_TOL cannot grow past MAX_DEVIATION: growth below
+    # log(MAX_DEVIATION / REL_TOL) ~ 9.2.
     instance = generate_random_instance(n, m, seed)
     end = t_end(instance)
     growth = log_error_growth(instance, np.linspace(0.0, end, 257))
-    assume(growth <= math.log(MAX_DEVIATION / IntegratorConfig().rel_tol))
+    assume(growth <= math.log(MAX_DEVIATION / oracle.REL_TOL))
     assert verify_instance(instance, end, 64) <= MAX_DEVIATION

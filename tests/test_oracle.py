@@ -11,7 +11,6 @@ from polyode.generate import generate_random_instance
 from polyode.oracle import (
     _P,
     _TABLEAU,
-    IntegratorConfig,
     integrate,
     verify_instance,
     verify_periodic,
@@ -52,13 +51,14 @@ def dense_output_loop(rhs, steps, t_end, t_eval):
     return out
 
 
-def reference_step_points(rhs, z0, t_end, config=IntegratorConfig()):
+def reference_step_points(rhs, z0, t_end):
     """The DP5 step loop with fresh arrays each step and Python lists of
     step points: the reference for the integrator's buffered loop, which
     must reproduce its arithmetic bit for bit. Stage i's state is one dot of
     the weights [1, h a_i1, ..., h a_ii] with the rows [y; k1..ki], and the
-    error estimate one dot of h e with k1..k7. Returns the step times, the
-    states and the accepted and rejected step counts."""
+    error estimate one dot of h e with k1..k7. Reads the tolerances at call
+    time, as the integrator does. Returns the step times, the states and
+    the accepted and rejected step counts."""
     y, k1 = np.array(z0, dtype=complex).view(float), np.asarray(rhs(z0))
     t, h, accepted, rejected = 0.0, min(oracle.INITIAL_STEP, t_end), 0, 0
     times, states = [0.0], [y]
@@ -75,7 +75,7 @@ def reference_step_points(rhs, z0, t_end, config=IntegratorConfig()):
             weights.dot(operands[: i + 1], out=y_stages[i - 1])
             rows[i + 1] = rhs(z_stages[i - 1])
         err = (h_step * _TABLEAU[7]).dot(operands[1:])
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_stages[5]))
+        scale = oracle.ABS_TOL + oracle.REL_TOL * np.maximum(np.abs(y), np.abs(y_stages[5]))
         err_norm = float((np.abs(err) / scale).max())
         if err_norm <= 1.0:
             times.append(t + h_step)
@@ -85,7 +85,7 @@ def reference_step_points(rhs, z0, t_end, config=IntegratorConfig()):
             accepted += 1
         else:
             rejected += 1
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        factor = 0.9 * err_norm ** -0.2 if err_norm != 0 else 5.0
         h = h_step * min(5.0, max(0.2, factor))
     return np.array(times), np.array(states).view(complex), accepted, rejected
 
@@ -96,7 +96,7 @@ def proposition_t_end(instance):
 
 
 # Accepted and rejected DP5 steps of verify_instance's integration (64
-# samples, default config) for seeds 0-19 of each (n, M) cell. Seeds 0-4
+# samples, default tolerances) for seeds 0-19 of each (n, M) cell. Seeds 0-4
 # were recorded before the integrator and the RHS changed their arithmetic
 # layout, seeds 5-19 before the step loop moved into buffers made once.
 # Folding h into the stage weights (one dot per stage) moved one pin:
@@ -157,15 +157,32 @@ class TestIntegrate:
         with pytest.raises(MaxStepsExceeded):
             integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0)
 
+    def test_nan_error_estimate_shrinks_the_step(self, monkeypatch):
+        # k7 = rhs(y_new), each attempt's 6th call after the first k1, is not
+        # among the checked stage states; NaN there makes err_norm NaN. The
+        # step must shrink (x0.2 from 1e-3, 13 rejections) to StepUnderflow,
+        # not retry the same h until MAX_STEPS.
+        monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
+        calls = []
+
+        def rhs(z):
+            calls.append(None)
+            return np.full_like(z, np.nan) if len(calls) > 1 and len(calls) % 6 == 1 else -z
+
+        with pytest.raises(StepUnderflow):
+            integrate(rhs, np.array([1 + 0j]), 1.0)
+        assert len(calls) == 1 + 13 * 6
+
     def test_step_history_bounded(self, monkeypatch):
         # The history starts at 32 steps (32 * 8 * 2 = 512 entries at n = 2)
         # and is refused before it doubles past MAX_HISTORY.
         rhs, z0 = riccati_decay_system().rhs, np.array([1, 0], dtype=complex)
-        config = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
-        assert integrate(rhs, z0, 1.0, config).meta.accepted > 32
+        monkeypatch.setattr(oracle, "REL_TOL", 1e-13)
+        monkeypatch.setattr(oracle, "ABS_TOL", 1e-15)
+        assert integrate(rhs, z0, 1.0).meta.accepted > 32
         monkeypatch.setattr(oracle, "MAX_HISTORY", 512)
         with pytest.raises(MaxStepsExceeded, match="history exceeds 512 entries"):
-            integrate(rhs, z0, 1.0, config)
+            integrate(rhs, z0, 1.0)
 
     @pytest.mark.parametrize("t_eval", [[0.5, 0.1], [0.1, 0.1], [0.0, 0.3, 0.2, 0.4]])
     def test_rejects_unordered_t_eval_before_any_rhs_call(self, t_eval):
@@ -217,24 +234,23 @@ class TestIntegrate:
             integrate(lambda z: z, np.array([1 + 0j]), t_end)
 
     @pytest.mark.parametrize(
-        "rhs,config",
+        "rhs",
         [
             pytest.param(
                 lambda z: evaluate_rhs(PolynomialSystem(2, 4, {(1, (4, 0)): 1.0}), z),
-                None,
                 id="evaluate_rhs",
             ),
-            pytest.param(lambda z: z**4, None, id="plain_callable"),
+            pytest.param(lambda z: z**4, id="plain_callable"),
         ],
     )
-    def test_non_finite_stage_state_raises(self, rhs, config):
+    def test_non_finite_stage_state_raises(self, rhs):
         # z1' = z1^4 from 1e100 overflows at the first stage, so the second
         # stage state is infinite. evaluate_rhs's state validation refuses
         # it; a plain callable computes on, and the integrator's check of
         # the step's stage states refuses it before any step is retried.
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite"):
-                integrate(rhs, np.array([1e100, 0j]), 1.0, config)
+                integrate(rhs, np.array([1e100, 0j]), 1.0)
 
     def test_rejects_empty_initial_state(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -282,17 +298,19 @@ class TestIntegrate:
             assert (traj.meta.accepted, traj.meta.rejected) == recorded, (n, m, seed)
 
     @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
-    def test_step_points_match_reference_loop_bit_for_bit(self, cell):
+    def test_step_points_match_reference_loop_bit_for_bit(self, monkeypatch, cell):
         # Many runs pass the 32 accepted steps the history starts with, and
         # so grow it, most of all at the tight tolerance.
         n, m = cell
         for seed in range(20):
             instance = generate_random_instance(n, m, seed)
             t_end = proposition_t_end(instance)
-            for config in (IntegratorConfig(), IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)):
-                traj = integrate(instance.system.rhs, instance.z0, t_end, config)
+            for rel_tol, abs_tol in ((oracle.REL_TOL, oracle.ABS_TOL), (1e-13, 1e-15)):
+                monkeypatch.setattr(oracle, "REL_TOL", rel_tol)
+                monkeypatch.setattr(oracle, "ABS_TOL", abs_tol)
+                traj = integrate(instance.system.rhs, instance.z0, t_end)
                 times, states, accepted, rejected = reference_step_points(
-                    instance.system.rhs, instance.z0, t_end, config
+                    instance.system.rhs, instance.z0, t_end
                 )
                 assert (traj.meta.accepted, traj.meta.rejected) == (accepted, rejected)
                 assert traj.times.tobytes() == times.tobytes()
@@ -332,24 +350,6 @@ class TestIntegrate:
             np.testing.assert_allclose(ours.states, ref.y.T, rtol=1e-8, atol=1e-10)
 
 
-class TestConfig:
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValidationError):
-            IntegratorConfig(rel_tol=0)
-        with pytest.raises(ValidationError):
-            IntegratorConfig(abs_tol=-1)
-
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_rejects_non_finite_fields(self, field, value):
-        with pytest.raises(ValidationError, match="finite"):
-            IntegratorConfig(**{field: value})
-
-    def test_rejects_too_tight_rel_tol(self):
-        with pytest.raises(ValidationError):
-            IntegratorConfig(rel_tol=1e-15)
-
-
 class TestVerifyInstance:
     def riccati_instance(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
@@ -379,12 +379,12 @@ class TestVerifyInstance:
         with pytest.raises(ValidationError, match="samples"):
             verify_instance(self.riccati_instance(), 0.5, samples)
 
-    def test_order_check(self):
+    def test_order_check(self, monkeypatch):
         instance = generate_random_instance(2, 4, 3)
-        base = IntegratorConfig()
-        tighter = IntegratorConfig(rel_tol=base.rel_tol / 2, abs_tol=base.abs_tol / 2)
-        d1 = verify_instance(instance, 0.5, 64, base)
-        d2 = verify_instance(instance, 0.5, 64, tighter)
+        d1 = verify_instance(instance, 0.5, 64)
+        monkeypatch.setattr(oracle, "REL_TOL", oracle.REL_TOL / 2)
+        monkeypatch.setattr(oracle, "ABS_TOL", oracle.ABS_TOL / 2)
+        d2 = verify_instance(instance, 0.5, 64)
         assert d2 <= 2 * d1 + 1e-13
 
 

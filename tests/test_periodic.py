@@ -254,12 +254,6 @@ class TestDetectPeriod:
         assert winding_number(pcf) == -1
         assert (detect_period(pcf).q, detect_period(pcf).k) == (-1, 1)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_bad_tolerance(self, tol):
-        pcf = PeriodicClosedForm(small_k_instance(), 1.0)
-        with pytest.raises(ValidationError, match="tolerance"):
-            detect_period(pcf, tol=tol)
-
 
 # Radius a = K/(i omega) of the bracket circle, drawn at least 0.05 away
 # from Re a = 1/2, where the circle passes through the origin.
