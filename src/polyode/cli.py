@@ -15,7 +15,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .closedform import ClosedFormSolution, eval_closed_form
-from .constraints import SolvableInstance, newton_solve_initial_data, solve_linear_selection
+from .constraints import NEWTON_TOL, SolvableInstance
+from .constraints import newton_solve_initial_data, solve_linear_selection
 from .demo import run_demo
 from .errors import (
     NoConvergence,
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--guess", required=True, help="comma-separated complex values")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=NEWTON_TOL)
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_newton)

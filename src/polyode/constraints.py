@@ -171,26 +171,19 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
         raise ValidationError("unknowns contain a duplicate key")
     k = 0j if k_unknown else check_complex("K", k)
 
-    # The system over its basis plus any multi-indices of the keys it lacks,
+    # The system over the union of its basis and the keys' multi-indices,
     # with the unknown entries masked: one vector of monomials at z0 gives
-    # both the base residual and the columns of the linear system. When the
-    # basis holds every key, as in generation, it is reused as it is.
-    own = {index: u for u, index in enumerate(map(tuple, system.exponents.tolist()))}
-    lacking = {index for _, index in keys}.difference(own)
-    if lacking:
-        indices = sorted(own.keys() | lacking, reverse=True)
-        column = {index: u for u, index in enumerate(indices)}
-        coeffs = np.zeros((system.n, len(indices)), dtype=complex)
-        coeffs[:, [column[index] for index in own]] = system.coeffs
-        exponents = np.array(indices, dtype=np.intp)
-        factors = factor_indices(exponents)
-    else:
-        column, coeffs = own, system.coeffs.copy()
-        exponents, factors = system.exponents, system._factors
+    # both the base residual and the columns of the linear system.
+    own = [tuple(index) for index in system.exponents.tolist()]
+    indices = sorted({index for _, index in keys}.union(own), reverse=True)
+    column = {index: u for u, index in enumerate(indices)}
+    coeffs = np.zeros((system.n, len(indices)), dtype=complex)
+    coeffs[:, [column[index] for index in own]] = system.coeffs
+    exponents = np.array(indices, dtype=np.intp)
     rows = [eq - 1 for eq, _ in keys]
     cols = [column[index] for _, index in keys]
     coeffs[rows, cols] = 0
-    values = monomials(z0, factors)
+    values = monomials(z0, factor_indices(exponents))
 
     # The fixed terms are summed over the columns they use, as the rhs of a
     # system holding only them would sum them: an all-zero column shifts
@@ -233,22 +226,21 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     return k * np.eye(system.n, dtype=complex) - (1 - system.m) * (system.coeffs @ deriv)
 
 
+# The residual max-modulus a Newton solve reaches unless told otherwise.
+NEWTON_TOL = 1e-12
+
+
 def newton_solve_initial_data(
-    system: PolynomialSystem,
-    k,
-    guess,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    history: list | None = None,
+    system: PolynomialSystem, k, guess, tol: float = NEWTON_TOL, max_iter: int = 50
 ) -> np.ndarray:
     """Damped Newton iteration on the constraint residual over the initial
     data, with coefficients and K given.
 
     The step is halved (at most 30 times) until the residual max-modulus
-    decreases. Returns z0 with residual max-modulus <= tol. ``history``,
-    if supplied, collects the residual norm after each accepted iterate.
-    A system whose n x n Jacobian would exceed ``MAX_BASIS_SIZE`` entries
-    is a ValidationError, raised before anything is allocated.
+    decreases. Returns z0 with residual max-modulus <= tol, reached in at
+    most ``max_iter`` steps. A system whose n x n Jacobian would exceed
+    ``MAX_BASIS_SIZE`` entries is a ValidationError, raised before anything
+    is allocated.
     """
     _check_jacobian_size(system.n)
     tol = check_positive("tol", tol)
@@ -257,11 +249,11 @@ def newton_solve_initial_data(
     z = as_state(guess, system.n).copy()
     res = constraint_residual(system, z, k)
     norm = float(np.abs(res).max())
-    if history is not None:
-        history.append(norm)
-    for _ in range(max_iter):
-        if norm <= tol:
-            return z
+    iterations = 0
+    while not norm <= tol:  # a NaN residual has not converged
+        if iterations == max_iter:
+            raise NoConvergence(f"no convergence after {max_iter} iterations, residual {norm:.3e}")
+        iterations += 1
         jac = jacobian(system, z, k)
         step = _gauss_solve(jac, -res, SingularJacobian)
         lam = 1.0
@@ -273,12 +265,6 @@ def newton_solve_initial_data(
                 break
             lam *= 0.5
         else:
-            raise NoConvergence(
-                f"damping exhausted at residual {norm:.3e} (tol {tol:.1e})"
-            )
+            raise NoConvergence(f"damping exhausted at residual {norm:.3e} (tol {tol:.1e})")
         z, res, norm = z_new, res_new, norm_new
-        if history is not None:
-            history.append(norm)
-    if norm <= tol:
-        return z
-    raise NoConvergence(f"no convergence after {max_iter} iterations, residual {norm:.3e}")
+    return z

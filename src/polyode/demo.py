@@ -14,7 +14,7 @@ from .constraints import RESIDUAL_TOL, constraint_residual
 from .errors import ValidationError
 from .generate import generate_random_instance
 from .oracle import MAX_DEVIATION, integrate, verify_instance, verify_periodic
-from .periodic import CLOSURE_TOL, PeriodicClosedForm, detect_period
+from .periodic import PeriodicClosedForm, detect_period
 from .periodic import eval_periodic_closed_form
 from .serialization import (
     write_instance_file,
@@ -29,7 +29,7 @@ DEMO_SEED_EXAMPLE2 = 202
 DEMO_NAMES = ("example1", "example2")
 
 
-def _emit_base_artifacts(instance, out: Path) -> dict:
+def _emit_base_artifacts(instance, out: Path) -> tuple[dict, np.ndarray]:
     write_system_file(instance.system, out / "system.json")
     write_instance_file(instance, out / "instance.json")
 
@@ -45,8 +45,9 @@ def _emit_base_artifacts(instance, out: Path) -> dict:
 
     deviation = verify_instance(instance, t_end, 64)
     write_report({"max_deviation": deviation, "samples": 64, "t_end": t_end}, out / "verify.json")
-    residual = float(np.abs(constraint_residual(instance.system, instance.z0, instance.k)).max())
-    return {"t_end": t_end, "max_deviation": deviation, "residual": residual}
+    residual = constraint_residual(instance.system, instance.z0, instance.k)
+    largest = float(np.abs(residual).max())
+    return {"t_end": t_end, "max_deviation": deviation, "residual": largest}, residual
 
 
 def run_demo(name: str, out_dir) -> tuple[bool, dict]:
@@ -58,13 +59,13 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
 
     if name == "example1":
         instance = generate_random_instance(2, 4, DEMO_SEED_EXAMPLE1)
-        summary = _emit_base_artifacts(instance, out)
+        summary, _ = _emit_base_artifacts(instance, out)
         ok = summary["max_deviation"] <= MAX_DEVIATION and summary["residual"] <= RESIDUAL_TOL
         return ok, summary
 
     # example2: small-K regime so the bracket stays in the right half-plane.
     instance = generate_random_instance(2, 4, DEMO_SEED_EXAMPLE2, k_cap=0.1)
-    summary = _emit_base_artifacts(instance, out)
+    summary, residual = _emit_base_artifacts(instance, out)
 
     omega = 1.0
     pcf = PeriodicClosedForm(instance, omega)
@@ -81,8 +82,7 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
         out / "verify_periodic.json",
     )
 
-    # Residual of the 2 complex (4 real) constraints for the periodized data.
-    residual = constraint_residual(instance.system, instance.z0, instance.k)
+    # The 2 complex constraints are 4 real ones for the periodized data.
     summary.update(
         omega=omega,
         q=report.q,
@@ -92,12 +92,12 @@ def run_demo(name: str, out_dir) -> tuple[bool, dict]:
         periodic_deviation=periodic_deviation,
         max_real_residual=float(np.abs(residual.view(float)).max()),
     )
+    # detect_period raises NotClosed past CLOSURE_TOL, and the real residual
+    # is at most the complex one, so neither needs a check of its own.
     ok = (
         summary["max_deviation"] <= MAX_DEVIATION
         and summary["residual"] <= RESIDUAL_TOL
         and report.k == 3
-        and report.closure_error <= CLOSURE_TOL
         and periodic_deviation <= MAX_DEVIATION
-        and summary["max_real_residual"] <= RESIDUAL_TOL
     )
     return ok, summary

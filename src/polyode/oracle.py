@@ -74,10 +74,11 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     same shape; it need not validate its input. z0 must be finite and
     non-empty, and the first RHS result must have its shape. The six stage
     states of a step are checked together after the step's RHS calls, so
-    ``rhs`` may see a non-finite state just before ValidationError is
-    raised. When ``t_eval`` (a 1-D array of times in [0, t_end]) is given,
-    states are produced at those times via the dense output interpolant;
-    otherwise the accepted step points are returned. Deterministic.
+    ``rhs`` may see a non-finite state; a step with one is rejected and h
+    shrinks by 0.2, as on a NaN error estimate. When ``t_eval`` (a 1-D
+    array of times in [0, t_end]) is given, states are produced at those
+    times via the dense output interpolant; otherwise the accepted step
+    points are returned. Deterministic.
     """
     t_end = check_positive("t_end", t_end)
     if t_eval is not None:
@@ -127,49 +128,52 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     t, accepted, rejected, min_step = 0.0, 0, 0, float("inf")
     h = min(INITIAL_STEP, t_end)
 
-    while t < t_end:
-        if h < MIN_STEP:
-            raise StepUnderflow(t)
-        final = h >= t_end - t
-        h_step = t_end - t if final else h
-        h_arr[()] = h_step
-        np.multiply(tableau, h_arr, out=h_weights)
-        for i, (a, operands, state, z) in enumerate(stage_dots, start=2):
-            a.dot(operands, out=state)
-            rows[i] = rhs(z)
-        # ufunc reductions: ndarray.all and ndarray.max add a Python wrapper.
-        if not np.logical_and.reduce(np.isfinite(state_view, out=finite), axis=None):
-            raise ValidationError("state contains non-finite components")
-        # The last stage state is the 5th-order solution (_TABLEAU row 6).
-        error_weights.dot(k, out=err)
-        np.abs(err, out=err)
-        np.maximum(abs_y, np.abs(y_new, out=abs_y_new), out=scale)
-        scale *= rel_tol
-        scale += abs_tol
-        err /= scale
-        err_norm = float(np.maximum.reduce(err))
+    # Overflow in a trial step is expected far past the stability limit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end:
+            if h < MIN_STEP:
+                raise StepUnderflow(t)
+            final = h >= t_end - t
+            h_step = t_end - t if final else h
+            h_arr[()] = h_step
+            np.multiply(tableau, h_arr, out=h_weights)
+            for i, (a, operands, state, z) in enumerate(stage_dots, start=2):
+                a.dot(operands, out=state)
+                rows[i] = rhs(z)
+            # The last stage state is the 5th-order solution (_TABLEAU row 6).
+            error_weights.dot(k, out=err)
+            np.abs(err, out=err)
+            np.maximum(abs_y, np.abs(y_new, out=abs_y_new), out=scale)
+            scale *= rel_tol
+            scale += abs_tol
+            err /= scale
+            err_norm = float(np.maximum.reduce(err))
+            # A trial step whose stage states overflow is rejected as a NaN error
+            # estimate is. ufunc reductions: ndarray.all and .max add a wrapper.
+            if not np.logical_and.reduce(np.isfinite(state_view, out=finite), axis=None):
+                err_norm = np.nan
 
-        if err_norm <= 1.0:
-            if accepted == len(history):
-                if 2 * history.size > MAX_HISTORY:
-                    raise MaxStepsExceeded(f"step history exceeds {MAX_HISTORY} entries at t={t}")
-                history = np.concatenate([history, np.empty_like(history)])
-            history[accepted] = rows
-            starts.append(t)
-            sizes.append(h_step)
-            t = t_end if final else t + h_step
-            y[:] = y_new
-            abs_y, abs_y_new = abs_y_new, abs_y
-            rows[1] = rows[7]
-            accepted += 1
-            min_step = min(min_step, h_step)
-        else:
-            rejected += 1
-        if accepted + rejected > MAX_STEPS:
-            raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at t={t}")
-        # A NaN err_norm gives a NaN factor, which max(0.2, .) turns into 0.2.
-        factor = 0.9 * err_norm ** -0.2 if err_norm != 0 else 5.0
-        h = h_step * min(5.0, max(0.2, factor))
+            if err_norm <= 1.0:
+                if accepted == len(history):
+                    if 2 * history.size > MAX_HISTORY:
+                        raise MaxStepsExceeded(f"step history exceeds {MAX_HISTORY} entries at t={t}")
+                    history = np.concatenate([history, np.empty_like(history)])
+                history[accepted] = rows
+                starts.append(t)
+                sizes.append(h_step)
+                t = t_end if final else t + h_step
+                y[:] = y_new
+                abs_y, abs_y_new = abs_y_new, abs_y
+                rows[1] = rows[7]
+                accepted += 1
+                min_step = min(min_step, h_step)
+            else:
+                rejected += 1
+            if accepted + rejected > MAX_STEPS:
+                raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at t={t}")
+            # A NaN err_norm gives a NaN factor, which max(0.2, .) turns into 0.2.
+            factor = 0.9 * err_norm ** -0.2 if err_norm != 0 else 5.0
+            h = h_step * min(5.0, max(0.2, factor))
 
     t0, hs = np.array(starts), np.array(sizes)
     ends = t0 + hs

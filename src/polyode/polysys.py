@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -67,7 +68,8 @@ def _multi_indices(n: int, m: int) -> list[tuple]:
 
 def exponent_rows(rows, n: int, m: int) -> np.ndarray:
     """``rows`` as a (U x n) integer array of multi-indices, each ``n``
-    integers in 0..m summing to ``m``; anything else is a ValidationError."""
+    integers in 0..m summing to ``m`` (a bool is not an integer); anything
+    else is a ValidationError."""
     try:
         exponents = np.asarray(rows)
     except ValueError as exc:
@@ -76,6 +78,10 @@ def exponent_rows(rows, n: int, m: int) -> np.ndarray:
         raise ValidationError(
             f"exponents must be integer rows of length {n}, got {exponents.dtype} {exponents.shape}"
         )
+    # np.asarray reads True among integers as 1; an integer array holds none.
+    entries = () if isinstance(rows, np.ndarray) else chain.from_iterable(rows)
+    if not {bool, np.bool_}.isdisjoint(map(type, entries)):
+        raise ValidationError("a multi-index holds a bool; exponents must be integers")
     exponents = exponents.astype(np.intp)
     # ufunc reductions: the ndarray methods add a Python wrapper per call.
     bad = np.logical_or.reduce((exponents < 0) | (exponents > m), axis=1)

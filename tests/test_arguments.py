@@ -121,6 +121,7 @@ BAD_ARGUMENTS = [
     ("solve_key_eq_above_n", lambda: solve(None, [(3, (2, 2))]), None),
     ("solve_key_eq_float", lambda: solve(None, [(1.0, (2, 2))]), None),
     ("solve_key_bad_multi_index", lambda: solve(None, [(1, (3, 0))]), None),
+    ("solve_key_bool_in_multi_index", lambda: solve(None, [(1, (True, 3))]), None),
     ("solve_key_multi_index_too_long", lambda: solve(None, [(1, (2, 1, 1))]), None),
     ("solve_key_duplicate", lambda: solve(1.0, [(1, (2, 2)), (1, (2, 2))]), None),
     ("solve_k_unknown_too_many_keys", lambda: solve(None, [(1, (4, 0)), (2, (0, 4))]), None),
@@ -132,6 +133,11 @@ BAD_ARGUMENTS = [
         None,
     ),
     ("system_terms_list", lambda: PolynomialSystem(2, 2, [(1, (2, 0))]), None),
+    (
+        "system_exponents_bool",
+        lambda: PolynomialSystem(2, 2, coeffs=[[1.0], [0.0]], exponents=[[True, 1]]),
+        None,
+    ),
     ("jacobian_dimension_above_bound", lambda: jacobian(wide_system(), np.ones(WIDE), 1.0), None),
     (
         "newton_dimension_above_bound",

@@ -1,7 +1,7 @@
 """The benchmark harness's view of the library: every name its tracer wraps
-resolves, and one op of each cell of the gated workloads passes under the
-tracer. A renamed function or option then fails here rather than in a
-benchmark run. The harness modules are loaded from ``perfbench/`` as they
+resolves, one op of each cell of the gated workloads passes under the
+tracer, and so does ``large_system``'s warm-up op. A renamed function or
+option then fails here rather than in a benchmark run. The harness modules are loaded from ``perfbench/`` as they
 are; nothing there is written."""
 
 import importlib.util
@@ -43,3 +43,20 @@ def test_one_traced_op_per_cell_passes(tmp_path, name):
     traced = set(spans["names"][spans["name"]])
     assert "constraints.solve_linear_selection" in traced
     assert "oracle.integrate" in traced
+
+
+def test_large_system_warmup_op_passes(tmp_path):
+    # The only op that calls the Newton solve (with tol=), the Jacobian and
+    # density-0.1 generation: (8, 4) at density 0.1.
+    workload = workloads.WORKLOADS["large_system"](seed=1, workdir=str(tmp_path))
+    spec = workload.warmup_spec()
+    assert (spec.n, spec.m, spec.density) == (8, 4, 0.1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, result = workloads.run_op(workload, spec, tracer.op_scope(0))
+    finally:
+        tracer.uninstall()
+    assert not result.failed, result
+    spans = tracer.spans()
+    assert "constraints.newton_solve_initial_data" in set(spans["names"][spans["name"]])

@@ -7,7 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyode.cli import build_parser, main
-from polyode.constraints import RESIDUAL_TOL, constraint_residual, newton_solve_initial_data
+from polyode.constraints import (
+    NEWTON_TOL,
+    RESIDUAL_TOL,
+    constraint_residual,
+    newton_solve_initial_data,
+)
 from polyode.generate import generate_random_instance
 from polyode.oracle import MAX_DEVIATION, MAX_SAMPLES
 from polyode.periodic import CLOSURE_TOL
@@ -154,7 +159,8 @@ def test_parser_defaults_are_the_library_names():
         for name, parameter in inspect.signature(function).parameters.items()
     }
     newton = parser.parse_args(["newton", "--system", "s.json", "--k", "1", "--guess", "1"])
-    assert newton.max_iter == library["max_iter"]
+    assert (newton.tol, newton.max_iter) == (library["tol"], library["max_iter"])
+    assert library["tol"] == NEWTON_TOL
     gen = parser.parse_args(["gen", "--n", "2", "--m", "2", "--seed", "0"])
     assert gen.density == library["density"]
 
@@ -219,6 +225,18 @@ def test_verify_tolerance_failure(tmp_path, capsys):
     assert main(["verify", "--instance", str(path), "--t-max", "0.8"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["max_deviation"] == pytest.approx(5.1e-4, rel=0.01)
+
+
+def test_verify_past_the_stability_limit(tmp_path, capsys):
+    # The solution decays, so the step grows until a trial step overflows
+    # its stages. That step is rejected and h shrinks; numpy's overflow
+    # warnings stay off stderr.
+    path = tmp_path / "instance.json"
+    assert main(["gen", "--n", "2", "--m", "3", "--seed", "5", "--out", str(path)]) == 0
+    assert main(["verify", "--instance", str(path), "--t-max", "1e30"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["max_deviation"] <= MAX_DEVIATION
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])

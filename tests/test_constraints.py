@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polyode import constraints
 from polyode.constraints import (
+    NEWTON_TOL,
     SolvableInstance,
     constraint_residual,
     jacobian,
@@ -403,13 +404,27 @@ class TestNewton:
             return
         assert np.abs(constraint_residual(sys, z0, 1.0)).max() < 1e-12
 
-    def test_final_residuals_strictly_decreasing(self):
-        history = []
-        newton_solve_initial_data(
-            self.diagonal_system(), 1.0, [-0.7, -0.3], tol=1e-13, history=history
-        )
-        tail = [h for h in history if h > 0][-3:]
+    def test_final_residuals_strictly_decreasing(self, monkeypatch):
+        # Every residual the solve evaluates, read through the module's name.
+        norms, residual = [], constraints.constraint_residual
+
+        def recorded(*args):
+            res = residual(*args)
+            norms.append(float(np.abs(res).max()))
+            return res
+
+        monkeypatch.setattr(constraints, "constraint_residual", recorded)
+        newton_solve_initial_data(self.diagonal_system(), 1.0, [-0.7, -0.3], tol=1e-13)
+        tail = [h for h in norms if h > 0][-3:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
+
+    def test_max_iter_bounds_the_steps(self):
+        # From this guess the fifth step is the first to reach NEWTON_TOL.
+        system, guess = self.diagonal_system(), [-0.7, -0.3]
+        with pytest.raises(NoConvergence, match="after 4 iterations"):
+            newton_solve_initial_data(system, 1.0, guess, max_iter=4)
+        z0 = newton_solve_initial_data(system, 1.0, guess, max_iter=5)
+        assert np.abs(constraint_residual(system, z0, 1.0)).max() <= NEWTON_TOL
 
     def test_rejects_bad_tol_and_max_iter(self):
         with pytest.raises(ValidationError):

@@ -234,23 +234,39 @@ class TestIntegrate:
             integrate(lambda z: z, np.array([1 + 0j]), t_end)
 
     @pytest.mark.parametrize(
-        "rhs",
+        "rhs,error",
         [
             pytest.param(
                 lambda z: evaluate_rhs(PolynomialSystem(2, 4, {(1, (4, 0)): 1.0}), z),
+                ValidationError,
                 id="evaluate_rhs",
             ),
-            pytest.param(lambda z: z**4, id="plain_callable"),
+            pytest.param(lambda z: z**4, StepUnderflow, id="plain_callable"),
         ],
     )
-    def test_non_finite_stage_state_raises(self, rhs):
-        # z1' = z1^4 from 1e100 overflows at the first stage, so the second
-        # stage state is infinite. evaluate_rhs's state validation refuses
-        # it; a plain callable computes on, and the integrator's check of
-        # the step's stage states refuses it before any step is retried.
+    def test_non_finite_stage_state_raises(self, rhs, error):
+        # z1' = z1^4 from 1e100 blows up at t ~ 3e-301, and k1 is already
+        # infinite, so every stage state past the first is. evaluate_rhs's
+        # state validation refuses such a state; with a plain callable the
+        # integrator rejects each step, shrinking h to StepUnderflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match="non-finite"):
+            with pytest.raises(error, match="non-finite|underflow"):
                 integrate(rhs, np.array([1e100, 0j]), 1.0)
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # z' = -z^3 from 1 decays as (1 + 2t)^(-1/2). The step grows with t
+        # until a trial step overflows its stages; that step is rejected, and
+        # the run reaches t_end within the absolute tolerance.
+        calls = []
+
+        def rhs(z):
+            calls.append(np.isfinite(z).all())
+            return -(z**3)
+
+        traj = integrate(rhs, np.array([1 + 0j]), 1e30)
+        assert not all(calls)
+        assert traj.meta.rejected > 0
+        np.testing.assert_allclose(traj.states[-1], (1 + 2e30) ** -0.5, rtol=0, atol=oracle.ABS_TOL)
 
     def test_rejects_empty_initial_state(self):
         with pytest.raises(ValidationError, match="non-empty"):

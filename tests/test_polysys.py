@@ -227,6 +227,8 @@ class TestSystemArrays:
             {(1, (2, 0)): 1.0, (1, (1,)): 1.0},
             {(1, (2, 0)): "x"},
             {(1, 2): 1.0},
+            {(1, (True, 1)): 1.0},
+            {(1, (np.True_, 1)): 1.0},
         ],
     )
     def test_rejects_malformed_mappings(self, terms):

@@ -222,7 +222,7 @@ def _assert_same_bits(got, expected):
 
 
 def _check_writer(tmp_path, times, states, periodic):
-    traj = Trajectory(times, states, "closed-form")
+    traj = Trajectory(times, states)
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     write_trajectory_csv(traj, ours, periodic=periodic)
     reference_write_trajectory_csv(traj, ref, periodic=periodic)
@@ -268,9 +268,9 @@ class TestTrajectoryCsv:
         states = np.zeros((2, 2), dtype=complex)
         states[:, 0] = 1  # keep strictly increasing times, nonzero data
         path = tmp_path / "a.csv"
-        write_trajectory_csv(Trajectory(times, states, "closed-form"), path)
+        write_trajectory_csv(Trajectory(times, states), path)
         assert path.read_text().splitlines()[0] == "t,re_z1,im_z1,re_z2,im_z2"
-        write_trajectory_csv(Trajectory(times, states, "closed-form"), path, periodic=True)
+        write_trajectory_csv(Trajectory(times, states), path, periodic=True)
         assert path.read_text().splitlines()[0] == "t,x1,y1,x2,y2"
 
     @pytest.mark.parametrize(
