@@ -31,7 +31,7 @@ class Trajectory:
             raise ValidationError(
                 f"inconsistent trajectory shapes {times.shape} / {states.shape}"
             )
-        if times.size and np.any(np.diff(times) <= 0):
+        if np.isnan(times).any() or not np.all(times[1:] > times[:-1]):
             raise ValidationError("trajectory times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)

@@ -25,6 +25,7 @@ from polyode.oracle import integrate, sample_times, verify_instance, verify_peri
 from polyode.periodic import PeriodicClosedForm, PeriodicSystem
 from polyode.polysys import MAX_BASIS_SIZE, PolynomialSystem, as_state, enumerate_multi_indices
 from polyode.serialization import write_instance_file, write_system_file
+from polyode.trajectory import Trajectory
 
 
 @cache
@@ -149,6 +150,10 @@ BAD_ARGUMENTS = [
         lambda: sample_times(pcf().base_period, too_many_samples()),
         lambda: ["periodize", "--omega", "1.0", "--samples", str(too_many_samples() - 1), "--out", "OUT"],
     ),
+    # NaN compares False both ways, so a strictly increasing check must
+    # refuse it, also as the only time. (+-inf times are accepted.)
+    ("trajectory_nan_time", lambda: Trajectory([0.0, np.nan, 1.0], np.zeros((3, 1))), None),
+    ("trajectory_single_nan_time", lambda: Trajectory([np.nan], np.zeros((1, 1))), None),
 ]
 
 

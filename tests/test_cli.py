@@ -14,8 +14,8 @@ from polyode.constraints import (
     newton_solve_initial_data,
 )
 from polyode.generate import generate_random_instance
-from polyode.oracle import MAX_DEVIATION, MAX_SAMPLES
-from polyode.periodic import CLOSURE_TOL
+from polyode.oracle import MAX_DEVIATION, MAX_SAMPLES, sample_times
+from polyode.periodic import CLOSURE_TOL, PeriodicClosedForm, eval_periodic_closed_form
 from polyode.serialization import (
     instance_to_dict,
     parse_instance_file,
@@ -24,6 +24,8 @@ from polyode.serialization import (
     write_system_file,
 )
 from polyode.polysys import PolynomialSystem
+
+from test_serialization import reference_write_trajectory_csv
 
 
 @pytest.fixture
@@ -262,6 +264,32 @@ def test_periodize_and_period(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["k"] == 3
     assert report["closure_error"] < 1e-8
+
+
+@pytest.mark.parametrize("seed, q", [(2, 1), (1, -1)])
+def test_period_and_periodize_of_a_winding_trajectory(tmp_path, capsys, seed, q):
+    # The bracket circle encloses 0, so q = sgn(omega), exactly when omega
+    # lies strictly between 0 and 2 Im K; omega = Im K is such a value.
+    instance = generate_random_instance(2, 4, seed)
+    omega = instance.k.imag
+    assert np.sign(omega) == q
+    path = tmp_path / "instance.json"
+    write_instance_file(instance, path)
+    args = ["--instance", str(path), f"--omega={omega!r}"]
+    assert main(["period", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["q"], report["k"]) == (q, 1)
+    assert report["closure_error"] <= CLOSURE_TOL
+
+    out, ref = tmp_path / "zeta.csv", tmp_path / "ref.csv"
+    assert main(["periodize", *args, "--samples", "4096", "--out", str(out)]) == 0
+    pcf = PeriodicClosedForm(instance, omega)
+    zeta = eval_periodic_closed_form(pcf, sample_times(pcf.base_period, 4097))
+    reference_write_trajectory_csv(zeta, ref, periodic=True)
+    assert out.read_bytes() == ref.read_bytes()
+    times, states = read_trajectory_csv(out)
+    assert times.tobytes() == zeta.times.tobytes()
+    assert states.tobytes() == zeta.states.tobytes()
 
 
 @pytest.mark.parametrize(

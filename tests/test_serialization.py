@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -262,6 +266,55 @@ class TestTrajectoryCsv:
         states = np.array(parts, dtype=float).view(complex).reshape(len(times), n)
         with mock.patch.object(serialization, "CSV_BLOCK_ROWS", block_rows):
             _check_writer(tmp_path, np.array(times, dtype=float), states, data.draw(st.booleans()))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edge_values(self, tmp_path, n, block_rows):
+        # Where the kernel's exponent, rounding or layout can go wrong:
+        # powers of ten and their neighbours (log10 misjudges X next to
+        # them; 1e-5, 1e-4, 1e16 and 1e17 are where %g switches between
+        # fixed and scientific notation), exact ties, the ends of the double
+        # range, and runs of values with no digits, so that whole rows and
+        # blocks fall back or are zero.
+        near = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        edges = np.concatenate([
+            near, np.nextafter(near, 0), np.nextafter(near, np.inf),
+            [1234567890123456.75, 1234567890123456.25],
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ])
+        runs = np.repeat([0.0, -0.0, np.nan, np.inf, -np.inf], 2 * n * block_rows + 1)
+        values = np.concatenate([edges, -edges, runs])
+        rows = -(-values.size // (2 * n))
+        times = np.unique(values[~np.isnan(values)])
+        times = times[np.linspace(0, times.size - 1, rows).astype(int)]
+        states = np.resize(values, 2 * n * rows).view(complex).reshape(rows, n)
+        with mock.patch.object(serialization, "CSV_BLOCK_ROWS", block_rows):
+            _check_writer(tmp_path, times, states, periodic=n == 2)
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_log10_off_by_one_ulp_changes_no_byte(self, tmp_path, direction):
+        # The kernel's exponent is floor(log10|x|). Next to a power of ten a
+        # last-bit error in log10 moves it by one; the range checks on the 17
+        # digits must then hand the value to Python.
+        log10 = np.log10
+        near = np.array([float(f"1e{k}") for k in range(-280, 281)])
+        values = np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf)])
+        states = np.resize(values, values.size + 1).view(complex)[:, None]
+        with mock.patch.object(np, "log10", lambda v: np.nextafter(log10(v), direction)):
+            _check_writer(tmp_path, np.arange(float(states.size)), states, periodic=False)
+
+    def test_importing_the_cli_builds_no_kernel_tables(self):
+        # Building them takes milliseconds, which a command that writes no
+        # CSV should not pay at start-up.
+        code = (
+            "import polyode.cli; from polyode.serialization import _csv_tables as tables; "
+            "print(tables.cache_info().currsize)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(serialization.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=50
+        )
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
 
     def test_headers(self, tmp_path):
         times = np.array([0.0, 1.0])
