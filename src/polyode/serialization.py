@@ -173,11 +173,10 @@ _FALLBACK = 23  # the layout class of a value that Python formats
 
 @functools.cache
 def _csv_tables() -> tuple:
-    """The kernel's tables, built on first use: 10^k = hi + lo for k in
-    [-270, 300] with hi split in halves for the two-product; 8-byte words of
-    a value's first bytes per leading digit, of "d.d.d.d." per 4-digit group
-    and of its last bytes per exponent; each group's trailing zeros; the
-    layout class per exponent; and the keep mask per layout key."""
+    """The kernel's tables, built on first use: 10^k = hi + lo for k in [-270,
+    300] with hi's halves; a record's 8-byte words by leading digit, 4-digit
+    group and exponent; trailing zeros by group; layout class by exponent;
+    keep mask by layout key."""
     tens = [(10 ** max(k, 0), 10 ** max(-k, 0)) for k in range(-270, 301)]
     hi = np.array([p / q for p, q in tens])
     ratios = map(float.as_integer_ratio, hi.tolist())
@@ -260,8 +259,7 @@ def _format_block(block: np.ndarray) -> bytes:
         record[odd, :3] = chars.view("<u8")
         key[odd] = _FALLBACK * 100 + (chars != 32).sum(1) * 4
     key.reshape(block.shape)[:, -1] += 1
-    mask = keep.take(key, axis=0)
-    return np.compress(mask.ravel(), record.view(np.uint8)).tobytes()
+    return np.compress(keep.take(key, axis=0).ravel(), record.view(np.uint8)).tobytes()
 
 
 def write_trajectory_csv(traj: Trajectory, path, periodic: bool = False) -> None:
