@@ -16,7 +16,9 @@ from .constraints import SolvableInstance
 from .errors import NegativeTime, SingularTime, ValidationError, check_complex, check_count
 from .polysys import as_state
 
-BRACKET_GUARD = 1e-12
+# The absolute floor on |1 + K t| at an evaluated time, also kept as the
+# time margin before blow-up.
+MIN_BRACKET_MODULUS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +64,11 @@ def eval_closed_form(sol: ClosedFormSolution, t) -> np.ndarray:
     if (times < 0).any():
         raise NegativeTime(f"closed form is defined for t >= 0, got t={times.min()}")
     t_star = blow_up_time(sol)
-    if t_star is not None and (times >= t_star - BRACKET_GUARD).any():
+    if t_star is not None and (times >= t_star - MIN_BRACKET_MODULUS).any():
         raise SingularTime(f"t={times.max()} at or beyond blow-up time t*={t_star}")
     bracket = 1 + sol.k * times
     gap = np.abs(bracket).min(initial=np.inf)
-    if gap < BRACKET_GUARD:
+    if gap < MIN_BRACKET_MODULUS:
         raise SingularTime(f"|1 + K t| = {gap:.3e} below guard")
     states = np.multiply.outer(bracket ** (1.0 / (1 - sol.m)), sol.z0)
     states[times == 0] = sol.z0

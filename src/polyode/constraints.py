@@ -93,11 +93,12 @@ class SolvableInstance:
             )
 
 
-def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:
-    """Dense complex Gaussian elimination with partial pivoting.
+def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense complex Gaussian elimination with partial pivoting, for the
+    Newton step.
 
-    Declares rank deficiency (raising ``exc_type``) when a pivot modulus
-    falls below 1e-13 times the largest initial matrix entry.
+    Declares the Jacobian singular (raising SingularJacobian) when a pivot
+    modulus is at most 1e-13 times the largest initial matrix entry.
     """
     a = np.array(a, dtype=complex)
     b = np.array(b, dtype=complex)
@@ -106,7 +107,7 @@ def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:
     for col in range(n):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         if abs(a[piv, col]) <= threshold:
-            raise exc_type(f"pivot {abs(a[piv, col]):.3e} below threshold {threshold:.3e}")
+            raise SingularJacobian(f"pivot {abs(a[piv, col]):.3e} at or below threshold {threshold:.3e}")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
             b[[col, piv]] = b[[piv, col]]
@@ -120,49 +121,24 @@ def _gauss_solve(a: np.ndarray, b: np.ndarray, exc_type) -> np.ndarray:
     return x
 
 
-def _divide_per_equation(rows: list, pivots: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The solution x of a x = b for the n x n matrix a whose column j holds
-    ``pivots[j]`` in row ``rows[j]`` and zeros elsewhere, by one division
-    per equation; SingularSystem, or None where ``_gauss_solve`` must decide.
-
-    This is the linear selection with K given: an unknown coefficient
-    enters only its own equation. With finite pivots, ``_gauss_solve``
-    raises on such a system exactly when two columns share a row or a pivot
-    modulus is at most 1e-13 times the largest. Otherwise all its
-    elimination factors are zero, so its result is these divisions, bit for
-    bit, except that its zero updates decide the sign of a zero and turn an
-    infinity into NaNs. So non-finite pivots, and a solution with a zero or
-    non-finite part, give None.
-    """
-    moduli = np.abs(pivots)
-    largest = float(np.maximum.reduce(moduli))  # NaN if any modulus is
-    if not math.isfinite(largest):
-        return None
-    if len(set(rows)) < len(rows):
-        raise SingularSystem("two unknowns share an equation")
-    smallest, threshold = float(np.minimum.reduce(moduli)), 1e-13 * largest
-    if smallest <= threshold:
-        raise SingularSystem(f"pivot {smallest:.3e} below threshold {threshold:.3e}")
-    x = b[rows] / pivots
-    parts = np.abs(x.view(float))
-    return x if 0 < np.minimum.reduce(parts) and np.maximum.reduce(parts) < math.inf else None
-
-
 def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> SolvableInstance:
     """Solve the constraints for the coefficients named by ``unknowns``, and
     for K when ``k`` is None, with the initial data given.
 
     ``unknowns`` holds keys (eq, multi-index) of ``PolynomialSystem.coefficients``,
-    stored or not: N of them when K is given, N - 1 when it is not. K's
-    column of the linear system comes first, then the keys' in the order
-    given. Any values the input system stores at the keys are discarded;
-    the solved values replace them. Raises SingularSystem on rank deficiency.
-    With K given, each equation holds one unknown and is solved by one
-    division (``_divide_per_equation``); with K unknown, by elimination.
+    stored or not: N of them when K is given, N - 1 when it is not. Any
+    values the input system stores at the keys are discarded; the solved
+    values replace them.
+
+    An unknown coefficient enters only its own equation, so the system is
+    triangular: K, when unknown, is read off the one equation without a
+    key, then each key's equation is solved by one division. Two keys in one
+    equation, or a diagonal entry whose modulus is at most 1e-13 times the
+    largest matrix entry, raise SingularSystem.
     """
     z0 = as_state(z0, system.n)
     keys = coefficient_keys(unknowns, system.n, system.m)
-    k_unknown = int(k is None)  # 1 when K takes the first column
+    k_unknown = k is None
     expected = system.n - k_unknown
     if len(keys) != expected:
         state = "unknown" if k_unknown else "given"
@@ -170,17 +146,19 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     if len(set(keys)) != len(keys):
         raise ValidationError("unknowns contain a duplicate key")
     k = 0j if k_unknown else check_complex("K", k)
+    rows = [eq - 1 for eq, _ in keys]
+    if len(set(rows)) < len(rows):
+        raise SingularSystem("two unknowns share an equation")
 
     # The system over the union of its basis and the keys' multi-indices,
     # with the unknown entries masked: one vector of monomials at z0 gives
-    # both the base residual and the columns of the linear system.
+    # both the base residual and the pivots.
     own = [tuple(index) for index in system.exponents.tolist()]
     indices = sorted({index for _, index in keys}.union(own), reverse=True)
     column = {index: u for u, index in enumerate(indices)}
     coeffs = np.zeros((system.n, len(indices)), dtype=complex)
     coeffs[:, [column[index] for index in own]] = system.coeffs
     exponents = np.array(indices, dtype=np.intp)
-    rows = [eq - 1 for eq, _ in keys]
     cols = [column[index] for _, index in keys]
     coeffs[rows, cols] = 0
     values = monomials(z0, factor_indices(exponents))
@@ -189,18 +167,19 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     # system holding only them would sum them: an all-zero column shifts
     # the BLAS summation order, and with it the last bits of the solution.
     stored = coeffs.any(axis=0)
-    base = _residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
+    b = -_residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
     pivots = -(1 - system.m) * values[cols]
-    solution = None if k_unknown else _divide_per_equation(rows, pivots, -base)
-    if solution is None:
-        a = np.zeros((system.n, system.n), dtype=complex)
-        if k_unknown:
-            a[:, 0] = z0
-        a[rows, range(k_unknown, system.n)] = pivots
-        solution = _gauss_solve(a, -base, SingularSystem)
-    coeffs[rows, cols] = solution[k_unknown:]
+    diagonal, entries = pivots, pivots
     if k_unknown:
-        k = complex(solution[0])
+        (free,) = set(range(system.n)).difference(rows)
+        diagonal, entries = np.append(pivots, z0[free]), np.append(pivots, z0)
+    smallest, threshold = float(np.min(np.abs(diagonal))), 1e-13 * float(np.max(np.abs(entries)))
+    if smallest <= threshold:  # false where a modulus is NaN, as in elimination
+        raise SingularSystem(f"pivot {smallest:.3e} at or below threshold {threshold:.3e}")
+    if k_unknown:
+        k = complex(b[free] / z0[free])
+        b = b - k * z0
+    coeffs[rows, cols] = b[rows] / pivots
     solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
     return SolvableInstance(solved, z0, k)
 
@@ -255,7 +234,7 @@ def newton_solve_initial_data(
             raise NoConvergence(f"no convergence after {max_iter} iterations, residual {norm:.3e}")
         iterations += 1
         jac = jacobian(system, z, k)
-        step = _gauss_solve(jac, -res, SingularJacobian)
+        step = _gauss_solve(jac, -res)
         lam = 1.0
         for _ in range(31):
             z_new = z + lam * step

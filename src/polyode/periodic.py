@@ -35,7 +35,9 @@ from .polysys import PolynomialSystem, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import Trajectory
 
-BRACKET_GUARD = 1e-10
+# The least distance ||c| - |a|| of the bracket circle from the origin,
+# relative to |a| + |c|.
+MIN_CIRCLE_MARGIN = 1e-10
 # The acceptance bound on a detected period's closure error.
 CLOSURE_TOL = 1e-8
 
@@ -125,15 +127,15 @@ def _log_bracket(pcf: PeriodicClosedForm, times: np.ndarray) -> tuple[np.ndarray
     centre c and radius |a|: the remaining log1p argument has modulus below
     1, so its principal branch is continuous. At t = 0 both forms give 0
     (q = 0 forces Re c > 1/2, otherwise Re a > 1/2). min |g| over the
-    circle is ||c| - |a||; a margin below BRACKET_GUARD*(|a| + |c|) raises
-    SingularBracket, which also covers the cancellation in c = 1 - a at
-    tiny omega.
+    circle is ||c| - |a||; a margin below MIN_CIRCLE_MARGIN * (|a| + |c|)
+    raises SingularBracket, which also covers the cancellation in c = 1 - a
+    at tiny omega.
     """
     omega = pcf.omega
     a = pcf.k / (1j * omega)
     c = 1 - a
     margin = abs(abs(c) - abs(a))
-    if not margin >= BRACKET_GUARD * (abs(a) + abs(c)):
+    if not margin >= MIN_CIRCLE_MARGIN * (abs(a) + abs(c)):
         raise SingularBracket(
             f"bracket circle passes within {margin:.3e} of 0; trajectory not globally defined"
         )

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from polyode import constraints, oracle, periodic
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -60,3 +62,12 @@ def test_large_system_warmup_op_passes(tmp_path):
     assert not result.failed, result
     spans = tracer.spans()
     assert "constraints.newton_solve_initial_data" in set(spans["names"][spans["name"]])
+
+
+def test_harness_checks_the_library_bounds():
+    # The harness restates these bounds; each must equal the library's one
+    # name, so a drift fails here until the harness imports them.
+    assert workloads.MAX_DEVIATION == oracle.MAX_DEVIATION
+    assert workloads.MAX_CLOSURE == periodic.CLOSURE_TOL
+    assert workloads.MAX_RESIDUAL == constraints.RESIDUAL_TOL
+    assert workloads.NEWTON_TOL == constraints.NEWTON_TOL

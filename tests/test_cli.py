@@ -150,6 +150,18 @@ def test_newton_writes_no_instance_that_misses_the_residual_bound(tmp_path, caps
     assert not out_path.exists()
 
 
+def test_newton_singular_jacobian_exit_code(tmp_path, capsys):
+    # The guess makes the Jacobian exactly zero (see test_constraints).
+    sys_path = tmp_path / "system.json"
+    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), sys_path)
+    out_path = tmp_path / "instance.json"
+    args = ["--system", str(sys_path), "--k", "1", "--guess=-0.5,-0.25", "--out", str(out_path)]
+    assert main(["newton", *args]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out_path.exists()
+
+
 def test_parser_defaults_are_the_library_names():
     # The acceptance bounds of the north star, each defined once.
     assert (MAX_DEVIATION, CLOSURE_TOL, RESIDUAL_TOL) == (1e-6, 1e-8, 1e-10)

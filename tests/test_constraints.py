@@ -12,12 +12,14 @@ from polyode.constraints import (
     constraint_residual,
     jacobian,
     newton_solve_initial_data,
+    residual_scale,
     solve_linear_selection,
 )
 from polyode.errors import (
     ConstraintNotSatisfied,
     NoConvergence,
     PolyOdeError,
+    SingularJacobian,
     SingularSystem,
     ValidationError,
 )
@@ -91,7 +93,10 @@ def union_gauss_selection(system, z0, k, keys):
     if k_unknown:
         a[:, 0] = z0
     a[rows, range(k_unknown, system.n)] = -(1 - system.m) * values[cols]
-    solution = constraints._gauss_solve(a, -base, SingularSystem)
+    try:
+        solution = constraints._gauss_solve(a, -base)
+    except SingularJacobian as exc:
+        raise SingularSystem(*exc.args) from None
     coeffs[rows, cols] = solution[k_unknown:]
     if k_unknown:
         k = complex(solution[0])
@@ -99,18 +104,33 @@ def union_gauss_selection(system, z0, k, keys):
     return SolvableInstance(solved, z0, k)
 
 
-def selection_outcome(solve, system, z0, k, keys):
-    """The bytes of the solved instance, or the class of the error raised."""
+def solved_or_error(solve, system, z0, k, keys):
+    """The solved instance, or the class of the error raised."""
     try:
-        instance = solve(system, z0, k, keys)
+        return solve(system, z0, k, keys)
     except PolyOdeError as exc:
         return type(exc)
+
+
+def instance_bytes(instance):
     return (
         instance.system.coeffs.tobytes(),
         instance.system.exponents.tobytes(),
         instance.z0.tobytes(),
         np.complex128(instance.k).tobytes(),
     )
+
+
+def selection_outcome(solve, system, z0, k, keys):
+    """The bytes of the solved instance, or the class of the error raised."""
+    outcome = solved_or_error(solve, system, z0, k, keys)
+    return outcome if isinstance(outcome, type) else instance_bytes(outcome)
+
+
+def unknown_values(instance, keys):
+    """The solved values at ``keys``, K first."""
+    coefficients = instance.system.coefficients
+    return np.array([instance.k] + [coefficients.get(key, 0j) for key in keys])
 
 
 class TestSelection:
@@ -124,9 +144,13 @@ class TestSelection:
         # Random selections over stored and unstored keys. Half of them take
         # one key per equation; the rest draw keys at random, so two often
         # share an equation. A zero z0 component makes the monomials of its
-        # variable vanish, the pure one among them. On real data the solved
-        # coefficients have zero imaginary parts, whose signs must match too;
-        # so must the errors of a z0 whose monomials overflow.
+        # variable vanish, the pure one among them. With K given each key is
+        # one division in either solver, so where the reference's solution
+        # parts are nonzero and finite the bytes agree; elsewhere its zero
+        # updates may flip the sign of a zero imaginary part on real data.
+        # With K unknown the elimination rounds differently, within the
+        # residual's own rounding. A z0 whose monomials overflow is refused
+        # by both, though not always with the same error.
         rng = np.random.default_rng(7 + k_given)
         seen = Counter()
         for _ in range(400):
@@ -149,9 +173,31 @@ class TestSelection:
             else:
                 every_key = [(eq, index) for eq in range(1, n + 1) for index in indices]
                 keys = [every_key[i] for i in rng.choice(len(every_key), count, replace=False)]
+            basis = factor_indices(np.array(indices, dtype=np.intp))
             with np.errstate(all="ignore"):
-                new = selection_outcome(solve_linear_selection, system, z0, k, keys)
-                assert new == selection_outcome(union_gauss_selection, system, z0, k, keys)
+                new = solved_or_error(solve_linear_selection, system, z0, k, keys)
+                ref = solved_or_error(union_gauss_selection, system, z0, k, keys)
+                finite = np.isfinite(monomials(np.asarray(z0, dtype=complex), basis)).all()
+            if not finite:
+                assert isinstance(new, type) and isinstance(ref, type), (new, ref)
+            elif isinstance(new, type) or isinstance(ref, type):
+                assert new == ref
+            else:
+                expected = unknown_values(ref, keys)
+                got = unknown_values(new, keys)
+                parts = np.abs(expected[1:].view(float))
+                if k_given and 0 < parts.min() and parts.max() < np.inf:
+                    assert instance_bytes(new) == instance_bytes(ref)
+                elif k_given:
+                    assert np.array_equal(new.system.coeffs, ref.system.coeffs)
+                    assert np.array_equal(new.system.exponents, ref.system.exponents)
+                else:
+                    assert np.array_equal(new.system.exponents, ref.system.exponents)
+                    key_basis = factor_indices(np.array([index for _, index in keys], dtype=np.intp))
+                    pivots = (m - 1) * monomials(ref.z0, key_basis)
+                    weights = np.append(np.abs(ref.z0).max(), np.abs(pivots))
+                    bound = 1e-14 * residual_scale(ref.system, ref.z0, ref.k)
+                    assert (np.abs(got - expected) * weights <= bound).all(), (got, expected)
             stored = all(key in system.coefficients for key in keys)
             seen[new if isinstance(new, type) else ("solved", stored)] += 1
         # Both kinds of key, and the singular cases, occurred.
@@ -189,6 +235,15 @@ class TestSelection:
             with pytest.raises(SingularSystem):
                 solve(system, z0, k, keys)
 
+
+    def test_k_unknown_threshold_reads_every_initial_component(self):
+        # K's column holds z0. Equation 1 has no key, so its diagonal entry
+        # is z0_1 = 1e-7; the key's pivot is z_1^2 = 1e-14. Both are far
+        # above 1e-13 of the largest diagonal entry, but not of z0_2 = 1.
+        system = random_system(np.random.default_rng(6), 2, 2)
+        for solve in (solve_linear_selection, union_gauss_selection):
+            with pytest.raises(SingularSystem):
+                solve(system, [1e-7, 1], None, [(2, (2, 0))])
 
 class TestLinearSolve:
     def test_riccati_k_and_coefficient(self):
@@ -425,6 +480,12 @@ class TestNewton:
             newton_solve_initial_data(system, 1.0, guess, max_iter=4)
         z0 = newton_solve_initial_data(system, 1.0, guess, max_iter=5)
         assert np.abs(constraint_residual(system, z0, 1.0)).max() <= NEWTON_TOL
+
+    def test_singular_jacobian(self):
+        # At (-0.5, -0.25) both diagonal Jacobian entries 1 + 2 c_n z_n are
+        # exactly 0, and the residual K z_n + c_n z_n^2 is not.
+        with pytest.raises(SingularJacobian, match="pivot 0.000e[+]00 at or below threshold"):
+            newton_solve_initial_data(self.diagonal_system(), 1.0, [-0.5, -0.25])
 
     def test_rejects_bad_tol_and_max_iter(self):
         with pytest.raises(ValidationError):

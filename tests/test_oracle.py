@@ -15,8 +15,10 @@ from polyode.oracle import (
     verify_instance,
     verify_periodic,
 )
-from polyode.periodic import PeriodicClosedForm
+from polyode.periodic import PeriodicClosedForm, detect_period, eval_periodic_rhs
 from polyode.polysys import PolynomialSystem, evaluate_rhs
+
+from test_periodic import _instance_with_k
 
 
 def riccati_decay_system():
@@ -404,6 +406,19 @@ class TestVerifyInstance:
         assert d2 <= 2 * d1 + 1e-13
 
 
+def integrated_closure(pcf, q):
+    """The integrated trajectory's distance from z0 after the detected
+    period, whose winding number must be ``q``."""
+    report = detect_period(pcf)
+    assert report.q == q
+    psys = pcf.system()
+    traj = integrate(
+        lambda w: eval_periodic_rhs(psys, w), pcf.z0, report.T,
+        t_eval=np.array([0.0, report.T]),
+    )
+    return np.abs(traj.states[-1] - pcf.z0).max()
+
+
 class TestVerifyPeriodic:
     def test_small_k_one_period(self):
         inst = generate_random_instance(2, 4, 5, k_cap=0.1)
@@ -422,14 +437,13 @@ class TestVerifyPeriodic:
         assert verify_periodic(pcf, 3, 2049) < 1e-10
 
     def test_integrated_closure_at_detected_period(self):
-        from polyode.periodic import detect_period, eval_periodic_rhs
+        pcf = PeriodicClosedForm(generate_random_instance(2, 4, 5, k_cap=0.1), 1.0)
+        assert integrated_closure(pcf, 0) < 1e-6
 
-        inst = generate_random_instance(2, 4, 5, k_cap=0.1)
-        pcf = PeriodicClosedForm(inst, 1.0)
-        report = detect_period(pcf)
-        psys = pcf.system()
-        traj = integrate(
-            lambda w: eval_periodic_rhs(psys, w), pcf.z0, report.T,
-            t_eval=np.array([0.0, report.T]),
-        )
-        assert np.abs(traj.states[-1] - pcf.z0).max() < 1e-6
+    @pytest.mark.parametrize("q", [1, -1])
+    def test_integrated_closure_of_a_winding_trajectory(self, q):
+        # K = 2i sgn(omega) puts a = 2 beyond Re a = 1/2: the circle winds
+        # once, in the direction of omega.
+        pcf = PeriodicClosedForm(_instance_with_k(2j * q), float(q))
+        assert integrated_closure(pcf, q) < 1e-6
+

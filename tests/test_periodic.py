@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyode.constraints import SolvableInstance
+from polyode.constraints import SolvableInstance, jacobian
 from polyode.errors import SingularBracket, ValidationError, ZeroOmega
 from polyode.generate import generate_random_instance
+from polyode.oracle import MAX_DEVIATION, REL_TOL, sample_times, verify_periodic
 from polyode.periodic import (
     PeriodicClosedForm,
     PeriodicSystem,
+    _log_bracket,
     bracket_values,
     detect_period,
     eval_periodic_closed_form,
@@ -288,6 +290,43 @@ def test_closed_form_and_period_match_unwrapped_reference(m, a, omega, seed):
     gaps = np.abs(reference[::4096] - pcf.z0).max(axis=1)
     assert gaps[report.k] < 1e-8
     assert (gaps[1:report.k] > 1e-8).all()
+
+
+def log_error_growth(pcf, times):
+    """Log of a bound on how much the linearised flow along the periodic
+    solution amplifies an error made at one of ``times`` at a later one.
+
+    Along z0 * g^(1/(1-M)) a perturbation evolves as g^A with A = DP(z0)/K,
+    so with DP(z0) = V diag(mu) V^-1 the growth from s to t is at most
+    cond(V) * max exp(Re(mu (log g(t) - log g(s)) / K)).
+    """
+    system = pcf.instance.system
+    mu, vecs = np.linalg.eig(jacobian(system, pcf.z0, 0) / (system.m - 1))
+    rates = (mu[:, None] * (_log_bracket(pcf, times)[0] / pcf.k)[None, :]).real
+    growth = float((rates - np.minimum.accumulate(rates, axis=1)).max())
+    return growth + math.log(np.linalg.cond(vecs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 6),
+    a=_circle_radius,
+    omega=st.sampled_from([1.0, -0.7, 2.5, -3.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_oracle_confirms_the_periodic_closed_form_on_both_sides_of_the_circle(m, a, omega, seed):
+    # q = 0 inside Re a < 1/2 and q = sgn(omega) beyond it. A draw whose
+    # linearised flow may amplify the integrator's local error past the
+    # acceptance bound says nothing about the closed form, so it is skipped.
+    # Below |a| ~ 1e-6 the estimate cannot tell: log g loses its real part
+    # to rounding (numpy's complex log1p), and log g / K with it.
+    assume(abs(a) >= 1e-6)
+    pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a, m, seed), omega)
+    report = detect_period(pcf)
+    samples = 256 * report.k + 1
+    times = sample_times(report.T, samples)
+    assume(log_error_growth(pcf, times) <= math.log(MAX_DEVIATION / REL_TOL))
+    assert verify_periodic(pcf, report.k, samples) <= MAX_DEVIATION
 
 
 class TestBracket:
