@@ -43,7 +43,6 @@ from .serialization import (
     write_instance_file,
     write_trajectory_csv,
 )
-from .trajectory import Trajectory
 
 _SINGULAR_ERRORS = (SingularSystem, SingularJacobian, SingularTime, SingularBracket, StepUnderflow)
 _TOLERANCE_ERRORS = (NotClosed, NoConvergence)
@@ -118,8 +117,8 @@ def _cmd_newton(args) -> int:
 def _cmd_eval(args) -> int:
     instance = parse_instance_file(args.instance)
     times = sample_times(args.t_max, args.samples)
-    states = eval_closed_form(ClosedFormSolution.from_instance(instance), times)
-    write_trajectory_csv(Trajectory(times, states), args.out)
+    sol = ClosedFormSolution.from_instance(instance)
+    write_trajectory_csv(eval_closed_form(sol, times), args.out)
     return 0
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .constraints import SolvableInstance
 from .errors import NegativeTime, SingularTime, ValidationError, check_complex, check_count
 from .polysys import as_state
+from .trajectory import Trajectory
 
 # The absolute floor on |1 + K t| at an evaluated time, also kept as the
 # time margin before blow-up.
@@ -49,18 +50,18 @@ def blow_up_time(sol: ClosedFormSolution) -> float | None:
     return None
 
 
-def eval_closed_form(sol: ClosedFormSolution, t) -> np.ndarray:
-    """Evaluate the closed-form solution at time t >= 0, or at each time of
-    a 1-D array (one state per row). Returns z0 exactly at t = 0.
+def eval_closed_form(sol: ClosedFormSolution, t_grid) -> Trajectory:
+    """Evaluate the closed-form solution on a 1-D grid of strictly
+    increasing times t >= 0. Returns z0 exactly at t = 0.
 
     Uses the principal branch of the complex power; on [0, t*) the bracket
     1 + K t never crosses the negative real axis, so the branch is
     continuous there. Refuses (for the whole call) a non-finite time, t < 0,
     |1 + K t| < 1e-12 and t at or beyond blow-up.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.isfinite(times).all():
-        raise ValidationError("closed form needs one finite time or a 1-D array of them")
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValidationError("closed form needs a 1-D array of finite times")
     if (times < 0).any():
         raise NegativeTime(f"closed form is defined for t >= 0, got t={times.min()}")
     t_star = blow_up_time(sol)
@@ -72,4 +73,4 @@ def eval_closed_form(sol: ClosedFormSolution, t) -> np.ndarray:
         raise SingularTime(f"|1 + K t| = {gap:.3e} below guard")
     states = np.multiply.outer(bracket ** (1.0 / (1 - sol.m)), sol.z0)
     states[times == 0] = sol.z0
-    return states
+    return Trajectory(times, states)

@@ -174,7 +174,8 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
         (free,) = set(range(system.n)).difference(rows)
         diagonal, entries = np.append(pivots, z0[free]), np.append(pivots, z0)
     smallest, threshold = float(np.min(np.abs(diagonal))), 1e-13 * float(np.max(np.abs(entries)))
-    if smallest <= threshold:  # false where a modulus is NaN, as in elimination
+    # A NaN pivot passes; its NaN coefficient is refused by PolynomialSystem.
+    if smallest <= threshold:
         raise SingularSystem(f"pivot {smallest:.3e} at or below threshold {threshold:.3e}")
     if k_unknown:
         k = complex(b[free] / z0[free])

@@ -131,9 +131,10 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # Overflow in a trial step is expected far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end:
-            if h < MIN_STEP:
-                raise StepUnderflow(t)
+            # A final step shorter than MIN_STEP only ends the interval.
             final = h >= t_end - t
+            if h < MIN_STEP and not final:
+                raise StepUnderflow(t)
             h_step = t_end - t if final else h
             h_arr[()] = h_step
             np.multiply(tableau, h_arr, out=h_weights)
@@ -218,7 +219,7 @@ def verify_instance(instance: SolvableInstance, t_end: float, samples: int) -> f
     if t_star is not None and times[-1] >= t_star:
         raise ValidationError(f"t_end={t_end} not below blow-up time {t_star}")
     traj = integrate(instance.system.rhs, instance.z0, t_end, t_eval=times)
-    return _deviation(traj.states, eval_closed_form(sol, times))
+    return _deviation(traj.states, eval_closed_form(sol, times).states)
 
 
 def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> float:
@@ -227,5 +228,5 @@ def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> floa
     t_end = check_count("periods", periods, 1) * pcf.base_period
     times = sample_times(t_end, samples)
     reference = eval_periodic_closed_form(pcf, times)
-    traj = integrate(pcf.system().rhs, pcf.z0, t_end, t_eval=times)
+    traj = integrate(pcf.system().rhs, pcf.instance.z0, t_end, t_eval=times)
     return _deviation(traj.states, reference.states)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,11 +64,7 @@ class PeriodicSystem:
     def __post_init__(self):
         object.__setattr__(self, "omega", _checked_omega(self.omega))
         # The linear part's factor i * omega / (M - 1), formed once.
-        object.__setattr__(self, "_spin", 1j * self.rotation_rate)
-
-    @property
-    def rotation_rate(self) -> float:
-        return self.omega / (self.base.m - 1)
+        object.__setattr__(self, "_spin", 1j * (self.omega / (self.base.m - 1)))
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """The right-hand sides at ``w``, unchecked: ``w`` must be a finite
@@ -85,25 +81,34 @@ def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PeriodicClosedForm:
     """Closed-form solution of the periodized system, built from a valid
-    solvable instance and a finite nonzero frequency."""
+    solvable instance and a finite nonzero frequency whose bracket circle
+    keeps clear of the origin, so the trajectory is defined for all t.
+
+    ``a`` = K/(i*omega) and ``c`` = 1 - a are the circle's radius and
+    centre, and ``q`` its winding number about the origin per base period.
+    min |g| over the circle is ||c| - |a||; a margin below
+    MIN_CIRCLE_MARGIN * (|a| + |c|) raises SingularBracket, which also
+    covers the cancellation in c = 1 - a at tiny omega.
+    """
 
     instance: SolvableInstance
     omega: float
+    a: complex = field(init=False)
+    c: complex = field(init=False)
+    q: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _checked_omega(self.omega))
-
-    @property
-    def z0(self) -> np.ndarray:
-        return self.instance.z0
-
-    @property
-    def k(self) -> complex:
-        return self.instance.k
-
-    @property
-    def m(self) -> int:
-        return self.instance.system.m
+        omega = _checked_omega(self.omega)
+        a = self.instance.k / (1j * omega)
+        c = 1 - a
+        margin = abs(abs(c) - abs(a))
+        if not margin >= MIN_CIRCLE_MARGIN * (abs(a) + abs(c)):
+            raise SingularBracket(
+                f"bracket circle passes within {margin:.3e} of 0; trajectory not globally defined"
+            )
+        q = 0 if abs(c) > abs(a) else (1 if omega > 0 else -1)
+        for name, value in (("omega", omega), ("a", a), ("c", c), ("q", q)):
+            object.__setattr__(self, name, value)
 
     @property
     def base_period(self) -> float:
@@ -116,33 +121,21 @@ class PeriodicClosedForm:
 def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
     """g(t) = 1 + K*(exp(i*omega*t) - 1)/(i*omega) on the given times."""
     times = np.asarray(times, dtype=float)
-    return 1 + pcf.k * (np.exp(1j * pcf.omega * times) - 1) / (1j * pcf.omega)
+    return 1 + pcf.instance.k * (np.exp(1j * pcf.omega * times) - 1) / (1j * pcf.omega)
 
 
-def _log_bracket(pcf: PeriodicClosedForm, times: np.ndarray) -> tuple[np.ndarray, int]:
-    """Continuous log g(t) on the given times, and the winding number q of g
-    about the origin per base period.
+def _log_bracket(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
+    """Continuous log g(t) on the given times.
 
     With g = c + a*exp(i*omega*t), factor out the larger of the circle's
     centre c and radius |a|: the remaining log1p argument has modulus below
     1, so its principal branch is continuous. At t = 0 both forms give 0
-    (q = 0 forces Re c > 1/2, otherwise Re a > 1/2). min |g| over the
-    circle is ||c| - |a||; a margin below MIN_CIRCLE_MARGIN * (|a| + |c|)
-    raises SingularBracket, which also covers the cancellation in c = 1 - a
-    at tiny omega.
+    (q = 0 forces Re c > 1/2, otherwise Re a > 1/2).
     """
-    omega = pcf.omega
-    a = pcf.k / (1j * omega)
-    c = 1 - a
-    margin = abs(abs(c) - abs(a))
-    if not margin >= MIN_CIRCLE_MARGIN * (abs(a) + abs(c)):
-        raise SingularBracket(
-            f"bracket circle passes within {margin:.3e} of 0; trajectory not globally defined"
-        )
-    phase = 1j * omega * times
-    if abs(c) > abs(a):
-        return np.log(c) + np.log1p((a / c) * np.exp(phase)), 0
-    return np.log(a) + phase + np.log1p((c / a) * np.exp(-phase)), 1 if omega > 0 else -1
+    a, c, phase = pcf.a, pcf.c, 1j * pcf.omega * times
+    if pcf.q == 0:
+        return np.log(c) + np.log1p((a / c) * np.exp(phase))
+    return np.log(a) + phase + np.log1p((c / a) * np.exp(-phase))
 
 
 def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
@@ -152,9 +145,10 @@ def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValidationError("time grid must be one-dimensional and finite")
-    log_g, _ = _log_bracket(pcf, times)
-    states = np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (pcf.m - 1)), pcf.z0)
-    states[times == 0] = pcf.z0
+    z0, m = pcf.instance.z0, pcf.instance.system.m
+    log_g = _log_bracket(pcf, times)
+    states = np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (m - 1)), z0)
+    states[times == 0] = z0
     return Trajectory(times, states)
 
 
@@ -169,11 +163,6 @@ class PeriodReport:
     closure_error: float
 
 
-def winding_number(pcf: PeriodicClosedForm) -> int:
-    """Winding number of g around the origin over one base period."""
-    return _log_bracket(pcf, np.empty(0))[1]
-
-
 def detect_period(pcf: PeriodicClosedForm) -> PeriodReport:
     """Predict the period multiplier from the bracket winding number and
     confirm it by evaluating the closed form at whole base periods.
@@ -184,14 +173,13 @@ def detect_period(pcf: PeriodicClosedForm) -> PeriodReport:
     k = (M-1)/gcd(M-1, (1 - q*sgn(omega)) mod (M-1)), k = 1 when the
     residue vanishes. The numeric closure check is authoritative.
     """
-    m = pcf.m
-    q = winding_number(pcf)
+    m, q, z0 = pcf.instance.system.m, pcf.q, pcf.instance.z0
     sign = 1 if pcf.omega > 0 else -1
     residue = (1 - q * sign) % (m - 1)
     k = 1 if residue == 0 else (m - 1) // math.gcd(m - 1, residue)
     t_b = pcf.base_period
     traj = eval_periodic_closed_form(pcf, t_b * np.arange(k + 1))
-    errors = np.abs(traj.states - pcf.z0).max(axis=1)
+    errors = np.abs(traj.states - z0).max(axis=1)
     closure = float(errors[k])
     if not closure <= CLOSURE_TOL:
         raise NotClosed(f"closure error {closure:.3e} at k={k} exceeds tol {CLOSURE_TOL:.1e}")

@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,10 @@ from polyode.serialization import (
 )
 from polyode.polysys import PolynomialSystem
 
+from test_periodic import _instance_with_k
 from test_serialization import reference_write_trajectory_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -253,6 +260,16 @@ def test_verify_past_the_stability_limit(tmp_path, capsys):
     assert json.loads(captured.out)["max_deviation"] <= MAX_DEVIATION
 
 
+@pytest.mark.parametrize("t_max", ["1e-13", "1e-300"])
+def test_verify_over_a_window_shorter_than_the_least_step(tmp_path, capsys, t_max):
+    path = tmp_path / "instance.json"
+    assert main(["gen", "--n", "2", "--m", "3", "--seed", "5", "--out", str(path)]) == 0
+    assert main(["verify", "--instance", str(path), "--t-max", t_max]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["max_deviation"] <= MAX_DEVIATION
+
+
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
 def test_help_exits_0(capsys, args):
     with pytest.raises(SystemExit) as excinfo:
@@ -330,6 +347,23 @@ def test_bad_omega_tol_and_samples_are_validation_errors(tmp_path, capsys, args)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["period", "periodize"])
+def test_a_bracket_circle_through_zero_is_singular(tmp_path, capsys, command):
+    # K = i/2 with omega = 1: the bracket circle passes through the origin.
+    path = tmp_path / "instance.json"
+    write_instance_file(_instance_with_k(0.5j), path)
+    out = tmp_path / "zeta.csv"
+    args = ["--instance", str(path), "--omega", "1.0"]
+    if command == "periodize":
+        args += ["--out", str(out)]
+    assert main([command, *args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bracket circle passes within")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_periodize_refuses_one_sample_past_the_grid_bound(tmp_path, capsys):
     # The grid holds samples + 1 times, so the largest count is MAX_SAMPLES - 1.
     path = tmp_path / "instance.json"
@@ -393,6 +427,24 @@ def test_demo_example2(tmp_path, capsys):
         assert (out_dir / name).exists()
     report = json.loads((out_dir / "period.json").read_text())
     assert report["k"] == 3
+
+
+def test_the_runtime_needs_numpy_alone(tmp_path):
+    # pyproject.toml declares numpy alone; scipy and hypothesis are installed
+    # for the tests only, so the CLI must run with both unimportable.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+        "from polyode.cli import main\n"
+        f"sys.exit(main(['demo', 'example2', '--out-dir', {str(tmp_path / 'demo')!r}]))\n"
+    )
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=50
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["k_multiple"] == 3
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -148,6 +148,14 @@ class TestIntegrate:
         assert excinfo.value.t_reached < 1.0
         assert excinfo.value.t_reached > 0.9
 
+    def test_final_step_below_min_step_ends_the_interval(self):
+        # The whole window is one step shorter than MIN_STEP: it is the last
+        # step, not an underflow.
+        t_end = 1e-13
+        traj = integrate(lambda z: -z, np.array([1 + 0j]), t_end)
+        assert traj.times[-1] == t_end
+        np.testing.assert_allclose(traj.states[-1], [np.exp(-t_end)], rtol=1e-15)
+
     def test_zero_initial_state(self):
         sys = riccati_blowup_system()
         traj = integrate(lambda z: evaluate_rhs(sys, z), np.zeros(2, dtype=complex), 1.0)
@@ -413,10 +421,10 @@ def integrated_closure(pcf, q):
     assert report.q == q
     psys = pcf.system()
     traj = integrate(
-        lambda w: eval_periodic_rhs(psys, w), pcf.z0, report.T,
+        lambda w: eval_periodic_rhs(psys, w), pcf.instance.z0, report.T,
         t_eval=np.array([0.0, report.T]),
     )
-    return np.abs(traj.states[-1] - pcf.z0).max()
+    return np.abs(traj.states[-1] - pcf.instance.z0).max()
 
 
 class TestVerifyPeriodic:

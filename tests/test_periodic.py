@@ -17,7 +17,6 @@ from polyode.periodic import (
     detect_period,
     eval_periodic_closed_form,
     eval_periodic_rhs,
-    winding_number,
 )
 from polyode.polysys import PolynomialSystem, evaluate_rhs
 
@@ -52,8 +51,11 @@ class TestPeriodize:
             PeriodicClosedForm(small_k_instance(), omega)
 
     def test_degree_four_rotation_rate(self):
-        sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
-        assert PeriodicSystem(sys, 1.5).rotation_rate == pytest.approx(0.5)
+        # With no coefficients the right-hand side is the rotation alone,
+        # at rate omega / (M - 1) = 1.5 / 3.
+        psys = PeriodicSystem(PolynomialSystem(2, 4, {}), 1.5)
+        w = np.array([1 + 1j, -2j])
+        np.testing.assert_allclose(eval_periodic_rhs(psys, w), 0.5j * w, rtol=1e-15)
 
     def test_real_state_splits_cleanly(self):
         rng = np.random.default_rng(2)
@@ -103,7 +105,7 @@ class TestClosedForm:
     def test_starts_at_z0_exactly(self):
         pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         traj = eval_periodic_closed_form(pcf, np.linspace(0, 1, 64))
-        assert np.array_equal(traj.states[0], pcf.z0)
+        assert np.array_equal(traj.states[0], pcf.instance.z0)
 
     def test_k_zero_is_pure_rotation(self):
         sys = PolynomialSystem(2, 4, {(1, (4, 0)): 1.0})
@@ -116,15 +118,15 @@ class TestClosedForm:
         )
         ts = np.linspace(0, 3 * pcf.base_period, 2049)
         traj = eval_periodic_closed_form(pcf, ts)
-        expected = pcf.z0[None, :] * np.exp(1j * ts / 3)[:, None]
+        expected = pcf.instance.z0[None, :] * np.exp(1j * ts / 3)[:, None]
         np.testing.assert_allclose(traj.states, expected, atol=1e-12)
 
     def test_degree_four_prefactor_and_exponent(self):
         pcf = PeriodicClosedForm(small_k_instance(), 1.0)
         t = 0.37
         traj = eval_periodic_closed_form(pcf, np.array([0.0, t]))
-        g = 1 + pcf.k * (np.exp(1j * t) - 1) / 1j
-        expected = pcf.z0 * np.exp(1j * t / 3) * g ** (-1 / 3)
+        g = 1 + pcf.instance.k * (np.exp(1j * t) - 1) / 1j
+        expected = pcf.instance.z0 * np.exp(1j * t / 3) * g ** (-1 / 3)
         np.testing.assert_allclose(traj.states[1], expected, rtol=1e-12)
 
     def test_grid_not_starting_at_zero_matches_full_grid(self):
@@ -148,11 +150,10 @@ class TestClosedForm:
             eval_periodic_closed_form(pcf, np.array(times))
 
     def test_singular_bracket(self):
-        # K = i/2, omega = 1: the bracket circle passes through the origin.
-        inst = _instance_with_k(0.5j)
-        pcf = PeriodicClosedForm(inst, 1.0)
+        # K = i/2, omega = 1: the bracket circle passes through the origin,
+        # so no closed form is built.
         with pytest.raises(SingularBracket):
-            eval_periodic_closed_form(pcf, np.linspace(0, pcf.base_period, 4097))
+            PeriodicClosedForm(_instance_with_k(0.5j), 1.0)
 
     def test_tau_limit_connects_to_base_closed_form(self):
         # (exp(i w t) - 1)/(i w) -> t as w t -> 0; the leading deviation is
@@ -193,7 +194,8 @@ def unwrapped_closed_form(pcf, times):
     np.unwrap, independent of the circle geometry used by the package."""
     g = bracket_values(pcf, times)
     log_g = np.log(np.abs(g)) + 1j * np.unwrap(np.angle(g))
-    return np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (pcf.m - 1)), pcf.z0)
+    m, z0 = pcf.instance.system.m, pcf.instance.z0
+    return np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (m - 1)), z0)
 
 
 class TestDetectPeriod:
@@ -222,7 +224,7 @@ class TestDetectPeriod:
         # K = 2i encircles the origin once (q=1); the power's phase drift
         # then cancels the rotation prefactor and the period is t_b.
         pcf = PeriodicClosedForm(_instance_with_k(2j), 1.0)
-        assert winding_number(pcf) == 1
+        assert pcf.q == 1
         report = detect_period(pcf)
         assert (report.q, report.k) == (1, 1)
 
@@ -236,24 +238,22 @@ class TestDetectPeriod:
         report = detect_period(pcf)
         grid = np.linspace(0, report.T / 2, 4097)
         traj = eval_periodic_closed_form(pcf, grid)
-        assert np.abs(traj.states[-1] - pcf.z0).max() > 1e-8
+        assert np.abs(traj.states[-1] - pcf.instance.z0).max() > 1e-8
 
     def test_singular_bracket_propagates(self):
-        pcf = PeriodicClosedForm(_instance_with_k(0.5j), 1.0)
         with pytest.raises(SingularBracket):
-            detect_period(pcf)
+            detect_period(PeriodicClosedForm(_instance_with_k(0.5j), 1.0))
 
     def test_tiny_omega_cancellation_is_singular(self):
         # a = K/(i omega) ~ 1e12: c = 1 - a keeps no relative margin.
-        pcf = PeriodicClosedForm(_instance_with_k(1.0), 1e-12)
         with pytest.raises(SingularBracket):
-            winding_number(pcf)
+            PeriodicClosedForm(_instance_with_k(1.0), 1e-12)
 
     def test_winding_follows_omega_sign(self):
         # K = -2i with omega = -1 gives a = 2: the circle encloses 0 and is
         # traversed clockwise.
         pcf = PeriodicClosedForm(_instance_with_k(-2j), -1.0)
-        assert winding_number(pcf) == -1
+        assert pcf.q == -1
         assert (detect_period(pcf).q, detect_period(pcf).k) == (-1, 1)
 
 
@@ -276,7 +276,7 @@ _circle_radius = st.builds(
 def test_closed_form_and_period_match_unwrapped_reference(m, a, omega, seed):
     pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a, m, seed), omega)
     expected_q = 0 if a.real < 0.5 else (1 if omega > 0 else -1)
-    assert winding_number(pcf) == expected_q
+    assert pcf.q == expected_q
 
     report = detect_period(pcf)
     assert report.q == expected_q
@@ -287,7 +287,7 @@ def test_closed_form_and_period_match_unwrapped_reference(m, a, omega, seed):
 
     # The predicted k is the first whole base period at which the
     # reference closes.
-    gaps = np.abs(reference[::4096] - pcf.z0).max(axis=1)
+    gaps = np.abs(reference[::4096] - pcf.instance.z0).max(axis=1)
     assert gaps[report.k] < 1e-8
     assert (gaps[1:report.k] > 1e-8).all()
 
@@ -301,8 +301,8 @@ def log_error_growth(pcf, times):
     cond(V) * max exp(Re(mu (log g(t) - log g(s)) / K)).
     """
     system = pcf.instance.system
-    mu, vecs = np.linalg.eig(jacobian(system, pcf.z0, 0) / (system.m - 1))
-    rates = (mu[:, None] * (_log_bracket(pcf, times)[0] / pcf.k)[None, :]).real
+    mu, vecs = np.linalg.eig(jacobian(system, pcf.instance.z0, 0) / (system.m - 1))
+    rates = (mu[:, None] * (_log_bracket(pcf, times) / pcf.instance.k)[None, :]).real
     growth = float((rates - np.minimum.accumulate(rates, axis=1)).max())
     return growth + math.log(np.linalg.cond(vecs))
 
