@@ -108,7 +108,7 @@ def _cmd_newton(args) -> int:
     system = parse_system_file(args.system)
     k = _parse_complex(args.k)
     guess = _parse_complex_list(args.guess)
-    z0 = newton_solve_initial_data(system, k, guess, tol=args.tol, max_iter=args.max_iter)
+    z0 = newton_solve_initial_data(system, k, guess, tol=args.tol)
     instance = SolvableInstance(system, z0, k)
     _emit_instance(instance, args.out)
     return 0
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--guess", required=True, help="comma-separated complex values")
     p.add_argument("--tol", type=float, default=NEWTON_TOL)
-    p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_newton)
 

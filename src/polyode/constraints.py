@@ -24,7 +24,6 @@ from .errors import (
     SingularSystem,
     ValidationError,
     check_complex,
-    check_count,
     check_positive,
 )
 from .polysys import (
@@ -93,32 +92,9 @@ class SolvableInstance:
             )
 
 
-def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense complex Gaussian elimination with partial pivoting, for the
-    Newton step.
-
-    Declares the Jacobian singular (raising SingularJacobian) when a pivot
-    modulus is at most 1e-13 times the largest initial matrix entry.
-    """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    n = b.size
-    threshold = 1e-13 * float(np.abs(a).max(initial=0.0))
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) <= threshold:
-            raise SingularJacobian(f"pivot {abs(a[piv, col]):.3e} at or below threshold {threshold:.3e}")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    x = np.zeros(n, dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x
+# A linear-selection pivot, or a Jacobian singular value, at most this
+# fraction of the largest counts as zero: the system is singular.
+SINGULAR_RATIO = 1e-13
 
 
 def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> SolvableInstance:
@@ -133,8 +109,8 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     An unknown coefficient enters only its own equation, so the system is
     triangular: K, when unknown, is read off the one equation without a
     key, then each key's equation is solved by one division. Two keys in one
-    equation, or a diagonal entry whose modulus is at most 1e-13 times the
-    largest matrix entry, raise SingularSystem.
+    equation, or a diagonal entry whose modulus is at most ``SINGULAR_RATIO``
+    times the largest matrix entry, raise SingularSystem.
     """
     z0 = as_state(z0, system.n)
     keys = coefficient_keys(unknowns, system.n, system.m)
@@ -173,7 +149,8 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     if k_unknown:
         (free,) = set(range(system.n)).difference(rows)
         diagonal, entries = np.append(pivots, z0[free]), np.append(pivots, z0)
-    smallest, threshold = float(np.min(np.abs(diagonal))), 1e-13 * float(np.max(np.abs(entries)))
+    smallest = float(np.min(np.abs(diagonal)))
+    threshold = SINGULAR_RATIO * float(np.max(np.abs(entries)))
     # A NaN pivot passes; its NaN coefficient is refused by PolynomialSystem.
     if smallest <= threshold:
         raise SingularSystem(f"pivot {smallest:.3e} at or below threshold {threshold:.3e}")
@@ -206,45 +183,61 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     return k * np.eye(system.n, dtype=complex) - (1 - system.m) * (system.coeffs @ deriv)
 
 
-# The residual max-modulus a Newton solve reaches unless told otherwise.
+# The residual max-modulus a Newton solve reaches unless told otherwise, and
+# the steps it may take to reach it.
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
-def newton_solve_initial_data(
-    system: PolynomialSystem, k, guess, tol: float = NEWTON_TOL, max_iter: int = 50
-) -> np.ndarray:
+def newton_solve_initial_data(system: PolynomialSystem, k, guess, tol=NEWTON_TOL) -> np.ndarray:
     """Damped Newton iteration on the constraint residual over the initial
     data, with coefficients and K given.
 
-    The step is halved (at most 30 times) until the residual max-modulus
-    decreases. Returns z0 with residual max-modulus <= tol, reached in at
-    most ``max_iter`` steps. A system whose n x n Jacobian would exceed
-    ``MAX_BASIS_SIZE`` entries is a ValidationError, raised before anything
-    is allocated.
+    Each step is one least-squares solve of J step = -residual (LAPACK
+    xGELSD). A Jacobian with a singular value at most ``SINGULAR_RATIO``
+    times the largest has numerical rank below n: SingularJacobian. The
+    step is halved (at most 30 times) until the residual max-modulus
+    decreases; an overflowing trial state fails its trial. Returns z0 with
+    residual max-modulus <= tol within ``NEWTON_MAX_ITER`` steps; otherwise,
+    or when the residual or Jacobian overflows, raises NoConvergence. A
+    system whose n x n Jacobian would exceed ``MAX_BASIS_SIZE`` entries is
+    a ValidationError, raised before anything is allocated.
     """
     _check_jacobian_size(system.n)
     tol = check_positive("tol", tol)
-    max_iter = check_count("max_iter", max_iter, 1)
     k = check_complex("K", k)
     z = as_state(guess, system.n).copy()
-    res = constraint_residual(system, z, k)
-    norm = float(np.abs(res).max())
-    iterations = 0
-    while not norm <= tol:  # a NaN residual has not converged
-        if iterations == max_iter:
-            raise NoConvergence(f"no convergence after {max_iter} iterations, residual {norm:.3e}")
-        iterations += 1
-        jac = jacobian(system, z, k)
-        step = _gauss_solve(jac, -res)
-        lam = 1.0
-        for _ in range(31):
-            z_new = z + lam * step
-            res_new = constraint_residual(system, z_new, k)
-            norm_new = float(np.abs(res_new).max())
-            if norm_new < norm:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence(f"damping exhausted at residual {norm:.3e} (tol {tol:.1e})")
-        z, res, norm = z_new, res_new, norm_new
+    # A finite state can overflow the residual or the Jacobian. That ends in
+    # NoConvergence, not in a numpy warning or in LAPACK's LinAlgError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = constraint_residual(system, z, k)
+        norm = float(np.abs(res).max())
+        iterations = 0
+        while not norm <= tol:  # a NaN residual has not converged
+            if iterations == NEWTON_MAX_ITER:
+                raise NoConvergence(
+                    f"no convergence after {NEWTON_MAX_ITER} iterations, residual {norm:.3e}"
+                )
+            iterations += 1
+            jac = jacobian(system, z, k)
+            if not (math.isfinite(norm) and np.isfinite(jac).all()):
+                raise NoConvergence(f"residual {norm:.3e} or its Jacobian is not finite")
+            step, _, rank, singular = np.linalg.lstsq(jac, -res, rcond=SINGULAR_RATIO)
+            if rank < system.n:
+                raise SingularJacobian(
+                    f"Jacobian rank {rank} < {system.n}: singular values "
+                    f"{singular[-1]:.3e} to {singular[0]:.3e}"
+                )
+            lam = 1.0
+            for _ in range(31):
+                z_new = z + lam * step
+                if np.isfinite(z_new).all():
+                    res_new = constraint_residual(system, z_new, k)
+                    norm_new = float(np.abs(res_new).max())
+                    if norm_new < norm:
+                        break
+                lam *= 0.5
+            else:
+                raise NoConvergence(f"damping exhausted at residual {norm:.3e} (tol {tol:.1e})")
+            z, res, norm = z_new, res_new, norm_new
     return z

@@ -19,7 +19,8 @@ from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/trac
 from .trajectory import StepStats, Trajectory
 
 # Step control: the first step, the step below which StepUnderflow signals a
-# nearby blow-up, and the budget of accepted plus rejected steps.
+# nearby blow-up (times t_end on windows shorter than 1), and the budget of
+# accepted plus rejected steps.
 INITIAL_STEP = 1e-3
 MIN_STEP = 1e-12
 MAX_STEPS = 10_000_000
@@ -126,14 +127,14 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     starts, sizes = [], []
     history = np.empty((32, 8, n), dtype=complex)
     t, accepted, rejected, min_step = 0.0, 0, 0, float("inf")
-    h = min(INITIAL_STEP, t_end)
+    h, step_floor = min(INITIAL_STEP, t_end), MIN_STEP * min(1.0, t_end)
 
     # Overflow in a trial step is expected far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end:
-            # A final step shorter than MIN_STEP only ends the interval.
+            # A final step shorter than the floor only ends the interval.
             final = h >= t_end - t
-            if h < MIN_STEP and not final:
+            if h < step_floor and not final:
                 raise StepUnderflow(t)
             h_step = t_end - t if final else h
             h_arr[()] = h_step

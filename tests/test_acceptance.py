@@ -180,7 +180,7 @@ def test_criterion_6_jacobian_and_newton():
         root = (-k / ((m - 1) * diag.astype(complex))) ** (1 / (m - 1))
         guess = root * (1 + 0.05 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)))
         try:
-            z0 = newton_solve_initial_data(system, k, guess, tol=1e-10, max_iter=60)
+            z0 = newton_solve_initial_data(system, k, guess, tol=1e-10)
         except NoConvergence:
             continue
         converged += 1

@@ -71,11 +71,6 @@ BAD_ARGUMENTS = [
     ("gen_k_cap_nan", lambda: generate_random_instance(2, 4, 3, k_cap=float("nan")), None),
     ("enumerate_n_float", lambda: enumerate_multi_indices(2.5, 3), None),
     ("enumerate_n_bool", lambda: enumerate_multi_indices(True, 3), None),
-    (
-        "newton_max_iter_float",
-        lambda: newton_solve_initial_data(instance().system, instance().k, instance().z0, max_iter=2.5),
-        None,
-    ),
     ("verify_samples_float", lambda: verify_instance(instance(), 0.1, 2.5), None),
     ("verify_periodic_periods_float", lambda: verify_periodic(pcf(), 1.5, 65), None),
     ("closed_form_m_float", lambda: ClosedFormSolution(instance().z0, instance().k, 2.5), None),

@@ -29,6 +29,7 @@ from polyode.serialization import (
 )
 from polyode.polysys import PolynomialSystem
 
+from test_constraints import diagonal_system_64
 from test_periodic import _instance_with_k
 from test_serialization import reference_write_trajectory_csv
 
@@ -169,6 +170,29 @@ def test_newton_singular_jacobian_exit_code(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("guess", ["1e200,1e200", "1e120,1", "1e150,1e-150"])
+def test_newton_overflowing_guess_exit_code(tmp_path, capsys, guess):
+    # The system of `polyode gen --n 2 --m 3 --seed 1`: the residual or the
+    # trial states overflow, which is NoConvergence, not a warning.
+    sys_path = tmp_path / "system.json"
+    write_system_file(generate_random_instance(2, 3, 1).system, sys_path)
+    assert main(["newton", "--system", str(sys_path), "--k", "1", f"--guess={guess}"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert captured.out == ""
+
+
+def test_newton_rank_deficient_jacobian_at_n_64(tmp_path, capsys):
+    # With K = 1, z_1 = -0.5 zeroes one Jacobian entry (see test_constraints).
+    sys_path = tmp_path / "system.json"
+    write_system_file(diagonal_system_64(), sys_path)
+    guess = ",".join(["-0.5"] + ["1"] * 63)
+    assert main(["newton", "--system", str(sys_path), "--k", "1", f"--guess={guess}"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "rank 63 < 64" in err[0], err
+
+
 def test_parser_defaults_are_the_library_names():
     # The acceptance bounds of the north star, each defined once.
     assert (MAX_DEVIATION, CLOSURE_TOL, RESIDUAL_TOL) == (1e-6, 1e-8, 1e-10)
@@ -180,7 +204,7 @@ def test_parser_defaults_are_the_library_names():
         for name, parameter in inspect.signature(function).parameters.items()
     }
     newton = parser.parse_args(["newton", "--system", "s.json", "--k", "1", "--guess", "1"])
-    assert (newton.tol, newton.max_iter) == (library["tol"], library["max_iter"])
+    assert newton.tol == library["tol"]
     assert library["tol"] == NEWTON_TOL
     gen = parser.parse_args(["gen", "--n", "2", "--m", "2", "--seed", "0"])
     assert gen.density == library["density"]
@@ -431,11 +455,17 @@ def test_demo_example2(tmp_path, capsys):
 
 def test_the_runtime_needs_numpy_alone(tmp_path):
     # pyproject.toml declares numpy alone; scipy and hypothesis are installed
-    # for the tests only, so the CLI must run with both unimportable.
+    # for the tests only, so the CLI must run with both unimportable. The
+    # demo never calls Newton, whose step is numpy's LAPACK least squares.
+    sys_path, out_path = tmp_path / "system.json", tmp_path / "instance.json"
+    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), sys_path)
+    newton = ["newton", "--system", str(sys_path), "--k", "1", "--guess=-0.9,-0.4",
+              "--out", str(out_path)]
     script = (
         "import sys\n"
         "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
         "from polyode.cli import main\n"
+        f"assert main({newton!r}) == 0\n"
         f"sys.exit(main(['demo', 'example2', '--out-dir', {str(tmp_path / 'demo')!r}]))\n"
     )
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
@@ -445,6 +475,7 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["k_multiple"] == 3
+    np.testing.assert_allclose(parse_instance_file(out_path).z0, [-1.0, -0.5], atol=1e-9)
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -577,8 +608,7 @@ NUMERIC_COMMANDS = [
     ["period", "--instance", "INSTANCE", "--omega", "1"],
     ["gen", "--n", "2", "--m", "3", "--seed", "0", "--density", "0.5"],
     ["enumerate", "--n", "2", "--m", "3"],
-    ["newton", "--system", "SYSTEM", "--k", "1", "--guess", "-0.9,-0.4", "--tol", "1e-12",
-     "--max-iter", "50"],
+    ["newton", "--system", "SYSTEM", "--k", "1", "--guess", "-0.9,-0.4", "--tol", "1e-12"],
     ["solve", "--system", "SYSTEM", "--z0", "1,1", "--unknowns", "K,c:2:0-2"],
 ]
 

@@ -69,10 +69,36 @@ class TestResidual:
         np.testing.assert_allclose(constraint_residual(sys, z0, k), expected, rtol=1e-14)
 
 
+def gauss_solve(a, b):
+    """Dense complex Gaussian elimination with partial pivoting, the
+    library's solver before the selection became a forward substitution.
+    Raises SingularSystem when a pivot modulus is at most 1e-13 times the
+    largest initial matrix entry."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    n = b.size
+    threshold = 1e-13 * float(np.abs(a).max(initial=0.0))
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[piv, col]) <= threshold:
+            raise SingularSystem(f"pivot {abs(a[piv, col]):.3e} at or below threshold {threshold:.3e}")
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            a[row, col:] -= factor * a[col, col:]
+            b[row] -= factor * b[col]
+    x = np.zeros(n, dtype=complex)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x
+
+
 def union_gauss_selection(system, z0, k, keys):
     """The linear selection as it was solved before the basis was reused
     and K given was solved per equation: a new basis, the union of the
-    system's and the keys' multi-indices, then ``_gauss_solve``. The
+    system's and the keys' multi-indices, then ``gauss_solve``. The
     reference for ``solve_linear_selection``'s bytes; it takes valid keys."""
     z0 = np.asarray(z0, dtype=complex)
     k_unknown = int(k is None)
@@ -93,10 +119,7 @@ def union_gauss_selection(system, z0, k, keys):
     if k_unknown:
         a[:, 0] = z0
     a[rows, range(k_unknown, system.n)] = -(1 - system.m) * values[cols]
-    try:
-        solution = constraints._gauss_solve(a, -base)
-    except SingularJacobian as exc:
-        raise SingularSystem(*exc.args) from None
+    solution = gauss_solve(a, -base)
     coeffs[rows, cols] = solution[k_unknown:]
     if k_unknown:
         k = complex(solution[0])
@@ -435,9 +458,20 @@ class TestJacobian:
         assert np.abs(jac - fd_jacobian(sys, z, k)).max() <= 1e-6 * scale
 
 
+def diagonal_system_64():
+    """dz_n/dt = n z_n^2 for n = 1..64."""
+    return PolynomialSystem(
+        64, 2, {(n, tuple(2 * (j == n) for j in range(1, 65))): float(n) for n in range(1, 65)}
+    )
+
+
 class TestNewton:
     def diagonal_system(self):
         return PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0})
+
+    def cubic_system(self):
+        """The system of ``polyode gen --n 2 --m 3 --seed 1``."""
+        return generate_random_instance(2, 3, 1).system
 
     def test_decoupled_quadratic_roots(self):
         # K z_n = -c_n z_n^2 has nontrivial roots z = -K/c_n = (-1, -0.5).
@@ -454,7 +488,7 @@ class TestNewton:
         sys = random_system(rng, 3, 3)
         guess = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         try:
-            z0 = newton_solve_initial_data(sys, 1.0, guess, tol=1e-12, max_iter=100)
+            z0 = newton_solve_initial_data(sys, 1.0, guess, tol=1e-12)
         except NoConvergence:
             return
         assert np.abs(constraint_residual(sys, z0, 1.0)).max() < 1e-12
@@ -473,22 +507,46 @@ class TestNewton:
         tail = [h for h in norms if h > 0][-3:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
 
-    def test_max_iter_bounds_the_steps(self):
+    def test_max_iter_bounds_the_steps(self, monkeypatch):
         # From this guess the fifth step is the first to reach NEWTON_TOL.
         system, guess = self.diagonal_system(), [-0.7, -0.3]
+        monkeypatch.setattr(constraints, "NEWTON_MAX_ITER", 4)
         with pytest.raises(NoConvergence, match="after 4 iterations"):
-            newton_solve_initial_data(system, 1.0, guess, max_iter=4)
-        z0 = newton_solve_initial_data(system, 1.0, guess, max_iter=5)
+            newton_solve_initial_data(system, 1.0, guess)
+        monkeypatch.setattr(constraints, "NEWTON_MAX_ITER", 5)
+        z0 = newton_solve_initial_data(system, 1.0, guess)
         assert np.abs(constraint_residual(system, z0, 1.0)).max() <= NEWTON_TOL
 
     def test_singular_jacobian(self):
         # At (-0.5, -0.25) both diagonal Jacobian entries 1 + 2 c_n z_n are
         # exactly 0, and the residual K z_n + c_n z_n^2 is not.
-        with pytest.raises(SingularJacobian, match="pivot 0.000e[+]00 at or below threshold"):
+        message = r"rank 0 < 2: singular values 0.000e\+00 to 0.000e\+00"
+        with pytest.raises(SingularJacobian, match=message):
             newton_solve_initial_data(self.diagonal_system(), 1.0, [-0.5, -0.25])
 
-    def test_rejects_bad_tol_and_max_iter(self):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_converges_at_n_64(self, seed):
+        inst = generate_random_instance(64, 2, seed, density=0.1)
+        rng = np.random.default_rng(seed)
+        guess = inst.z0 * (1 + 0.01 * (rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)))
+        z0 = newton_solve_initial_data(inst.system, inst.k, guess)
+        assert np.abs(constraint_residual(inst.system, z0, inst.k)).max() <= NEWTON_TOL
+
+    def test_rank_deficient_jacobian_at_n_64(self):
+        # Jacobian entry (n, n) of K z_n + c_n z_n^2 is K + 2 c_n z_n, exactly
+        # 0 at z_1 = -K / (2 c_1) = -0.5 and at least 5 elsewhere: rank 63.
+        system, guess = diagonal_system_64(), np.ones(64)
+        guess[0] = -0.5
+        with pytest.raises(SingularJacobian, match="rank 63 < 64: singular values"):
+            newton_solve_initial_data(system, 1.0, guess)
+
+    @pytest.mark.parametrize("guess", [[1e200, 1e200], [1e120, 1], [1e150, 1e-150]])
+    def test_overflowing_guess_is_no_convergence(self, guess):
+        # The residual or the trial states overflow; that ends in the typed
+        # error, without a numpy warning (warnings are errors under pytest).
+        with pytest.raises(NoConvergence):
+            newton_solve_initial_data(self.cubic_system(), 1.0, guess)
+
+    def test_rejects_bad_tol(self):
         with pytest.raises(ValidationError):
             newton_solve_initial_data(self.diagonal_system(), 1.0, [1, 1], tol=0)
-        with pytest.raises(ValidationError):
-            newton_solve_initial_data(self.diagonal_system(), 1.0, [1, 1], max_iter=0)

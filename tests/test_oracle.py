@@ -148,6 +148,13 @@ class TestIntegrate:
         assert excinfo.value.t_reached < 1.0
         assert excinfo.value.t_reached > 0.9
 
+    def test_blow_up_in_a_window_shorter_than_one(self):
+        # z' = z^2 from z0 = 2 blows up at t = 0.5; the step floor, scaled
+        # by t_end = 0.9, still stops the integration there.
+        with pytest.raises(StepUnderflow) as excinfo:
+            integrate(lambda z: z * z, np.array([2 + 0j]), 0.9)
+        assert abs(excinfo.value.t_reached - 0.5) < 1e-9
+
     def test_final_step_below_min_step_ends_the_interval(self):
         # The whole window is one step shorter than MIN_STEP: it is the last
         # step, not an underflow.
@@ -438,6 +445,13 @@ class TestVerifyPeriodic:
         inst = generate_random_instance(2, 4, 5, k_cap=0.1)
         with pytest.raises(ValidationError, match="samples"):
             verify_periodic(PeriodicClosedForm(inst, 1.0), 1, samples)
+
+    @pytest.mark.parametrize("omega", [1e11, 3e11])
+    def test_short_base_period(self, omega):
+        # The base period 2 pi / omega needs steps below MIN_STEP; the floor
+        # scales with the window, so a regular closed form still verifies.
+        pcf = PeriodicClosedForm(generate_random_instance(2, 4, 202, k_cap=0.1), omega)
+        assert verify_periodic(pcf, 1, 65) < 1e-6
 
     def test_k_zero_pure_rotation(self):
         inst = SolvableInstance(PolynomialSystem(2, 4, {}), [1 + 0j, -0.5j], 0.0)
