@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation error (a malformed command line
-too), 2 tolerance failure, 3 singularity. No option changes a tolerance
-bound of a check.
+too), 2 tolerance failure, 3 singularity: the ``exit_code`` of the error's
+class in ``errors`` (an OSError exits 1). ``verify`` past blow-up exits 3,
+as ``eval`` does. No option changes a tolerance bound of a check.
 """
 
 from __future__ import annotations
@@ -17,19 +18,8 @@ import numpy as np
 from .closedform import ClosedFormSolution, eval_closed_form
 from .constraints import NEWTON_TOL, SolvableInstance
 from .constraints import newton_solve_initial_data, solve_linear_selection
-from .demo import run_demo
-from .errors import (
-    NoConvergence,
-    NotClosed,
-    PolyOdeError,
-    SingularBracket,
-    SingularJacobian,
-    SingularSystem,
-    SingularTime,
-    StepUnderflow,
-    ValidationError,
-    check_count,
-)
+from .demo import DEMO_NAMES, run_demo
+from .errors import PolyOdeError, ValidationError, check_count
 from .generate import generate_random_instance
 from .oracle import MAX_DEVIATION, MAX_SAMPLES, sample_times, verify_instance
 from .periodic import PeriodicClosedForm, detect_period
@@ -43,9 +33,6 @@ from .serialization import (
     write_instance_file,
     write_trajectory_csv,
 )
-
-_SINGULAR_ERRORS = (SingularSystem, SingularJacobian, SingularTime, SingularBracket, StepUnderflow)
-_TOLERANCE_ERRORS = (NotClosed, NoConvergence)
 
 
 def _parse_complex(text: str) -> complex:
@@ -232,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("demo", help="run a built-in demonstration")
-    p.add_argument("name", choices=["example1", "example2"])
+    p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_demo)
 
@@ -245,9 +232,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PolyOdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _SINGULAR_ERRORS):
-            return 3
-        return 2 if isinstance(exc, _TOLERANCE_ERRORS) else 1
+        return exc.exit_code if isinstance(exc, PolyOdeError) else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constraints import SolvableInstance
 from .errors import NegativeTime, SingularTime, ValidationError, check_complex, check_count
-from .polysys import as_state
+from .polysys import as_array, as_state
 from .trajectory import Trajectory
 
 # The absolute floor on |1 + K t| at an evaluated time, also kept as the
@@ -31,7 +31,8 @@ class ClosedFormSolution:
     def __post_init__(self):
         object.__setattr__(self, "k", check_complex("K", self.k))
         object.__setattr__(self, "m", check_count("m", self.m, 2))
-        object.__setattr__(self, "z0", as_state(self.z0, np.size(self.z0)))
+        z0 = as_array(self.z0, complex, "state")
+        object.__setattr__(self, "z0", as_state(z0, z0.size))
 
     @classmethod
     def from_instance(cls, instance: SolvableInstance) -> "ClosedFormSolution":
@@ -59,7 +60,7 @@ def eval_closed_form(sol: ClosedFormSolution, t_grid) -> Trajectory:
     continuous there. Refuses (for the whole call) a non-finite time, t < 0,
     |1 + K t| < 1e-12 and t at or beyond blow-up.
     """
-    times = np.asarray(t_grid, dtype=float)
+    times = as_array(t_grid, float, "time grid")
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValidationError("closed form needs a 1-D array of finite times")
     if (times < 0).any():

@@ -6,7 +6,8 @@ import numbers
 
 
 class PolyOdeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package errors; ``exit_code`` is the CLI's exit status."""
+    exit_code = 1
 
 
 class ValidationError(PolyOdeError, ValueError):
@@ -61,14 +62,17 @@ class ConstraintNotSatisfied(ValidationError):
 
 class SingularSystem(PolyOdeError):
     """Linear solve for the selected unknowns is rank-deficient."""
+    exit_code = 3
 
 
 class SingularJacobian(PolyOdeError):
     """Newton step unsolvable: Jacobian numerically singular."""
+    exit_code = 3
 
 
 class NoConvergence(PolyOdeError):
     """Newton iteration failed to reach the requested residual tolerance."""
+    exit_code = 2
 
 
 class NegativeTime(ValidationError):
@@ -77,6 +81,7 @@ class NegativeTime(ValidationError):
 
 class SingularTime(PolyOdeError):
     """Closed-form evaluation requested at or beyond the blow-up singularity."""
+    exit_code = 3
 
 
 class ZeroOmega(ValidationError):
@@ -85,6 +90,7 @@ class ZeroOmega(ValidationError):
 
 class SingularBracket(PolyOdeError):
     """The bracket of the periodic closed form vanishes on the real time axis."""
+    exit_code = 3
 
 
 class GridTooCoarse(ValidationError):
@@ -95,10 +101,12 @@ class GridTooCoarse(ValidationError):
 
 class NotClosed(PolyOdeError):
     """Numerical closure check contradicts the predicted period."""
+    exit_code = 2
 
 
 class StepUnderflow(PolyOdeError):
     """Adaptive integrator step fell below the minimum step (blow-up proximity)."""
+    exit_code = 3
 
     def __init__(self, t_reached: float, message: str | None = None):
         self.t_reached = t_reached

@@ -31,7 +31,7 @@ import numpy as np
 from .constraints import SolvableInstance
 from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
 from .errors import check_complex
-from .polysys import PolynomialSystem, as_state
+from .polysys import PolynomialSystem, as_array, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import Trajectory
 
@@ -120,7 +120,7 @@ class PeriodicClosedForm:
 
 def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
     """g(t) = 1 + K*(exp(i*omega*t) - 1)/(i*omega) on the given times."""
-    times = np.asarray(times, dtype=float)
+    times = as_array(times, float, "time grid")
     return 1 + pcf.instance.k * (np.exp(1j * pcf.omega * times) - 1) / (1j * pcf.omega)
 
 
@@ -142,7 +142,7 @@ def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
     """Evaluate zeta on strictly increasing finite times, with the
     fractional power of the bracket taken on its continuous logarithm.
     Returns z0 exactly at t = 0."""
-    times = np.asarray(t_grid, dtype=float)
+    times = as_array(t_grid, float, "time grid")
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValidationError("time grid must be one-dimensional and finite")
     z0, m = pcf.instance.z0, pcf.instance.system.m

@@ -92,12 +92,18 @@ def exponent_rows(rows, n: int, m: int) -> np.ndarray:
     return exponents
 
 
+def as_array(value, dtype, name: str) -> np.ndarray:
+    """``value`` as an array of ``dtype``; a value that numpy cannot convert
+    (a string, a ragged list, a complex as a float) is a ValidationError."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not an array of numbers: {exc}") from exc
+
+
 def as_state(z, n: int) -> np.ndarray:
     """Validate and convert a state to a length-``n`` complex array."""
-    try:
-        arr = np.asarray(z, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"state is not an array of numbers: {exc}") from exc
+    arr = as_array(z, complex, "state")
     if arr.shape != (n,):
         raise ValidationError(f"state has shape {arr.shape}, expected ({n},)")
     if not np.isfinite(arr).all():

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .polysys import as_array
 
 @dataclass
 class StepStats:
@@ -25,8 +26,8 @@ class Trajectory:
     meta: StepStats | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
+        times = as_array(self.times, float, "trajectory times")
+        states = as_array(self.states, complex, "trajectory states")
         if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.size:
             raise ValidationError(
                 f"inconsistent trajectory shapes {times.shape} / {states.shape}"

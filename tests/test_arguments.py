@@ -22,7 +22,8 @@ from polyode.constraints import (
 from polyode.errors import ValidationError, ZeroOmega, check_complex, check_count, check_positive
 from polyode.generate import generate_random_instance
 from polyode.oracle import integrate, sample_times, verify_instance, verify_periodic
-from polyode.periodic import PeriodicClosedForm, PeriodicSystem
+from polyode.periodic import PeriodicClosedForm, PeriodicSystem, bracket_values
+from polyode.periodic import eval_periodic_closed_form
 from polyode.polysys import MAX_BASIS_SIZE, PolynomialSystem, as_state, enumerate_multi_indices
 from polyode.serialization import write_instance_file, write_system_file
 from polyode.trajectory import Trajectory
@@ -149,6 +150,26 @@ BAD_ARGUMENTS = [
     # refuse it, also as the only time. (+-inf times are accepted.)
     ("trajectory_nan_time", lambda: Trajectory([0.0, np.nan, 1.0], np.zeros((3, 1))), None),
     ("trajectory_single_nan_time", lambda: Trajectory([np.nan], np.zeros((1, 1))), None),
+    # Arrays that numpy cannot convert at all: a string, a complex as a
+    # time, a ragged list. Each conversion goes through polysys.as_array.
+    ("eval_closed_form_times_str", lambda: eval_closed_form(solution(), ["a"]), None),
+    ("eval_periodic_times_str", lambda: eval_periodic_closed_form(pcf(), ["a"]), None),
+    ("bracket_values_times_str", lambda: bracket_values(pcf(), ["a"]), None),
+    (
+        "integrate_t_eval_str",
+        lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=["a"]),
+        None,
+    ),
+    (
+        "integrate_t_eval_complex",
+        lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=1j),
+        None,
+    ),
+    ("integrate_z0_str", lambda: integrate(instance().system.rhs, "a", 0.1), None),
+    ("integrate_z0_ragged", lambda: integrate(instance().system.rhs, [[0, 1], [2]], 0.1), None),
+    ("closed_form_z0_ragged", lambda: ClosedFormSolution([[0, 1], [2]], 0.5, 4), None),
+    ("trajectory_times_str", lambda: Trajectory(["a"], np.zeros((1, 1))), None),
+    ("trajectory_states_str", lambda: Trajectory([0.0], "a"), None),
 ]
 
 

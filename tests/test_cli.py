@@ -10,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polyode import cli, errors
 from polyode.cli import build_parser, main
 from polyode.constraints import (
     NEWTON_TOL,
     RESIDUAL_TOL,
+    SolvableInstance,
     constraint_residual,
     newton_solve_initial_data,
 )
@@ -480,6 +482,70 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["verify", "--instance", str(tmp_path / "nope.json"), "--t-max", "0.5"]) == 1
+
+
+# The documented exit code of every error class: 1 validation, 2 tolerance,
+# 3 singularity.
+EXIT_CODES = {
+    errors.PolyOdeError: 1,
+    errors.ValidationError: 1,
+    errors.ConstraintNotSatisfied: 1,
+    errors.NegativeTime: 1,
+    errors.ZeroOmega: 1,
+    errors.GridTooCoarse: 1,
+    errors.MaxStepsExceeded: 1,
+    errors.NoConvergence: 2,
+    errors.NotClosed: 2,
+    errors.SingularSystem: 3,
+    errors.SingularJacobian: 3,
+    errors.SingularTime: 3,
+    errors.SingularBracket: 3,
+    errors.StepUnderflow: 3,
+}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    defined = {
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    }
+    assert defined == set(EXIT_CODES)
+    assert {cls: cls.exit_code for cls in defined} == EXIT_CODES
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(cls("boom"), code) for cls, code in EXIT_CODES.items()] + [(OSError("boom"), 1)],
+    ids=[cls.__name__ for cls in EXIT_CODES] + ["OSError"],
+)
+def test_main_exits_with_the_error_class_code(monkeypatch, capsys, error, code):
+    def command(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", command)
+    assert main(["enumerate", "--n", "2", "--m", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "eval"])
+@pytest.mark.parametrize("t_max", ["1.0", "1.5", "0.99999999999999"])
+def test_a_window_past_blow_up_is_singular(tmp_path, capsys, command, t_max):
+    # z1' = z1^2 from z0 = (1, 0) with K = -1 blows up at t* = 1. The closed
+    # form refuses the window before any integration, so verify names the
+    # blow-up time, even just below t*, and exits 3 as eval does.
+    riccati = SolvableInstance(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0}), [1, 0], -1)
+    path, out = tmp_path / "riccati.json", tmp_path / "out.csv"
+    write_instance_file(riccati, path)
+    extra = ["--out", str(out)] if command == "eval" else []
+    assert main([command, "--instance", str(path), "--t-max", t_max] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "blow-up time t*=1.0" in captured.err
+    assert not out.exists()
 
 
 def edited_instance(tmp_path, edit, raw="null"):

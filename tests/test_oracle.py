@@ -6,7 +6,7 @@ import pytest
 from polyode import oracle
 from polyode.closedform import ClosedFormSolution, blow_up_time
 from polyode.constraints import SolvableInstance
-from polyode.errors import MaxStepsExceeded, StepUnderflow, ValidationError
+from polyode.errors import MaxStepsExceeded, SingularTime, StepUnderflow, ValidationError
 from polyode.generate import generate_random_instance
 from polyode.oracle import (
     _P,
@@ -404,7 +404,8 @@ class TestVerifyInstance:
         assert verify_instance(inst, 0.5, 16) == 0
 
     def test_rejects_t_end_past_blow_up(self):
-        with pytest.raises(ValidationError):
+        # The closed form refuses the window, as eval_closed_form does.
+        with pytest.raises(SingularTime, match="blow-up time"):
             verify_instance(self.riccati_instance(), 1.5, 16)
 
     @pytest.mark.parametrize("samples", [0, 1])
