@@ -4,6 +4,13 @@ The single adaptive oracle is a Dormand-Prince 5(4) embedded pair with
 proportional step control and 4th-order dense output. Complex states are
 integrated as 2N real components. The integrator consumes only
 right-hand-side callables; it never touches the closed-form formulas.
+
+A step is accepted when max_j |e_j| / (ABS_TOL + REL_TOL max(|y_j|,
+|y_new_j|)) <= 1, where e_j is the local error estimate of complex
+component j and |.| the complex modulus: one scale per complex unknown.
+Multiplying a component by e^{i theta} changes none of these moduli, so
+the step sequence does not depend on where the real and imaginary axes
+lie, as the deviation |z_int - z_cf| / (1 + |z_cf|) does not.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     rows[0], rows[1] = z0, k1
     stage_states = np.empty((6, n), dtype=complex)
     row_view, state_view = rows.view(float), stage_states.view(float)
-    y, y_new, k = row_view[0], state_view[5], row_view[1:]
+    y, y_new, k = rows[0], stage_states[5], row_view[1:]
     weights = np.zeros((7, 8))
     weights[:6, 0] = 1.0
     tableau, h_weights, error_weights = _TABLEAU[1:], weights[:, 1:], weights[6, 1:]
@@ -118,8 +125,12 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
         for i in range(1, 7)
     ]
     h_arr, rel_tol, abs_tol = np.empty(()), np.array(REL_TOL), np.array(ABS_TOL)
-    # |y| is kept from the step that produced y; |y_new| is formed per step.
-    err, scale, abs_y, abs_y_new = np.empty(2 * n), np.empty(2 * n), np.abs(y), np.empty(2 * n)
+    # The error estimate is formed in the real view ``err`` and measured by
+    # the moduli of its n complex components. |y| is kept from the step that
+    # produced y; |y_new| is formed per step.
+    err = np.empty(2 * n)
+    err_complex, err_abs, scale = err.view(complex), np.empty(n), np.empty(n)
+    abs_y, abs_y_new = np.abs(y), np.empty(n)
     finite = np.empty(state_view.shape, dtype=bool)
     # Accepted steps: start times, sizes, and start states and stages as rows.
     starts, sizes = [], []
@@ -142,12 +153,12 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
                 rows[i] = rhs(z)
             # The last stage state is the 5th-order solution (_TABLEAU row 6).
             error_weights.dot(k, out=err)
-            np.abs(err, out=err)
+            np.abs(err_complex, out=err_abs)
             np.maximum(abs_y, np.abs(y_new, out=abs_y_new), out=scale)
             scale *= rel_tol
             scale += abs_tol
-            err /= scale
-            err_norm = float(np.maximum.reduce(err))
+            err_abs /= scale
+            err_norm = float(np.maximum.reduce(err_abs))
             # A trial step whose stage states overflow is rejected as a NaN error
             # estimate is. ufunc reductions: ndarray.all and .max add a wrapper.
             if not np.logical_and.reduce(np.isfinite(state_view, out=finite), axis=None):
@@ -182,7 +193,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
         return Trajectory(np.append(0.0, ends), np.concatenate([steps[:, 0], rows[:1]]), meta=stats)
 
     y0s, ks = steps[:, 0].view(float), steps[:, 1:].view(float)
-    y_s = np.empty((times.size, y.size))
+    y_s = np.empty((times.size, 2 * n))
     for s in range(0, times.size, DENSE_OUTPUT_BLOCK):
         block = times[s : s + DENSE_OUTPUT_BLOCK]
         idx = np.minimum(np.searchsorted(ends, block, side="left"), t0.size - 1)
@@ -190,7 +201,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
         # b = _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
         b = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
         y_s[s : s + block.size] = y0s[idx] + hs[idx, None] * np.einsum("sk,skd->sd", b, ks[idx])
-    y_s[times >= t_end] = y
+    y_s[times >= t_end] = row_view[0]
     return Trajectory(times, y_s.view(complex), meta=stats)
 
 

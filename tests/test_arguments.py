@@ -78,6 +78,7 @@ BAD_ARGUMENTS = [
     ("closed_form_k_nan", lambda: ClosedFormSolution(instance().z0, complex("nan"), 4), None),
     ("closed_form_k_inf", lambda: ClosedFormSolution(instance().z0, complex("inf"), 4), None),
     ("closed_form_scalar_z0", lambda: ClosedFormSolution(1.0, 0.5, 4), None),
+    ("closed_form_empty_z0", lambda: ClosedFormSolution([], 0.5, 4), None),
     (
         "integrate_t_eval_2d",
         lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=[[0, 0.05]]),

@@ -59,8 +59,10 @@ def reference_step_points(rhs, z0, t_end):
     must reproduce its arithmetic bit for bit. Stage i's state is one dot of
     the weights [1, h a_i1, ..., h a_ii] with the rows [y; k1..ki], and the
     error estimate one dot of h e with k1..k7. Reads the tolerances at call
-    time, as the integrator does. Returns the step times, the states and
-    the accepted and rejected step counts."""
+    time, as the integrator does. The error norm is the max over complex
+    components of the error's modulus over ABS_TOL + REL_TOL times the
+    larger modulus of the component's start and end states. Returns the
+    step times, the states and the accepted and rejected step counts."""
     y, k1 = np.array(z0, dtype=complex).view(float), np.asarray(rhs(z0))
     t, h, accepted, rejected = 0.0, min(oracle.INITIAL_STEP, t_end), 0, 0
     times, states = [0.0], [y]
@@ -77,8 +79,9 @@ def reference_step_points(rhs, z0, t_end):
             weights.dot(operands[: i + 1], out=y_stages[i - 1])
             rows[i + 1] = rhs(z_stages[i - 1])
         err = (h_step * _TABLEAU[7]).dot(operands[1:])
-        scale = oracle.ABS_TOL + oracle.REL_TOL * np.maximum(np.abs(y), np.abs(y_stages[5]))
-        err_norm = float((np.abs(err) / scale).max())
+        modulus = lambda parts: np.abs(parts.view(complex))
+        scale = oracle.ABS_TOL + oracle.REL_TOL * np.maximum(modulus(y), modulus(y_stages[5]))
+        err_norm = float((modulus(err) / scale).max())
         if err_norm <= 1.0:
             times.append(t + h_step)
             t = t_end if final else t + h_step
@@ -97,36 +100,67 @@ def proposition_t_end(instance):
     return 0.8 * min(t_star if t_star is not None else 1.0, 1.0)
 
 
+def step_counts(system, z0, t_end):
+    """Accepted and rejected DP5 steps of verify_instance's integration
+    (64 samples, default tolerances)."""
+    traj = integrate(system.rhs, z0, t_end, t_eval=np.linspace(0.0, t_end, 64))
+    return traj.meta.accepted, traj.meta.rejected
+
+
+def recorded_cell(n, m, seeds=range(20)):
+    """``step_counts`` of generated instances of one (n, M) cell: the
+    entries of ``RECORDED_STEPS``."""
+    counts = []
+    for seed in seeds:
+        instance = generate_random_instance(n, m, seed)
+        counts.append(step_counts(instance.system, instance.z0, proposition_t_end(instance)))
+    return counts
+
+
+def rotated(instance, theta):
+    """The system and z0 of the instance turned by e^{i theta}: z0 ->
+    e^{i theta} z0 and every coefficient c -> c e^{i theta (1 - M)}, with K
+    unchanged. Its solution is the original one times e^{i theta}."""
+    system, turn = instance.system, np.exp(1j * theta)
+    spun = PolynomialSystem(
+        system.n, system.m, coeffs=system.coeffs * turn ** (1 - system.m),
+        exponents=system.exponents,
+    )
+    return spun, instance.z0 * turn
+
+
 # Accepted and rejected DP5 steps of verify_instance's integration (64
-# samples, default tolerances) for seeds 0-19 of each (n, M) cell. Seeds 0-4
-# were recorded before the integrator and the RHS changed their arithmetic
-# layout, seeds 5-19 before the step loop moved into buffers made once.
-# Folding h into the stage weights (one dot per stage) moved one pin:
-# (3, 4) seed 19, (31, 0) -> (31, 1), whose error growth bound is 24.2.
+# samples, default tolerances) for seeds 0-19 of each (n, M) cell, as
+# ``recorded_cell`` counts them; ``python tests/test_oracle.py`` prints the
+# table anew. The local error has one scale per complex component,
+# |e_j| / (ABS_TOL + REL_TOL max(|y_j|, |y_new_j|)). A modulus does not
+# change when a component turns by e^{i theta}, so a rotated instance takes
+# the same steps, and a real or imaginary part crossing zero does not
+# shrink the tolerance to ABS_TOL.
 RECORDED_STEPS = {
     (2, 2): [
-        (23, 0), (44, 1), (30, 0), (21, 0), (47, 1), (34, 0), (25, 0), (36, 0), (16, 0), (35, 2),
-        (61, 1), (22, 0), (38, 0), (21, 0), (34, 0), (35, 0), (23, 0), (77, 2), (16, 0), (31, 0),
+        (20, 0), (36, 0), (27, 0), (20, 0), (35, 0), (30, 0), (23, 0), (33, 0), (15, 0), (28, 0),
+        (49, 0), (21, 0), (34, 0), (21, 0), (29, 0), (31, 0), (21, 0), (63, 0), (15, 0), (29, 0),
     ],
     (2, 3): [
-        (11, 0), (26, 0), (34, 1), (19, 0), (6, 0), (21, 0), (14, 0), (45, 0), (57, 4), (25, 0),
-        (12, 0), (13, 0), (52, 1), (27, 0), (26, 0), (19, 0), (31, 0), (24, 0), (24, 0), (15, 0),
+        (10, 0), (21, 0), (26, 0), (18, 0), (6, 0), (20, 0), (14, 0), (41, 0), (42, 0), (23, 0),
+        (11, 0), (12, 0), (39, 0), (24, 0), (23, 0), (18, 0), (28, 0), (22, 0), (23, 0), (14, 0),
     ],
     (2, 4): [
-        (11, 0), (19, 0), (32, 2), (21, 0), (10, 0), (22, 0), (11, 0), (14, 0), (15, 0), (11, 0),
-        (27, 0), (14, 0), (15, 0), (18, 0), (20, 0), (18, 0), (32, 0), (27, 0), (20, 0), (18, 0),
+        (11, 0), (17, 0), (25, 0), (20, 0), (9, 0), (20, 0), (11, 0), (13, 0), (14, 0), (10, 0),
+        (25, 0), (12, 0), (14, 0), (17, 0), (18, 0), (17, 0), (30, 0), (23, 0), (19, 0), (17, 0),
     ],
     (3, 2): [
-        (36, 0), (62, 1), (44, 1), (30, 0), (31, 0), (41, 3), (49, 0), (42, 0), (31, 0), (27, 0),
-        (30, 0), (26, 0), (28, 0), (14, 0), (67, 3), (27, 0), (18, 0), (7, 0), (29, 0), (29, 0),
+        (31, 0), (45, 0), (36, 0), (26, 0), (25, 0), (34, 0), (42, 0), (32, 0), (28, 0), (26, 0),
+        (28, 0), (23, 0), (26, 0), (14, 0), (53, 0), (23, 0), (17, 0), (7, 0), (26, 0), (25, 0),
     ],
     (3, 3): [
-        (27, 0), (22, 0), (23, 0), (13, 0), (47, 3), (24, 0), (39, 0), (54, 1), (23, 0), (21, 0),
-        (20, 0), (31, 0), (34, 0), (17, 0), (49, 0), (18, 0), (20, 0), (19, 0), (14, 0), (20, 0),
+        (25, 0), (18, 0), (20, 0), (13, 0), (35, 0), (21, 0), (34, 0), (41, 0), (21, 0), (19, 0),
+        (17, 0), (26, 0), (32, 0), (16, 0), (42, 0), (16, 0), (17, 0), (17, 0), (13, 0), (18, 0),
     ],
     (3, 4): [
-        (18, 0), (14, 0), (12, 0), (14, 0), (23, 0), (20, 0), (25, 0), (23, 0), (39, 1), (37, 0),
-        (19, 0), (20, 0), (40, 1), (45, 4), (19, 0), (22, 0), (10, 0), (20, 0), (22, 0), (31, 1),
+        (16, 0), (12, 0), (11, 0), (13, 0), (19, 0), (18, 0), (23, 0), (21, 0), (34, 0), (34, 0),
+        (17, 0), (17, 0), (32, 0), (32, 0), (18, 0), (20, 0), (10, 0), (18, 0), (20, 0), (28, 1),
     ],
 }
 
@@ -320,34 +354,54 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
     def test_step_counts_match_recorded(self, cell):
-        n, m = cell
-        for seed, recorded in enumerate(RECORDED_STEPS[cell]):
-            instance = generate_random_instance(n, m, seed)
+        assert recorded_cell(*cell) == RECORDED_STEPS[cell]
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, 1.0])
+    @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
+    def test_step_counts_are_rotation_invariant(self, cell, theta):
+        # Turning every component by e^{i theta} keeps each modulus the
+        # error norm reads, up to rounding; a per-part norm moved these
+        # counts by up to 19 steps.
+        for seed in range(10):
+            instance = generate_random_instance(*cell, seed)
             t_end = proposition_t_end(instance)
-            traj = integrate(
-                lambda z: evaluate_rhs(instance.system, z), instance.z0, t_end,
-                t_eval=np.linspace(0.0, t_end, 64),
-            )
-            assert (traj.meta.accepted, traj.meta.rejected) == recorded, (n, m, seed)
+            assert step_counts(*rotated(instance, theta), t_end) == step_counts(
+                instance.system, instance.z0, t_end
+            ), (cell, seed)
+
+    @staticmethod
+    def assert_matches_reference_loop(monkeypatch, rhs, z0, t_end):
+        # Many runs pass the 32 accepted steps the history starts with, and
+        # so grow it, most of all at the tight tolerance.
+        for rel_tol, abs_tol in ((oracle.REL_TOL, oracle.ABS_TOL), (1e-13, 1e-15)):
+            monkeypatch.setattr(oracle, "REL_TOL", rel_tol)
+            monkeypatch.setattr(oracle, "ABS_TOL", abs_tol)
+            traj = integrate(rhs, z0, t_end)
+            times, states, accepted, rejected = reference_step_points(rhs, z0, t_end)
+            assert (traj.meta.accepted, traj.meta.rejected) == (accepted, rejected)
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.states.tobytes() == states.tobytes()
 
     @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
     def test_step_points_match_reference_loop_bit_for_bit(self, monkeypatch, cell):
-        # Many runs pass the 32 accepted steps the history starts with, and
-        # so grow it, most of all at the tight tolerance.
-        n, m = cell
         for seed in range(20):
-            instance = generate_random_instance(n, m, seed)
-            t_end = proposition_t_end(instance)
-            for rel_tol, abs_tol in ((oracle.REL_TOL, oracle.ABS_TOL), (1e-13, 1e-15)):
-                monkeypatch.setattr(oracle, "REL_TOL", rel_tol)
-                monkeypatch.setattr(oracle, "ABS_TOL", abs_tol)
-                traj = integrate(instance.system.rhs, instance.z0, t_end)
-                times, states, accepted, rejected = reference_step_points(
-                    instance.system.rhs, instance.z0, t_end
-                )
-                assert (traj.meta.accepted, traj.meta.rejected) == (accepted, rejected)
-                assert traj.times.tobytes() == times.tobytes()
-                assert traj.states.tobytes() == states.tobytes()
+            instance = generate_random_instance(*cell, seed)
+            self.assert_matches_reference_loop(
+                monkeypatch, instance.system.rhs, instance.z0, proposition_t_end(instance)
+            )
+
+    @pytest.mark.parametrize(
+        "a,omega,q", [(0.3, 1.0, 0), (0.3, -0.7, 0), (2.0, 1.0, 1), (2.0, -0.7, -1)]
+    )
+    def test_periodic_step_points_match_reference_loop_bit_for_bit(self, monkeypatch, a, omega, q):
+        # One base period of the rotated RHS, whose components turn at
+        # omega / (M - 1); the bracket circle's radius a = K / (i omega)
+        # sets the winding number q.
+        pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
+        assert pcf.q == q
+        self.assert_matches_reference_loop(
+            monkeypatch, pcf.system().rhs, pcf.instance.z0, pcf.base_period
+        )
 
     def test_deterministic(self):
         sys = riccati_decay_system()
@@ -470,3 +524,15 @@ class TestVerifyPeriodic:
         pcf = PeriodicClosedForm(_instance_with_k(2j * q), float(q))
         assert integrated_closure(pcf, q) < 1e-6
 
+
+if __name__ == "__main__":
+    # Prints RECORDED_STEPS as the integrator counts them now, for a
+    # deliberate re-record: python tests/test_oracle.py (with src on the path).
+    print("RECORDED_STEPS = {")
+    for cell in sorted(RECORDED_STEPS):
+        counts = [f"({a}, {r})," for a, r in recorded_cell(*cell)]
+        print(f"    {cell}: [")
+        for row in (counts[:10], counts[10:]):
+            print("        " + " ".join(row))
+        print("    ],")
+    print("}")
