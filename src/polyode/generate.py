@@ -57,8 +57,7 @@ def generate_random_instance(
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]
 
         coeffs = np.zeros(free.shape, dtype=complex)
-        coeffs[free] = _free_coefficients(rng, free_count, density)
-        k = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        coeffs[free], k = _free_values_and_k(rng, free_count, density)
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
 
@@ -85,25 +84,20 @@ def _layout(n: int, m: int) -> tuple:
     return exponents, pure, free, int(free.sum())
 
 
-def _free_coefficients(rng, count: int, density: float) -> list[complex]:
-    """Values of ``count`` free entries drawn in order: an entry is kept when
-    its first uniform draw is below ``density`` and takes the next two as
-    -1 + 2u (exactly ``rng.uniform(-1, 1)``); a dropped entry is 0. Each
-    ``rng.random`` block holds only draws the entries ahead are sure to take
-    (3 each at density 1, else 1; 3 for a kept one), so ``rng`` ends where
-    per-entry calls would leave it and K's draw is unchanged."""
-    sure = 3 if density >= 1 else 1
+def _free_values_and_k(rng, count: int, density: float) -> tuple[list[complex], complex]:
+    """Values of ``count`` free entries, then K, read in order from one block
+    of 3 * count + 2 uniforms u: an entry is kept when its first u is below
+    ``density`` and takes the next two as -1 + 2u (exactly
+    ``rng.uniform(-1, 1)``); a dropped entry is 0 and reads one u. K takes
+    the two u after the last entry. Nothing is drawn from ``rng`` after K,
+    so the unread tail of the block changes no instance."""
+    block = memoryview(rng.random(3 * count + 2))
     values = [0j] * count
-    block, i = [], 0
+    i = 0
     for entry in range(count):
-        if i == len(block):
-            block, i = rng.random(sure * (count - entry)).tolist(), 0
         if block[i] < density:
-            if len(block) - i < 3:
-                rest = 3 + sure * (count - entry - 1) - (len(block) - i)
-                block, i = block[i:] + rng.random(rest).tolist(), 0
             values[entry] = complex(-1 + 2 * block[i + 1], -1 + 2 * block[i + 2])
             i += 3
         else:
             i += 1
-    return values
+    return values, complex(-1 + 2 * block[i], -1 + 2 * block[i + 1])

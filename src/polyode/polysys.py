@@ -212,6 +212,10 @@ def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, tuple]]:
     """``keys`` as ``PolynomialSystem.coefficients`` keys (eq, multi-index
     tuple): eq an integer in 1..n (a bool is not an integer), the
     multi-index one that ``exponent_rows`` accepts; else a ValidationError."""
+    try:
+        keys = list(keys)
+    except TypeError as exc:
+        raise ValidationError(f"coefficient keys {keys!r} are not iterable") from exc
     pairs = []
     for key in keys:
         try:

@@ -84,6 +84,11 @@ BAD_ARGUMENTS = [
         lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=[[0, 0.05]]),
         None,
     ),
+    (
+        "integrate_rhs_not_numeric",
+        lambda: integrate(lambda z: np.array(["a", "b"]), instance().z0, 0.1),
+        None,
+    ),
     ("eval_closed_form_times_2d", lambda: eval_closed_form(solution(), [[0, 0.1]]), None),
     (
         "eval_samples_above_bound",
@@ -111,6 +116,8 @@ BAD_ARGUMENTS = [
     ("jacobian_k_str", lambda: jacobian(instance().system, instance().z0, "x"), None),
     ("newton_k_str", lambda: newton_solve_initial_data(instance().system, "x", [1, 1]), None),
     ("solve_k_str", lambda: solve("x", [(1, (4, 0)), (2, (0, 4))]), None),
+    ("solve_keys_none", lambda: solve(None, None), None),
+    ("solve_keys_not_iterable", lambda: solve(None, 5), None),
     ("solve_key_not_a_pair", lambda: solve(None, [5]), None),
     ("solve_key_one_entry", lambda: solve(None, [(1,)]), None),
     ("solve_key_bool_eq", lambda: solve(None, [(True, (2, 2))]), None),

@@ -1,7 +1,8 @@
 """Every name that a module of ``src/polyode`` imports is used in that
 module or exported through its ``__all__``. An import kept only for code
 that looks it up from outside (the benchmark tracer wraps some names where
-they are imported) carries ``# noqa: F401`` on its line."""
+they are imported) carries ``# noqa: F401`` on its line. Every private
+module-level name (``_x``, not a dunder) is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,64 @@ def test_the_check_flags_an_unused_import():
         "x = os.path.join('a')\n"
     )
     assert unused_imports(source) == ["2: np", "6: inf"]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private name that a module of ``sources``
+    defines at module level (a def, class or assignment target) and that no
+    module reads: loads as a name, looks up as an attribute or imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and name not in read:
+                    dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_the_check_flags_a_dead_private_name():
+    sources = {
+        "a.py": (
+            "import b\n"
+            "from c import _imported\n"
+            "_LIMIT: int = 3\n"
+            "_left, _used = 1, 2\n"
+            "__all__ = ['run']\n"
+            "def run():\n"
+            "    return _helper()\n"
+            "def _helper():\n"
+            "    return b._attr + _used + _imported + _LIMIT\n"
+            "def _free_coefficients():\n"
+            "    pass\n"
+            "class _Spare:\n"
+            "    pass\n"
+        ),
+        "b.py": "_attr = 1\n_unread = None\n",
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _left",
+        "a.py: _free_coefficients",
+        "a.py: _Spare",
+        "b.py: _unread",
+    ]
