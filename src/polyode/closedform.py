@@ -32,8 +32,6 @@ class ClosedFormSolution:
         object.__setattr__(self, "k", check_complex("K", self.k))
         object.__setattr__(self, "m", check_count("m", self.m, 2))
         z0 = as_array(self.z0, complex, "state")
-        if z0.size == 0:  # integrate refuses an empty z0 too
-            raise ValidationError("state must be non-empty")
         object.__setattr__(self, "z0", as_state(z0, z0.size))
 
     @classmethod

@@ -23,7 +23,7 @@ from .constraints import SolvableInstance
 from .errors import MaxStepsExceeded, StepUnderflow, ValidationError, check_count, check_positive
 from .periodic import PeriodicClosedForm, eval_periodic_closed_form
 from .periodic import eval_periodic_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
-from .polysys import as_array
+from .polysys import as_array, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import StepStats, Trajectory
 
@@ -82,7 +82,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
 
     ``rhs`` maps a complex state vector to a complex state vector of the
     same shape; it need not validate its input. z0 must be finite and
-    non-empty, and the first RHS result must have its shape. The six stage
+    non-empty, and each RHS result numeric and of its shape. The six stage
     states of a step are checked together after the step's RHS calls, so
     ``rhs`` may see a non-finite state; a step with one is rejected and h
     shrinks by 0.2, as on a NaN error estimate. When ``t_eval`` (a 1-D
@@ -98,8 +98,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
         if not np.all(times[1:] > times[:-1]):
             raise ValidationError("t_eval times must be strictly increasing")
     z0 = as_array(z0, complex, "initial state")
-    if z0.ndim != 1 or z0.size == 0 or not np.isfinite(z0).all():
-        raise ValidationError(f"initial state must be finite, 1-D and non-empty, got {z0!r}")
+    z0 = as_state(z0, z0.size)
     k1 = as_array(rhs(z0), complex, "rhs value")
     if k1.shape != z0.shape:
         raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {z0.shape}")
@@ -150,7 +149,11 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
             np.multiply(tableau, h_arr, out=h_weights)
             for i, (a, operands, state, z) in enumerate(stage_dots, start=2):
                 a.dot(operands, out=state)
-                rows[i] = rhs(z)
+                value = rhs(z)
+                try:
+                    rows[i] = value
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc
             # The last stage state is the 5th-order solution (_TABLEAU row 6).
             error_weights.dot(k, out=err)
             np.abs(err_complex, out=err_abs)
@@ -238,4 +241,4 @@ def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> floa
     against the periodic closed form on the same grid."""
     t_end = check_count("periods", periods, 1) * pcf.base_period
     reference = eval_periodic_closed_form(pcf, sample_times(t_end, samples))
-    return _verify(pcf.system().rhs, reference)
+    return _verify(pcf.system.rhs, reference)

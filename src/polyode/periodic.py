@@ -16,8 +16,9 @@ with a = K/(i*omega) and c = 1 - a. The bracket g traces a circle of radius
 |a| about c once per base period 2*pi/|omega|, so its continuous logarithm
 and its winding number q about the origin are exact: q = 0 when |c| > |a|,
 q = sgn(omega) when |c| < |a|, and the circle passes through the origin
-when |c| = |a|. Every trajectory is periodic with period an integer
-multiple of the base period, unless g hits zero on the real axis.
+when |c| = |a|. Every other trajectory is periodic: it closes after one
+base period when the circle winds round the origin and after M - 1 when
+it misses it.
 """
 
 from __future__ import annotations
@@ -42,29 +43,24 @@ MIN_CIRCLE_MARGIN = 1e-10
 CLOSURE_TOL = 1e-8
 
 
-def _checked_omega(omega) -> float:
-    """``omega`` as a float if it is a finite nonzero real (a bool is not a
-    real); zero is a ZeroOmega, anything else a ValidationError."""
-    if isinstance(omega, bool) or not isinstance(omega, numbers.Real):
-        raise ValidationError(f"omega must be a real number, got {omega!r}")
-    omega = check_complex("omega", omega).real
-    if omega == 0:
-        raise ZeroOmega("omega must be nonzero")
-    return omega
-
-
 @dataclass(frozen=True)
 class PeriodicSystem:
     """Autonomous complexified system: linear rotation at frequency
-    omega/(M-1) plus the original homogeneous polynomial part."""
+    omega/(M-1) plus the original homogeneous polynomial part. ``omega``
+    must be a finite nonzero real (a bool is not one); zero is a ZeroOmega."""
 
     base: PolynomialSystem
     omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _checked_omega(self.omega))
+        if isinstance(self.omega, bool) or not isinstance(self.omega, numbers.Real):
+            raise ValidationError(f"omega must be a real number, got {self.omega!r}")
+        omega = check_complex("omega", self.omega).real
+        if omega == 0:
+            raise ZeroOmega("omega must be nonzero")
+        object.__setattr__(self, "omega", omega)
         # The linear part's factor i * omega / (M - 1), formed once.
-        object.__setattr__(self, "_spin", 1j * (self.omega / (self.base.m - 1)))
+        object.__setattr__(self, "_spin", 1j * (omega / (self.base.m - 1)))
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """The right-hand sides at ``w``, unchecked: ``w`` must be a finite
@@ -84,6 +80,7 @@ class PeriodicClosedForm:
     solvable instance and a finite nonzero frequency whose bracket circle
     keeps clear of the origin, so the trajectory is defined for all t.
 
+    ``system`` is the complexified system it solves, which checks omega.
     ``a`` = K/(i*omega) and ``c`` = 1 - a are the circle's radius and
     centre, and ``q`` its winding number about the origin per base period.
     min |g| over the circle is ||c| - |a||; a margin below
@@ -93,12 +90,14 @@ class PeriodicClosedForm:
 
     instance: SolvableInstance
     omega: float
+    system: PeriodicSystem = field(init=False)
     a: complex = field(init=False)
     c: complex = field(init=False)
     q: int = field(init=False)
 
     def __post_init__(self):
-        omega = _checked_omega(self.omega)
+        system = PeriodicSystem(self.instance.system, self.omega)
+        omega = system.omega
         a = self.instance.k / (1j * omega)
         c = 1 - a
         margin = abs(abs(c) - abs(a))
@@ -107,15 +106,12 @@ class PeriodicClosedForm:
                 f"bracket circle passes within {margin:.3e} of 0; trajectory not globally defined"
             )
         q = 0 if abs(c) > abs(a) else (1 if omega > 0 else -1)
-        for name, value in (("omega", omega), ("a", a), ("c", c), ("q", q)):
+        for name, value in (("omega", omega), ("system", system), ("a", a), ("c", c), ("q", q)):
             object.__setattr__(self, name, value)
 
     @property
     def base_period(self) -> float:
         return 2 * math.pi / abs(self.omega)
-
-    def system(self) -> PeriodicSystem:
-        return PeriodicSystem(self.instance.system, self.omega)
 
 
 def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
@@ -167,16 +163,14 @@ def detect_period(pcf: PeriodicClosedForm) -> PeriodReport:
     """Predict the period multiplier from the bracket winding number and
     confirm it by evaluating the closed form at whole base periods.
 
-    Per base period the rotation prefactor advances the phase by
-    2*pi*sgn(omega)/(M-1) and the continued power by -2*pi*q/(M-1); the
-    solution closes after k base periods where k cancels both, i.e.
-    k = (M-1)/gcd(M-1, (1 - q*sgn(omega)) mod (M-1)), k = 1 when the
-    residue vanishes. The numeric closure check is authoritative.
+    Per base period the exponent (i*omega*t - log g)/(M-1) advances by
+    2*pi*i*(sgn(omega) - q)/(M-1). A circle round the origin has
+    q = sgn(omega), so the solution closes after k = 1 base period; one that
+    misses it has q = 0, so k = M - 1. The numeric closure check is
+    authoritative.
     """
     m, q, z0 = pcf.instance.system.m, pcf.q, pcf.instance.z0
-    sign = 1 if pcf.omega > 0 else -1
-    residue = (1 - q * sign) % (m - 1)
-    k = 1 if residue == 0 else (m - 1) // math.gcd(m - 1, residue)
+    k = 1 if q else m - 1
     t_b = pcf.base_period
     traj = eval_periodic_closed_form(pcf, t_b * np.arange(k + 1))
     errors = np.abs(traj.states - z0).max(axis=1)

@@ -102,10 +102,10 @@ def as_array(value, dtype, name: str) -> np.ndarray:
 
 
 def as_state(z, n: int) -> np.ndarray:
-    """Validate and convert a state to a length-``n`` complex array."""
+    """Validate and convert a state to a non-empty length-``n`` complex array."""
     arr = as_array(z, complex, "state")
-    if arr.shape != (n,):
-        raise ValidationError(f"state has shape {arr.shape}, expected ({n},)")
+    if n == 0 or arr.shape != (n,):
+        raise ValidationError(f"state has shape {arr.shape}, expected a non-empty ({n},)")
     if not np.isfinite(arr).all():
         raise ValidationError("state contains non-finite components")
     return arr

@@ -95,7 +95,7 @@ def test_criterion_3_example2_golden():
     report = detect_period(pcf)
 
     # Closure confirmed by integration alone, independent of the closed form.
-    psys = pcf.system()
+    psys = pcf.system
     t_closure = 3 * pcf.base_period
     traj = integrate(
         lambda w: eval_periodic_rhs(psys, w), instance.z0, t_closure,

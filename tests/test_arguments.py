@@ -57,6 +57,19 @@ def wide_system():
     return PolynomialSystem(WIDE, 2, {(1, (2,) + (0,) * (WIDE - 1)): 1.0})
 
 
+def integrate_turning_bad(bad):
+    """Integrate the instance with an RHS whose results from its third call
+    on are ``bad`` of the true ones: values the integrator cannot store."""
+    calls = []
+
+    def rhs(z):
+        calls.append(None)
+        value = instance().system.rhs(z)
+        return value if len(calls) < 3 else bad(value)
+
+    return integrate(rhs, instance().z0, 0.1)
+
+
 def solve(k, unknowns):
     """The linear solve on the (2, 4) instance, for K when ``k`` is None."""
     return solve_linear_selection(instance().system, instance().z0, k, unknowns)
@@ -89,6 +102,12 @@ BAD_ARGUMENTS = [
         lambda: integrate(lambda z: np.array(["a", "b"]), instance().z0, 0.1),
         None,
     ),
+    (
+        "integrate_later_rhs_not_numeric",
+        lambda: integrate_turning_bad(lambda value: np.array(["a"] * value.size)),
+        None,
+    ),
+    ("integrate_later_rhs_column", lambda: integrate_turning_bad(lambda value: value[:, None]), None),
     ("eval_closed_form_times_2d", lambda: eval_closed_form(solution(), [[0, 0.1]]), None),
     (
         "eval_samples_above_bound",
@@ -259,3 +278,5 @@ def test_check_complex_refuses(value):
 def test_zero_omega_is_its_own_error(omega):
     with pytest.raises(ZeroOmega):
         PeriodicClosedForm(instance(), omega)
+    with pytest.raises(ZeroOmega):
+        PeriodicSystem(instance().system, omega)

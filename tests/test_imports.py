@@ -2,7 +2,9 @@
 module or exported through its ``__all__``. An import kept only for code
 that looks it up from outside (the benchmark tracer wraps some names where
 they are imported) carries ``# noqa: F401`` on its line. Every private
-module-level name (``_x``, not a dunder) is read somewhere in the package."""
+module-level name (``_x``, not a dunder) is read somewhere in the package.
+The modules import one another in one layered order, and the integrator
+reads nothing of the closed forms it is used to check."""
 
 import ast
 from pathlib import Path
@@ -69,20 +71,25 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
-    dead = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__") and name not in read:
-                    dead.append(f"{module}: {name}")
-    return dead
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    """The names a module defines at module level, in order: defs, classes
+    and assignment targets, not the names it imports."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
 
 
 def test_no_dead_private_names():
@@ -115,3 +122,51 @@ def test_the_check_flags_a_dead_private_name():
         "a.py: _Spare",
         "b.py: _unread",
     ]
+
+
+# The package's layers, lowest first: a module imports only modules before it.
+LAYERS = [
+    "errors",
+    "polysys",
+    "trajectory",
+    "constraints",
+    "closedform",
+    "periodic",
+    "generate",
+    "oracle",
+    "serialization",
+    "demo",
+    "cli",
+]
+
+
+def relative_imports(source: str) -> list[str]:
+    """The modules that ``source`` imports as ``from .module import ...``."""
+    return [
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    ]
+
+
+def test_every_module_imports_only_earlier_layers():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert sorted(LAYERS) == modules
+    for i, module in enumerate(LAYERS):
+        later = LAYERS[i:]
+        imported = relative_imports((PACKAGE / f"{module}.py").read_text())
+        assert [name for name in imported if name in later] == [], module
+
+
+def test_the_integrator_reads_nothing_of_the_closed_forms():
+    """The oracle sees only the right-hand sides: the body of
+    ``oracle.integrate`` reads no name that ``closedform`` or ``periodic``
+    defines, as a name or as an attribute."""
+    closed_forms = set()
+    for module in ("closedform", "periodic"):
+        closed_forms.update(module_level_names(ast.parse((PACKAGE / f"{module}.py").read_text())))
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    (integrate,) = [node for node in tree.body if getattr(node, "name", None) == "integrate"]
+    read = {node.id for node in ast.walk(integrate) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(integrate) if isinstance(node, ast.Attribute)}
+    assert read & closed_forms == set()

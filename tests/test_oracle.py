@@ -400,7 +400,7 @@ class TestIntegrate:
         pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
         assert pcf.q == q
         self.assert_matches_reference_loop(
-            monkeypatch, pcf.system().rhs, pcf.instance.z0, pcf.base_period
+            monkeypatch, pcf.system.rhs, pcf.instance.z0, pcf.base_period
         )
 
     def test_deterministic(self):
@@ -481,7 +481,7 @@ def integrated_closure(pcf, q):
     period, whose winding number must be ``q``."""
     report = detect_period(pcf)
     assert report.q == q
-    psys = pcf.system()
+    psys = pcf.system
     traj = integrate(
         lambda w: eval_periodic_rhs(psys, w), pcf.instance.z0, report.T,
         t_eval=np.array([0.0, report.T]),

@@ -50,6 +50,14 @@ class TestPeriodize:
         with pytest.raises(ValidationError, match="finite"):
             PeriodicClosedForm(small_k_instance(), omega)
 
+    @pytest.mark.parametrize("omega", [1.0, np.float32(-0.7), 3])
+    def test_closed_form_keeps_the_one_system_it_checks_omega_in(self, omega):
+        pcf = PeriodicClosedForm(small_k_instance(), omega)
+        assert pcf.system is pcf.system
+        assert pcf.system.omega == pcf.omega
+        assert type(pcf.omega) is float
+        assert pcf.system.base is pcf.instance.system
+
     def test_degree_four_rotation_rate(self):
         # With no coefficients the right-hand side is the rotation alone,
         # at rate omega / (M - 1) = 1.5 / 3.
@@ -169,7 +177,7 @@ class TestClosedForm:
         # Finite-difference derivative of zeta matches the periodized RHS.
         inst = small_k_instance(seed)
         pcf = PeriodicClosedForm(inst, 1.0)
-        psys = pcf.system()
+        psys = pcf.system
         h = 1e-6
         for t in [0.3, 2.0, 5.5]:
             grid = np.array([0.0, t - h, t, t + h]) if t > h else np.array([0.0, t, t + h])
@@ -268,7 +276,7 @@ _circle_radius = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    m=st.integers(2, 6),
+    m=st.integers(2, 8),
     a=_circle_radius,
     omega=st.sampled_from([1.0, -0.7, 2.5, -3.0]),
     seed=st.integers(0, 2**16),
