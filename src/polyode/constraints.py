@@ -77,6 +77,8 @@ class SolvableInstance:
     k: complex
 
     def __post_init__(self):
+        if not isinstance(self.system, PolynomialSystem):
+            raise ValidationError(f"system must be a PolynomialSystem, got {type(self.system).__name__}")
         z0, k = as_state(self.z0, self.system.n), check_complex("K", self.k)
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "k", k)

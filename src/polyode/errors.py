@@ -108,9 +108,9 @@ class StepUnderflow(PolyOdeError):
     """Adaptive integrator step fell below the minimum step (blow-up proximity)."""
     exit_code = 3
 
-    def __init__(self, t_reached: float, message: str | None = None):
+    def __init__(self, t_reached: float):
         self.t_reached = t_reached
-        super().__init__(message or f"step size underflow at t = {t_reached!r}")
+        super().__init__(f"step size underflow at t = {t_reached!r}")
 
 
 class MaxStepsExceeded(PolyOdeError):

@@ -100,8 +100,9 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     z0 = as_array(z0, complex, "initial state")
     z0 = as_state(z0, z0.size)
     k1 = as_array(rhs(z0), complex, "rhs value")
-    if k1.shape != z0.shape:
-        raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {z0.shape}")
+    shape = z0.shape
+    if k1.shape != shape:
+        raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {shape}")
 
     # A complex state is integrated as the real view of its memory, with the
     # real and imaginary parts of each component interleaved. ``rows`` holds
@@ -151,6 +152,9 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
                 a.dot(operands, out=state)
                 value = rhs(z)
                 try:
+                    # np.shape only where .shape is missing or differs: a list passes.
+                    if getattr(value, "shape", None) != shape and np.shape(value) != shape:
+                        raise ValueError(f"shape {np.shape(value)} for a state of shape {shape}")
                     rows[i] = value
                 except (TypeError, ValueError) as exc:
                     raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc

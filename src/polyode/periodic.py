@@ -53,6 +53,8 @@ class PeriodicSystem:
     omega: float
 
     def __post_init__(self):
+        if not isinstance(self.base, PolynomialSystem):
+            raise ValidationError(f"base must be a PolynomialSystem, got {type(self.base).__name__}")
         if isinstance(self.omega, bool) or not isinstance(self.omega, numbers.Real):
             raise ValidationError(f"omega must be a real number, got {self.omega!r}")
         omega = check_complex("omega", self.omega).real
@@ -96,6 +98,10 @@ class PeriodicClosedForm:
     q: int = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.instance, SolvableInstance):
+            raise ValidationError(
+                f"instance must be a SolvableInstance, got {type(self.instance).__name__}"
+            )
         system = PeriodicSystem(self.instance.system, self.omega)
         omega = system.omega
         a = self.instance.k / (1j * omega)

@@ -5,7 +5,8 @@ bit-exactly. A system or instance document is written as JSON on one line
 and read in any JSON layout. A trajectory CSV is ASCII: a header row, then
 one row per sample, each value formatted as C's ``"%.17g"`` (so ``-0``,
 ``5e-324``, ``nan``, ``inf``), fields separated by ``,``, rows ended by
-``\r\n``, and nothing quoted.
+``\r\n``, and nothing quoted. The library writes trajectory CSVs and does
+not read them.
 
 The CSV digits come from a numpy kernel, not from Python's ``%``. For
 |x| in [1e-280, 1e280] with exponent X = floor(log10|x|), it forms
@@ -21,7 +22,6 @@ misjudged X or the rounding carried into an 18th digit.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from itertools import chain
@@ -283,33 +283,6 @@ def write_trajectory_csv(traj: Trajectory, path, periodic: bool = False) -> None
             block[:, 1::2] = traj.states[s:e].real
             block[:, 2::2] = traj.states[s:e].imag
             fh.write(_format_block(block))
-
-
-def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a trajectory CSV back into (times, complex states)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t" or len(header) % 2 == 0:
-            raise ValidationError(f"{path}: unexpected trajectory header {header!r}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, header has {len(header)}"
-                )
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise ValidationError(f"{path}: empty trajectory")
-    data = np.array(rows)
-    # A view, not re + 1j*im: that product turns an infinite imaginary part
-    # into a NaN real part and can turn a -0.0 real part into +0.0.
-    return data[:, 0], np.ascontiguousarray(data[:, 1:]).view(complex)
 
 
 def write_report(report: dict, path) -> None:

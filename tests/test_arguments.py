@@ -59,7 +59,7 @@ def wide_system():
 
 def integrate_turning_bad(bad):
     """Integrate the instance with an RHS whose results from its third call
-    on are ``bad`` of the true ones: values the integrator cannot store."""
+    on are ``bad`` of the true ones: values the integrator must refuse."""
     calls = []
 
     def rhs(z):
@@ -108,6 +108,8 @@ BAD_ARGUMENTS = [
         None,
     ),
     ("integrate_later_rhs_column", lambda: integrate_turning_bad(lambda value: value[:, None]), None),
+    ("integrate_later_rhs_scalar", lambda: integrate_turning_bad(lambda value: 0.5), None),
+    ("integrate_later_rhs_prefix", lambda: integrate_turning_bad(lambda value: value[:1]), None),
     ("eval_closed_form_times_2d", lambda: eval_closed_form(solution(), [[0, 0.1]]), None),
     (
         "eval_samples_above_bound",
@@ -122,6 +124,10 @@ BAD_ARGUMENTS = [
     ("pcf_omega_complex", lambda: PeriodicClosedForm(instance(), 1j), None),
     ("pcf_omega_huge_int", lambda: PeriodicClosedForm(instance(), 10**400), None),
     ("periodic_system_omega_none", lambda: PeriodicSystem(instance().system, None), None),
+    # A field that holds a library object is checked for its type.
+    ("pcf_instance_str", lambda: PeriodicClosedForm("x", 1.0), None),
+    ("periodic_system_base_str", lambda: PeriodicSystem("x", 1.0), None),
+    ("instance_system_str", lambda: SolvableInstance("x", instance().z0, instance().k), None),
     ("closed_form_k_str", lambda: ClosedFormSolution(instance().z0, "x", 3), None),
     ("closed_form_k_huge_int", lambda: ClosedFormSolution(instance().z0, 10**400, 3), None),
     ("instance_k_none", lambda: SolvableInstance(instance().system, instance().z0, None), None),

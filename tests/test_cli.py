@@ -25,7 +25,6 @@ from polyode.periodic import CLOSURE_TOL, PeriodicClosedForm, eval_periodic_clos
 from polyode.serialization import (
     instance_to_dict,
     parse_instance_file,
-    read_trajectory_csv,
     write_instance_file,
     write_system_file,
 )
@@ -33,7 +32,7 @@ from polyode.polysys import PolynomialSystem
 
 from test_constraints import diagonal_system_64
 from test_periodic import _instance_with_k
-from test_serialization import reference_write_trajectory_csv
+from test_serialization import read_trajectory, reference_write_trajectory_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -219,7 +218,7 @@ def test_eval_and_reload(tmp_path, instance_file):
         ["eval", "--instance", str(path), "--t-max", "0.4", "--samples", "33", "--out", str(out)]
     )
     assert code == 0
-    times, states = read_trajectory_csv(out)
+    times, states = read_trajectory(out)
     assert times.size == 33
     np.testing.assert_array_equal(states[0], instance.z0)
 
@@ -311,7 +310,7 @@ def test_periodize_and_period(tmp_path, capsys):
 
     out = tmp_path / "zeta.csv"
     assert main(["periodize", "--instance", str(path), "--omega", "1.0", "--out", str(out)]) == 0
-    times, states = read_trajectory_csv(out)
+    times, states = read_trajectory(out)
     assert times[-1] == pytest.approx(2 * np.pi)
     capsys.readouterr()
 
@@ -342,7 +341,7 @@ def test_period_and_periodize_of_a_winding_trajectory(tmp_path, capsys, seed, q)
     zeta = eval_periodic_closed_form(pcf, sample_times(pcf.base_period, 4097))
     reference_write_trajectory_csv(zeta, ref, periodic=True)
     assert out.read_bytes() == ref.read_bytes()
-    times, states = read_trajectory_csv(out)
+    times, states = read_trajectory(out)
     assert times.tobytes() == zeta.times.tobytes()
     assert states.tobytes() == zeta.states.tobytes()
 
@@ -438,8 +437,8 @@ def test_demo_example1(tmp_path, capsys):
         assert (out_dir / name).exists()
     # Every emitted file re-parses.
     parse_instance_file(out_dir / "instance.json")
-    read_trajectory_csv(out_dir / "closed_form.csv")
-    read_trajectory_csv(out_dir / "integrated.csv")
+    read_trajectory(out_dir / "closed_form.csv")
+    read_trajectory(out_dir / "integrated.csv")
 
 
 def test_demo_example2(tmp_path, capsys):

@@ -2,7 +2,8 @@
 module or exported through its ``__all__``. An import kept only for code
 that looks it up from outside (the benchmark tracer wraps some names where
 they are imported) carries ``# noqa: F401`` on its line. Every private
-module-level name (``_x``, not a dunder) is read somewhere in the package.
+module-level name (``_x``, not a dunder) is read somewhere in the package,
+and every public one there or in the benchmark harness (``perfbench/``).
 The modules import one another in one layered order, and the integrator
 reads nothing of the closed forms it is used to check."""
 
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyode"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,25 +60,44 @@ def test_the_check_flags_an_unused_import():
     assert unused_imports(source) == ["2: np", "6: inf"]
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """``module: name`` for each private name that a module of ``sources``
-    defines at module level (a def, class or assignment target) and that no
-    module reads: loads as a name, looks up as an attribute or imports."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def names_read(sources) -> set[str]:
+    """The names that the modules ``sources`` read: loads as a name, looks
+    up as an attribute or imports."""
     read = set()
-    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_names(sources: dict[str, str], checked, readers=()) -> list[str]:
+    """``module: name`` for each name that a module of ``sources`` defines at
+    module level (a def, class or assignment target), for which ``checked``
+    holds, and that no module of ``sources`` or ``readers`` reads."""
+    read = names_read([*sources.values(), *readers])
     return [
         f"{module}: {name}"
-        for module, tree in trees.items()
-        for name in module_level_names(tree)
-        if name.startswith("_") and not name.startswith("__") and name not in read
+        for module, source in sources.items()
+        for name in module_level_names(ast.parse(source))
+        if checked(name) and name not in read
     ]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (``_x``, not a dunder) of ``sources`` that none of
+    its modules reads."""
+    return dead_names(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def dead_public_names(sources: dict[str, str], readers=()) -> list[str]:
+    """The public names of ``sources`` that no module of ``sources`` or
+    ``readers`` reads. A package's ``__init__`` imports count as reads, so a
+    name in ``__all__`` passes."""
+    return dead_names(sources, lambda name: not name.startswith("_"), readers)
 
 
 def module_level_names(tree: ast.Module) -> list[str]:
@@ -121,6 +142,45 @@ def test_the_check_flags_a_dead_private_name():
         "a.py: _free_coefficients",
         "a.py: _Spare",
         "b.py: _unread",
+    ]
+
+
+def test_no_dead_public_names():
+    """Every public name of the package is read by one of its modules, or by
+    the benchmark harness: nothing in the library serves only its tests."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    harness = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert dead_public_names(sources, harness) == []
+
+
+def test_the_check_flags_a_dead_public_name():
+    sources = {
+        "__init__.py": "from .a import run\n__all__ = ['run']\n",
+        "a.py": (
+            "LIMIT = 3\n"
+            "_private = 1\n"
+            "def run():\n"
+            "    return LIMIT\n"
+            "def read_back():\n"
+            "    pass\n"
+            "class Traced:\n"
+            "    pass\n"
+            "SPARE, WRAPPED = 1, 2\n"
+        ),
+        "b.py": "def helper():\n    pass\n",
+    }
+    harness = ["import a\na.Traced()\nfrom a import WRAPPED\n"]
+    assert dead_public_names(sources, harness) == [
+        "a.py: read_back",
+        "a.py: SPARE",
+        "b.py: helper",
+    ]
+    assert dead_public_names(sources) == [
+        "a.py: read_back",
+        "a.py: Traced",
+        "a.py: SPARE",
+        "a.py: WRAPPED",
+        "b.py: helper",
     ]
 
 

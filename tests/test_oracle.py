@@ -327,6 +327,15 @@ class TestIntegrate:
         with pytest.raises(ValidationError, match="shape"):
             integrate(lambda z: np.zeros(6, dtype=complex), np.zeros(4, dtype=complex), 1.0)
 
+    def test_rhs_returning_a_list_integrates(self):
+        # Every RHS result must have the state's shape; a list of n numbers has.
+        instance = generate_random_instance(2, 4, 42, k_cap=0.1)
+        rhs = instance.system.rhs
+        expected = integrate(rhs, instance.z0, 0.1)
+        traj = integrate(lambda z: rhs(z).tolist(), instance.z0, 0.1)
+        assert traj.times.tobytes() == expected.times.tobytes()
+        assert traj.states.tobytes() == expected.states.tobytes()
+
     @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 4, 3), (3, 3, 4), (3, 4, 2)])
     def test_dense_output_matches_per_sample_loop(self, monkeypatch, n, m, seed):
         instance = generate_random_instance(n, m, seed)
