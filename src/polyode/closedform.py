@@ -14,6 +14,7 @@ import numpy as np
 
 from .constraints import SolvableInstance
 from .errors import NegativeTime, SingularTime, ValidationError, check_complex, check_count
+from .errors import check_type
 from .polysys import as_array, as_state
 from .trajectory import Trajectory
 
@@ -36,6 +37,7 @@ class ClosedFormSolution:
 
     @classmethod
     def from_instance(cls, instance: SolvableInstance) -> "ClosedFormSolution":
+        check_type("instance", instance, SolvableInstance)
         return cls(instance.z0, instance.k, instance.system.m)
 
 
@@ -45,6 +47,7 @@ def blow_up_time(sol: ClosedFormSolution) -> float | None:
     Exists exactly when K is real (|Im K| < 1e-14) and negative; for
     complex or nonnegative-real K the bracket never vanishes for t >= 0.
     """
+    check_type("sol", sol, ClosedFormSolution)
     k = sol.k
     if abs(k.imag) < 1e-14 and k.real < 0:
         return -1.0 / k.real
@@ -60,6 +63,7 @@ def eval_closed_form(sol: ClosedFormSolution, t_grid) -> Trajectory:
     continuous there. Refuses (for the whole call) a non-finite time, t < 0,
     |1 + K t| < 1e-12 and t at or beyond blow-up.
     """
+    check_type("sol", sol, ClosedFormSolution)
     times = as_array(t_grid, float, "time grid")
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValidationError("closed form needs a 1-D array of finite times")

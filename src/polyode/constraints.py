@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
     check_complex,
     check_positive,
+    check_type,
 )
 from .polysys import (
     MAX_BASIS_SIZE,
@@ -39,6 +40,7 @@ from .polysys import (
 
 def constraint_residual(system: PolynomialSystem, z0, k) -> np.ndarray:
     """Residual of the solvability constraints at (system, z0, K)."""
+    check_type("system", system, PolynomialSystem)
     z0 = as_state(z0, system.n)
     return _residual(system.m, z0, check_complex("K", k), evaluate_rhs(system, z0))
 
@@ -47,6 +49,7 @@ def residual_scale(system: PolynomialSystem, z0, k) -> float:
     """max(1, max_n |K z0_n|, (M - 1) max_n |rhs(z0)_n|), the residual's
     scale. After a solve rhs(z0) can be a cancelled sum of much larger
     terms, whose rounding this scale does not cover."""
+    check_type("system", system, PolynomialSystem)
     z0 = as_state(z0, system.n)
     return _scale(system.m, z0, check_complex("K", k), evaluate_rhs(system, z0))
 
@@ -77,8 +80,7 @@ class SolvableInstance:
     k: complex
 
     def __post_init__(self):
-        if not isinstance(self.system, PolynomialSystem):
-            raise ValidationError(f"system must be a PolynomialSystem, got {type(self.system).__name__}")
+        check_type("system", self.system, PolynomialSystem)
         z0, k = as_state(self.z0, self.system.n), check_complex("K", self.k)
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "k", k)
@@ -114,6 +116,7 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     equation, or a diagonal entry whose modulus is at most ``SINGULAR_RATIO``
     times the largest matrix entry, raise SingularSystem.
     """
+    check_type("system", system, PolynomialSystem)
     z0 = as_state(z0, system.n)
     keys = coefficient_keys(unknowns, system.n, system.m)
     k_unknown = k is None
@@ -176,6 +179,7 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
 
     Entry (n, j) is K*delta_{nj} - (1-M) * sum_m c_{n,m} m_j z^{m - e_j}.
     """
+    check_type("system", system, PolynomialSystem)
     _check_jacobian_size(system.n)
     z, k = as_state(z, system.n), check_complex("K", k)
     rows, cols, multiplicity, factors = system._derivatives
@@ -205,6 +209,7 @@ def newton_solve_initial_data(system: PolynomialSystem, k, guess, tol=NEWTON_TOL
     system whose n x n Jacobian would exceed ``MAX_BASIS_SIZE`` entries is
     a ValidationError, raised before anything is allocated.
     """
+    check_type("system", system, PolynomialSystem)
     _check_jacobian_size(system.n)
     tol = check_positive("tol", tol)
     k = check_complex("K", k)

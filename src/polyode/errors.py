@@ -56,6 +56,14 @@ def check_complex(name: str, value) -> complex:
     return z
 
 
+def check_type(name: str, value, cls: type):
+    """``value`` if it is an instance of ``cls``; anything else is a
+    ValidationError naming ``name`` and the type it got."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 class ConstraintNotSatisfied(ValidationError):
     """Instance construction rejected: algebraic constraint residual too large."""
 

@@ -21,6 +21,7 @@ from .closedform import ClosedFormSolution, eval_closed_form
 from .closedform import blow_up_time  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .constraints import SolvableInstance
 from .errors import MaxStepsExceeded, StepUnderflow, ValidationError, check_count, check_positive
+from .errors import check_type
 from .periodic import PeriodicClosedForm, eval_periodic_closed_form
 from .periodic import eval_periodic_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .polysys import as_array, as_state
@@ -235,6 +236,7 @@ def verify_instance(instance: SolvableInstance, t_end: float, samples: int) -> f
     uniform sample times; returns the max relative deviation
     |z_int - z_cf| / (1 + |z_cf|). The closed form, evaluated first,
     refuses a window that reaches blow-up before any step is taken."""
+    check_type("instance", instance, SolvableInstance)
     times = sample_times(t_end, samples)
     reference = eval_closed_form(ClosedFormSolution.from_instance(instance), times)
     return _verify(instance.system.rhs, reference)
@@ -243,6 +245,7 @@ def verify_instance(instance: SolvableInstance, t_end: float, samples: int) -> f
 def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> float:
     """Integrate the complexified system over whole base periods and compare
     against the periodic closed form on the same grid."""
+    check_type("pcf", pcf, PeriodicClosedForm)
     t_end = check_count("periods", periods, 1) * pcf.base_period
     reference = eval_periodic_closed_form(pcf, sample_times(t_end, samples))
     return _verify(pcf.system.rhs, reference)

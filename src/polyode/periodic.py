@@ -31,7 +31,7 @@ import numpy as np
 
 from .constraints import SolvableInstance
 from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
-from .errors import check_complex
+from .errors import check_complex, check_type
 from .polysys import PolynomialSystem, as_array, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import Trajectory
@@ -53,8 +53,7 @@ class PeriodicSystem:
     omega: float
 
     def __post_init__(self):
-        if not isinstance(self.base, PolynomialSystem):
-            raise ValidationError(f"base must be a PolynomialSystem, got {type(self.base).__name__}")
+        check_type("base", self.base, PolynomialSystem)
         if isinstance(self.omega, bool) or not isinstance(self.omega, numbers.Real):
             raise ValidationError(f"omega must be a real number, got {self.omega!r}")
         omega = check_complex("omega", self.omega).real
@@ -73,6 +72,7 @@ class PeriodicSystem:
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
     """Right-hand side of the complexified system at state w (autonomous):
     w is validated, then passed to the unchecked ``PeriodicSystem.rhs``."""
+    check_type("psys", psys, PeriodicSystem)
     return psys.rhs(as_state(w, psys.base.n))
 
 
@@ -98,10 +98,7 @@ class PeriodicClosedForm:
     q: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.instance, SolvableInstance):
-            raise ValidationError(
-                f"instance must be a SolvableInstance, got {type(self.instance).__name__}"
-            )
+        check_type("instance", self.instance, SolvableInstance)
         system = PeriodicSystem(self.instance.system, self.omega)
         omega = system.omega
         a = self.instance.k / (1j * omega)
@@ -122,6 +119,7 @@ class PeriodicClosedForm:
 
 def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
     """g(t) = 1 + K*(exp(i*omega*t) - 1)/(i*omega) on the given times."""
+    check_type("pcf", pcf, PeriodicClosedForm)
     times = as_array(times, float, "time grid")
     return 1 + pcf.instance.k * (np.exp(1j * pcf.omega * times) - 1) / (1j * pcf.omega)
 
@@ -144,6 +142,7 @@ def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
     """Evaluate zeta on strictly increasing finite times, with the
     fractional power of the bracket taken on its continuous logarithm.
     Returns z0 exactly at t = 0."""
+    check_type("pcf", pcf, PeriodicClosedForm)
     times = as_array(t_grid, float, "time grid")
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValidationError("time grid must be one-dimensional and finite")
@@ -175,6 +174,7 @@ def detect_period(pcf: PeriodicClosedForm) -> PeriodReport:
     misses it has q = 0, so k = M - 1. The numeric closure check is
     authoritative.
     """
+    check_type("pcf", pcf, PeriodicClosedForm)
     m, q, z0 = pcf.instance.system.m, pcf.q, pcf.instance.z0
     k = 1 if q else m - 1
     t_b = pcf.base_period

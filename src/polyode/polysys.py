@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, check_count, is_integer
+from .errors import ValidationError, check_count, check_type, is_integer
 
 # Largest number of exponent and factor entries, U * (n + M) for U
 # multi-indices, that a system, enumeration or generation may allocate.
@@ -94,10 +94,11 @@ def exponent_rows(rows, n: int, m: int) -> np.ndarray:
 
 def as_array(value, dtype, name: str) -> np.ndarray:
     """``value`` as an array of ``dtype``; a value that numpy cannot convert
-    (a string, a ragged list, a complex as a float) is a ValidationError."""
+    (a string, a ragged list, a complex as a float, an integer beyond the
+    dtype's range) is a ValidationError."""
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not an array of numbers: {exc}") from exc
 
 
@@ -145,17 +146,15 @@ class PolynomialSystem:
         given = coeffs is not None or exponents is not None
         if terms is not None and given:
             raise ValidationError("give the coefficients as a mapping or as arrays, not both")
-        if terms is not None and not isinstance(terms, Mapping):
-            raise ValidationError(
-                f"terms must be a mapping {{(eq, multi-index): value}}, got {type(terms).__name__}"
-            )
+        if terms is not None:
+            check_type("terms", terms, Mapping)
         try:
             if not given:
                 coeffs, exponents = _arrays_from_terms(n, m, {} if terms is None else terms)
             coeffs = np.array(coeffs, dtype=complex)
         except ValidationError:  # a bad key, already worded as one
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed coefficients: {exc}") from exc
         if given:  # coefficient_keys has validated a mapping's multi-indices
             exponents = exponent_rows(exponents, n, m)
@@ -281,4 +280,5 @@ def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:
     canonical multi-index order; the result is deterministic for a given
     input.
     """
+    check_type("system", system, PolynomialSystem)
     return system.rhs(as_state(z, system.n))

@@ -1,12 +1,15 @@
 """File formats: system/instance JSON, trajectory CSV, JSON reports.
 
 Numbers are written with 17 significant digits so that doubles round-trip
-bit-exactly. A system or instance document is written as JSON on one line
-and read in any JSON layout. A trajectory CSV is ASCII: a header row, then
-one row per sample, each value formatted as C's ``"%.17g"`` (so ``-0``,
-``5e-324``, ``nan``, ``inf``), fields separated by ``,``, rows ended by
-``\r\n``, and nothing quoted. The library writes trajectory CSVs and does
-not read them.
+bit-exactly. A system or instance document is JSON, written on one line and
+read in any layout: n, m and the system's two arrays, ``exponents`` (U rows
+of n integers) and ``coeffs`` (n x U), then z0 and K for an instance. A
+complex field is the pair [real parts, imaginary parts], each of the
+field's shape. The older layout of one object per coefficient is refused.
+A trajectory CSV is ASCII: a header row, then one row per sample, each
+value formatted as C's ``"%.17g"`` (so ``-0``, ``5e-324``, ``nan``,
+``inf``), fields separated by ``,``, rows ended by ``\r\n``, and nothing
+quoted. The library writes trajectory CSVs and does not read them.
 
 The CSV digits come from a numpy kernel, not from Python's ``%``. For
 |x| in [1e-280, 1e280] with exponent X = floor(log10|x|), it forms
@@ -30,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import SolvableInstance
-from .errors import ValidationError
-from .polysys import PolynomialSystem
+from .errors import ValidationError, check_type
+from .polysys import PolynomialSystem, as_array
 from .trajectory import Trajectory
 
 
@@ -42,84 +45,55 @@ from .trajectory import Trajectory
 CSV_BLOCK_ROWS = 256
 
 
+def _pair(values) -> list:
+    """A complex field as written: [real parts, imaginary parts]."""
+    values = np.asarray(values)
+    return [values.real.tolist(), values.imag.tolist()]
+
+
 def system_to_dict(system: PolynomialSystem) -> dict:
-    """The document of ``system``: its nonzero coefficients in the order of
-    ``PolynomialSystem.coefficients``, read from the arrays directly."""
-    rows, cols = np.nonzero(system.coeffs)
-    entries = zip(
-        (rows + 1).tolist(), system.exponents[cols].tolist(), system.coeffs[rows, cols].tolist()
-    )
-    return {
-        "n": system.n,
-        "m": system.m,
-        "coefficients": [
-            {"eq": eq, "exponents": index, "re": value.real, "im": value.imag}
-            for eq, index, value in entries
-        ],
-    }
+    """The document of ``system``: its two arrays as it holds them."""
+    check_type("system", system, PolynomialSystem)
+    exponents, coeffs = system.exponents.tolist(), _pair(system.coeffs)
+    return {"n": system.n, "m": system.m, "exponents": exponents, "coeffs": coeffs}
 
 
-_NUMBER = (int, float)
-
-
-def _typed(value, types: tuple, what: str):
-    """``value`` if its type is exactly one of ``types``: a bool is not an
-    int, and a float is not truncated to one."""
-    if type(value) not in types:
-        raise ValidationError(f"{what} has the wrong JSON type: {value!r}")
-    return value
-
-
-def _get(doc, key: str, types: tuple):
+def _get(doc, key: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"expected a JSON object with key {key!r}")
-    return _typed(doc[key], types, key)
+    return doc[key]
 
 
-def _complex(pair, what: str) -> complex:
-    """A complex number from a [re, im] pair of JSON numbers."""
-    if len(_typed(pair, (list,), what)) != 2:
-        raise ValidationError(f"{what} must be a [re, im] pair, got {pair!r}")
-    try:
-        return complex(*(_typed(x, _NUMBER, what) for x in pair))
-    except OverflowError as exc:
-        raise ValidationError(f"{what} does not fit a double: {exc}") from exc
-
-
-def _column(values: list, types: tuple, what: str) -> list:
-    """``values`` if the type of each is exactly one of ``types``, checked
-    once over the set of their types."""
-    if not set(map(type, values)).issubset(types):
-        _typed(next(v for v in values if type(v) not in types), types, what)
+def _array(doc, key: str, depth: int, dtype=complex) -> np.ndarray:
+    """The field ``key`` of ``doc``: lists nested ``depth`` deep of JSON
+    integers for an integer ``dtype``, else of JSON numbers, read as the
+    complex field that ``_pair`` writes. Each level's types are checked as
+    one set before numpy converts the field, so a bool is not an int, nor
+    "1.0" a float. The parts are assigned: re + 1j * im drops signed zeros."""
+    pair = dtype is complex
+    entries = [[_get(doc, key)]]  # flattened once per level: the field, its entries, ...
+    for level in [(list,)] * depth + [(int, float) if pair else (int,)]:
+        entries = list(chain.from_iterable(entries))
+        if not set(map(type, entries)).issubset(level):
+            odd = next(v for v in entries if type(v) not in level)
+            names = " or ".join(t.__name__ for t in level)
+            raise ValidationError(f"{key} holds {odd!r}, not a JSON {names}")
+    array = as_array(doc[key], float if pair else dtype, key)
+    if not pair:
+        return array
+    if len(array) != 2:
+        raise ValidationError(f"{key} must be a [real parts, imaginary parts] pair")
+    values = np.empty(array.shape[1:], complex)
+    values.real, values.imag = array
     return values
 
 
 def system_from_dict(data: dict) -> PolynomialSystem:
-    """The system of a document ``{"n", "m", "coefficients": [{"eq",
-    "exponents", "re", "im"}, ...]}``. Each field is checked as a column:
-    JSON integers (not bools) for eq and the exponents, JSON numbers for re
-    and im."""
-    entries = _get(data, "coefficients", (list,))
-    if not all(isinstance(entry, dict) for entry in entries):
-        raise ValidationError("each coefficient must be a JSON object")
-    try:
-        eqs, exponents, res, ims = (
-            [entry[field] for entry in entries] for field in ("eq", "exponents", "re", "im")
-        )
-    except KeyError as exc:
-        raise ValidationError(f"expected a JSON object with key {exc.args[0]!r}") from None
-    _column(eqs, (int,), "eq")
-    _column(list(chain.from_iterable(_column(exponents, (list,), "exponents"))), (int,), "exponent")
-    try:
-        values = list(map(complex, _column(res, _NUMBER, "re"), _column(ims, _NUMBER, "im")))
-    except OverflowError as exc:
-        raise ValidationError(f"coefficient does not fit a double: {exc}") from exc
-    keys = list(zip(eqs, map(tuple, exponents)))
-    coeffs = dict(zip(keys, values))
-    if len(coeffs) != len(keys):
-        duplicate = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ValidationError(f"duplicate coefficient key {duplicate}")
-    return PolynomialSystem(_get(data, "n", (int,)), _get(data, "m", (int,)), coeffs)
+    """The system of a document; ``PolynomialSystem`` checks its arrays."""
+    exponents, coeffs = _array(data, "exponents", 2, np.intp), _array(data, "coeffs", 3)
+    if exponents.ndim == 1:  # [] holds no row length; n is checked against it
+        exponents = exponents.reshape(0, len(coeffs))
+    return PolynomialSystem(_get(data, "n"), _get(data, "m"), coeffs=coeffs, exponents=exponents)
 
 
 def document_text(doc: dict) -> str:
@@ -137,17 +111,14 @@ def parse_system_file(path) -> PolynomialSystem:
 
 
 def instance_to_dict(instance: SolvableInstance) -> dict:
-    doc = system_to_dict(instance.system)
-    doc["z0"] = [[z.real, z.imag] for z in instance.z0.tolist()]
-    doc["k"] = [instance.k.real, instance.k.imag]
+    doc = system_to_dict(check_type("instance", instance, SolvableInstance).system)
+    doc.update(z0=_pair(instance.z0), k=_pair(instance.k))
     return doc
 
 
 def instance_from_dict(data: dict) -> SolvableInstance:
     system = system_from_dict(data)
-    z0 = [_complex(z, "z0 component") for z in _get(data, "z0", (list,))]
-    k = _complex(_get(data, "k", (list,)), "k")
-    return SolvableInstance(system, np.array(z0, dtype=complex), k)
+    return SolvableInstance(system, _array(data, "z0", 2), _array(data, "k", 1).item())
 
 
 def write_instance_file(instance: SolvableInstance, path) -> None:
@@ -160,12 +131,9 @@ def parse_instance_file(path) -> SolvableInstance:
 
 def _load_json(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return data
 
 
 _FALLBACK = 23  # the layout class of a value that Python formats
@@ -270,6 +238,7 @@ def write_trajectory_csv(traj: Trajectory, path, periodic: bool = False) -> None
     one fixed float buffer and formatted by ``_format_block``, so memory
     stays at one block however long the trajectory.
     """
+    check_type("traj", traj, Trajectory)
     n = traj.dimension
     names = ("x", "y") if periodic else ("re_z", "im_z")
     header = ["t"] + [f"{c}{i}" for i in range(1, n + 1) for c in names]

@@ -6,7 +6,6 @@ report lines.
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from polyode.polysys import (
 )
 
 from test_constraints import fd_jacobian
+from test_oracle import UncheckedInstance
 from test_polysys import random_system
 
 
@@ -196,9 +196,8 @@ def test_criterion_6_jacobian_and_newton():
 
 def test_criterion_7_broken_constraint_sensitivity():
     instance = generate_random_instance(2, 4, seed=321)
-    # Violates the constraints, so it is not a SolvableInstance; the
-    # verifier reads only system, z0 and K.
-    broken = SimpleNamespace(system=instance.system, z0=instance.z0, k=instance.k + 1e-2)
+    # Violates the constraints, so only an unchecked instance holds it.
+    broken = UncheckedInstance(instance.system, instance.z0, instance.k + 1e-2)
     t_end = min(_instance_t_end(instance), _instance_t_end(broken), 0.5)
     deviation = verify_instance(broken, t_end, 64)
     _report(

@@ -1,8 +1,9 @@
-"""Bad counts, positive reals, scalars, states, coefficient keys and time
-arrays at every public entry point: each must raise ValidationError (never
+"""Bad counts, positive reals, scalars, states, coefficient keys, time
+arrays and library objects at every public entry point: each must raise ValidationError (never
 an untyped error, never a silent result), and its CLI form must exit 1 with
 ``error:``."""
 
+import os
 from fractions import Fraction
 from functools import cache
 
@@ -11,21 +12,23 @@ import pytest
 
 from polyode import oracle
 from polyode.cli import main
-from polyode.closedform import ClosedFormSolution, eval_closed_form
+from polyode.closedform import ClosedFormSolution, blow_up_time, eval_closed_form
 from polyode.constraints import (
     SolvableInstance,
     constraint_residual,
     jacobian,
     newton_solve_initial_data,
+    residual_scale,
     solve_linear_selection,
 )
 from polyode.errors import ValidationError, ZeroOmega, check_complex, check_count, check_positive
 from polyode.generate import generate_random_instance
 from polyode.oracle import integrate, sample_times, verify_instance, verify_periodic
-from polyode.periodic import PeriodicClosedForm, PeriodicSystem, bracket_values
-from polyode.periodic import eval_periodic_closed_form
+from polyode.periodic import PeriodicClosedForm, PeriodicSystem, bracket_values, detect_period
+from polyode.periodic import eval_periodic_closed_form, eval_periodic_rhs
 from polyode.polysys import MAX_BASIS_SIZE, PolynomialSystem, as_state, enumerate_multi_indices
-from polyode.serialization import write_instance_file, write_system_file
+from polyode.polysys import evaluate_rhs
+from polyode.serialization import write_instance_file, write_system_file, write_trajectory_csv
 from polyode.trajectory import Trajectory
 
 
@@ -118,6 +121,15 @@ BAD_ARGUMENTS = [
     ),
     ("as_state_str", lambda: as_state("x", 1), None),
     ("as_state_ragged", lambda: as_state([[1], [1, 2]], 2), None),
+    # An integer beyond the double range, where a complex or float belongs.
+    ("as_state_huge_int", lambda: as_state([10**400, 1], 2), None),
+    ("closed_form_z0_huge_int", lambda: ClosedFormSolution([10**400, 1], 0.5, 4), None),
+    ("system_terms_huge_int", lambda: PolynomialSystem(2, 2, {(1, (2, 0)): 10**400}), None),
+    (
+        "system_coeffs_huge_int",
+        lambda: PolynomialSystem(2, 2, coeffs=[[10**400], [0]], exponents=[[2, 0]]),
+        None,
+    ),
     ("pcf_omega_str", lambda: PeriodicClosedForm(instance(), "x"), None),
     ("pcf_omega_numeric_str", lambda: PeriodicClosedForm(instance(), "1.0"), None),
     ("pcf_omega_bool", lambda: PeriodicClosedForm(instance(), True), None),
@@ -128,6 +140,25 @@ BAD_ARGUMENTS = [
     ("pcf_instance_str", lambda: PeriodicClosedForm("x", 1.0), None),
     ("periodic_system_base_str", lambda: PeriodicSystem("x", 1.0), None),
     ("instance_system_str", lambda: SolvableInstance("x", instance().z0, instance().k), None),
+    # So is an argument that should be a library object.
+    ("verify_instance_str", lambda: verify_instance("x", 0.1, 3), None),
+    ("verify_periodic_str", lambda: verify_periodic("x", 1, 3), None),
+    ("detect_period_str", lambda: detect_period("x"), None),
+    ("eval_periodic_closed_form_str", lambda: eval_periodic_closed_form("x", [0.0]), None),
+    ("eval_periodic_rhs_str", lambda: eval_periodic_rhs("x", [1, 1]), None),
+    ("bracket_values_str", lambda: bracket_values("x", [0.0]), None),
+    ("eval_closed_form_str", lambda: eval_closed_form("x", [0.0]), None),
+    ("blow_up_time_str", lambda: blow_up_time("x"), None),
+    ("from_instance_str", lambda: ClosedFormSolution.from_instance("x"), None),
+    ("write_instance_file_str", lambda: write_instance_file("x", os.devnull), None),
+    ("write_system_file_str", lambda: write_system_file("x", os.devnull), None),
+    ("write_trajectory_csv_str", lambda: write_trajectory_csv("x", os.devnull), None),
+    ("evaluate_rhs_str", lambda: evaluate_rhs("x", [1, 1]), None),
+    ("constraint_residual_str", lambda: constraint_residual("x", [1, 1], 1.0), None),
+    ("residual_scale_str", lambda: residual_scale("x", [1, 1], 1.0), None),
+    ("jacobian_str", lambda: jacobian("x", [1, 1], 1.0), None),
+    ("newton_str", lambda: newton_solve_initial_data("x", 1.0, [1, 1]), None),
+    ("solve_linear_selection_str", lambda: solve_linear_selection("x", [1, 1], None, [(1, (4, 0))]), None),
     ("closed_form_k_str", lambda: ClosedFormSolution(instance().z0, "x", 3), None),
     ("closed_form_k_huge_int", lambda: ClosedFormSolution(instance().z0, 10**400, 3), None),
     ("instance_k_none", lambda: SolvableInstance(instance().system, instance().z0, None), None),
@@ -286,3 +317,8 @@ def test_zero_omega_is_its_own_error(omega):
         PeriodicClosedForm(instance(), omega)
     with pytest.raises(ZeroOmega):
         PeriodicSystem(instance().system, omega)
+
+
+def test_a_wrong_library_object_names_the_argument_and_its_type():
+    with pytest.raises(ValidationError, match=r"^pcf must be a PeriodicClosedForm, got str$"):
+        detect_period("x")

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from polyode.periodic import CLOSURE_TOL, PeriodicClosedForm, eval_periodic_clos
 from polyode.serialization import (
     instance_to_dict,
     parse_instance_file,
+    parse_system_file,
     write_instance_file,
     write_system_file,
 )
@@ -32,7 +34,7 @@ from polyode.polysys import PolynomialSystem
 
 from test_constraints import diagonal_system_64
 from test_periodic import _instance_with_k
-from test_serialization import read_trajectory, reference_write_trajectory_csv
+from test_serialization import old_layout, read_trajectory, reference_write_trajectory_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -435,10 +437,18 @@ def test_demo_example1(tmp_path, capsys):
     assert summary["max_deviation"] < 1e-6
     for name in ("system.json", "instance.json", "closed_form.csv", "integrated.csv", "verify.json"):
         assert (out_dir / name).exists()
-    # Every emitted file re-parses.
-    parse_instance_file(out_dir / "instance.json")
+    # Every emitted file re-parses, the documents to the demo's instance
+    # bit for bit.
     read_trajectory(out_dir / "closed_form.csv")
     read_trajectory(out_dir / "integrated.csv")
+    expected = generate_random_instance(2, 4, 101)
+    instance = parse_instance_file(out_dir / "instance.json")
+    system = parse_system_file(out_dir / "system.json")
+    for got in (instance.system, system):
+        assert got.coeffs.tobytes() == expected.system.coeffs.tobytes()
+        assert np.array_equal(got.exponents, expected.system.exponents)
+    assert instance.z0.tobytes() == expected.z0.tobytes()
+    assert np.complex128(instance.k).tobytes() == np.complex128(expected.k).tobytes()
 
 
 def test_demo_example2(tmp_path, capsys):
@@ -582,13 +592,13 @@ def test_non_finite_k_is_a_validation_error(tmp_path, capsys, args, k):
 @pytest.mark.parametrize(
     "edit,raw",
     [
-        (lambda d: d.update(coefficients="RAW"), "5"),
-        (lambda d: d["coefficients"][0].update(eq="RAW"), "1e400"),
-        (lambda d: d["coefficients"][0].update(eq="RAW"), "true"),
+        (lambda d: d.update(coeffs="RAW"), "5"),
+        (lambda d: _set(d, ("exponents", 0, 0), "RAW"), "1e400"),
+        (lambda d: _set(d, ("exponents", 0, 1), "RAW"), "true"),
         (lambda d: d.update(n="RAW"), "1e400"),
         (lambda d: d.update(n="RAW"), "2.7"),
-        (lambda d: d["coefficients"][0].update(exponents="RAW"), "[2.5, 1.5]"),
-        (lambda d: d["coefficients"][0].update(exponents="RAW"), "[4.0, 0.0]"),
+        (lambda d: _set(d, ("exponents", 0), "RAW"), "[2.5, 1.5]"),
+        (lambda d: _set(d, ("exponents", 0), "RAW"), "[4.0, 0.0]"),
     ],
 )
 def test_lax_documents_are_validation_errors(tmp_path, capsys, edit, raw):
@@ -596,7 +606,15 @@ def test_lax_documents_are_validation_errors(tmp_path, capsys, edit, raw):
     assert main(["verify", "--instance", str(path), "--t-max", "0.4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert re.match(r"error: (n|coeffs|exponents) ", captured.err), captured.err
+
+
+def test_old_layout_document_is_refused(tmp_path, capsys):
+    path = edited_instance(tmp_path, old_layout)
+    assert main(["verify", "--instance", str(path), "--t-max", "0.4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a JSON object with key 'exponents'\n"
 
 
 @pytest.mark.parametrize(
@@ -637,11 +655,18 @@ def _set(doc, path, value):
 
 
 FIELDS = [
-    ("n",), ("m",), ("coefficients",), ("z0",), ("k",), ("extra",),
-    ("coefficients", 0), ("coefficients", 0, "eq"), ("coefficients", 0, "exponents"),
-    ("coefficients", 0, "exponents", 1), ("coefficients", 1, "re"), ("coefficients", 2, "im"),
-    ("z0", 0), ("z0", 1, 0), ("k", 0), ("k", 1),
+    ("n",), ("m",), ("exponents",), ("coeffs",), ("z0",), ("k",), ("extra",),
+    ("exponents", 0), ("exponents", 0, 1), ("exponents", 4, 0),
+    ("coeffs", 0), ("coeffs", 1, 0), ("coeffs", 0, 1, 4), ("coeffs", 1, 0, 2),
+    ("z0", 0), ("z0", 1), ("z0", 1, 0), ("k", 0), ("k", 1),
 ]
+
+
+def test_every_fuzzed_field_is_in_the_document(tmp_path):
+    # A path the document lacks would be skipped by the fuzz test below.
+    text = edited_instance(tmp_path, lambda d: None).read_text()
+    for path in FIELDS:
+        _set(json.loads(text), path, None)
 
 
 @settings(

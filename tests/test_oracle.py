@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -446,6 +444,14 @@ class TestIntegrate:
             np.testing.assert_allclose(ours.states, ref.y.T, rtol=1e-8, atol=1e-10)
 
 
+class UncheckedInstance(SolvableInstance):
+    """A SolvableInstance built without the constraint check, so that one
+    violating the constraints reaches the verifier."""
+
+    def __post_init__(self):
+        pass
+
+
 class TestVerifyInstance:
     def riccati_instance(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
@@ -456,9 +462,8 @@ class TestVerifyInstance:
 
     def test_broken_k_detected(self):
         sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
-        # Violates the constraints, so it is not a SolvableInstance; the
-        # verifier reads only system, z0 and K.
-        broken = SimpleNamespace(system=sys, z0=np.array([1, 0], dtype=complex), k=-1 + 1e-2)
+        # Violates the constraints, so only an unchecked instance holds it.
+        broken = UncheckedInstance(sys, np.array([1, 0], dtype=complex), -1 + 1e-2)
         assert verify_instance(broken, 0.5, 64) > 1e-4
 
     def test_zero_instance(self):

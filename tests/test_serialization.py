@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyode import serialization
+from polyode.constraints import SolvableInstance
 from polyode.errors import ConstraintNotSatisfied, ValidationError
 from polyode.generate import generate_random_instance
+from polyode.polysys import PolynomialSystem
 from polyode.serialization import (
+    document_text,
     instance_from_dict,
     instance_to_dict,
     parse_instance_file,
@@ -29,61 +32,58 @@ from polyode.trajectory import Trajectory
 from test_polysys import random_system
 
 
+def system_doc(**fields):
+    """A (2, 4) system document with one term, 1 * z1^4 in equation 1,
+    with ``fields`` replaced."""
+    doc = {"n": 2, "m": 4, "exponents": [[4, 0]], "coeffs": [[[1.0], [0.0]], [[0.0], [0.0]]]}
+    return dict(doc, **fields)
+
+
 class TestSystemFormat:
     def test_minimal_round_trip(self, tmp_path):
-        doc = {
-            "n": 2,
-            "m": 2,
-            "coefficients": [{"eq": 1, "exponents": [2, 0], "re": 1.0, "im": 0.0}],
-        }
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(system_doc(m=2, exponents=[[2, 0]])))
         system = parse_system_file(path)
         assert system.coefficients == {(1, (2, 0)): 1 + 0j}
 
     @pytest.mark.parametrize("n,m,density", [(2, 4, 1.0), (3, 3, 0.4), (4, 2, 0.7)])
     def test_document_lists_the_coefficients_mapping_in_order(self, n, m, density):
-        # The writer reads the arrays; the mapping is the reference for the
-        # entries' order, keys and value bits.
+        # The document is the system's two arrays, the complex one as its
+        # real and imaginary parts; it reads back to the same mapping, in
+        # the same order.
         system = random_system(np.random.default_rng(n * 10 + m), n, m, density)
-        expected = [
-            {"eq": eq, "exponents": list(index), "re": value.real, "im": value.imag}
-            for (eq, index), value in system.coefficients.items()
-        ]
         document = serialization.system_to_dict(system)
-        assert json.dumps(document["coefficients"]) == json.dumps(expected)
+        expected = {
+            "n": n,
+            "m": m,
+            "exponents": system.exponents.tolist(),
+            "coeffs": [system.coeffs.real.tolist(), system.coeffs.imag.tolist()],
+        }
+        assert json.dumps(document) == json.dumps(expected)
+        again = system_from_dict(json.loads(json.dumps(document)))
+        assert list(again.coefficients.items()) == list(system.coefficients.items())
 
     def test_rejects_wrong_exponent_sum(self, tmp_path):
-        doc = {
-            "n": 2,
-            "m": 4,
-            "coefficients": [{"eq": 1, "exponents": [3, 0], "re": 1.0, "im": 0.0}],
-        }
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError):
+        path.write_text(json.dumps(system_doc(exponents=[[3, 0]])))
+        with pytest.raises(ValidationError, match=r"multi-index \[3, 0\] is not 2 nonnegative"):
             parse_system_file(path)
 
     def test_rejects_duplicate_keys(self):
-        doc = {
-            "n": 2,
-            "m": 2,
-            "coefficients": [
-                {"eq": 1, "exponents": [2, 0], "re": 1.0, "im": 0.0},
-                {"eq": 1, "exponents": [2, 0], "re": 2.0, "im": 0.0},
-            ],
-        }
-        with pytest.raises(ValidationError):
+        # Two equal exponent rows: the second is not below the first.
+        doc = system_doc(exponents=[[4, 0], [4, 0]], coeffs=[[[1.0, 2.0], [0.0, 0.0]]] * 2)
+        with pytest.raises(ValidationError, match="exponent rows must be unique"):
             system_from_dict(doc)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValidationError):
-            system_from_dict({"n": 1, "m": 4, "coefficients": []})
+        doc = system_doc(n=1, exponents=[], coeffs=[[[]], [[]]])
+        with pytest.raises(ValidationError, match="n must be an integer >= 2, got 1"):
+            system_from_dict(doc)
 
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text("not json")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not valid JSON"):
             parse_system_file(path)
 
     def test_random_round_trip_bit_exact(self, tmp_path):
@@ -95,50 +95,110 @@ class TestSystemFormat:
         assert again.coefficients == system.coefficients
         assert (again.n, again.m) == (system.n, system.m)
 
+    def test_signed_zeros_and_a_subnormal_keep_their_bits(self):
+        system = PolynomialSystem(
+            2,
+            2,
+            coeffs=[[complex(-0.0, 1.0), complex(2.0, -0.0)], [complex(-0.0, -0.0), 5e-324]],
+            exponents=[[2, 0], [1, 1]],
+        )
+        again = system_from_dict(json.loads(json.dumps(serialization.system_to_dict(system))))
+        assert again.coeffs.tobytes() == system.coeffs.tobytes()
+        # z0 and K pass the constraints: K z0 = (1 - M) rhs(z0) for z1^2 at M = 2.
+        riccati = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        instance = SolvableInstance(riccati, [complex(1, -0.0), complex(-0.0, -0.0)], complex(-1, -0.0))
+        again = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
+        assert again.z0.tobytes() == instance.z0.tobytes()
+        assert np.complex128(again.k).tobytes() == np.complex128(instance.k).tobytes()
+
+    def test_empty_system_round_trips(self):
+        document = serialization.system_to_dict(PolynomialSystem(2, 4, {}))
+        assert document["exponents"] == [] and document["coeffs"] == [[[], []], [[], []]]
+        again = system_from_dict(json.loads(json.dumps(document)))
+        assert again.exponents.shape == (0, 2) and again.coeffs.shape == (2, 0)
+
+    def test_dense_64_2_file_is_small_and_bit_exact(self, tmp_path):
+        # One entry per stored coefficient part and per exponent: 5.9 MB,
+        # where a document of one object per coefficient took 36.3 MB.
+        instance = generate_random_instance(64, 2, 1)
+        path = tmp_path / "inst.json"
+        write_instance_file(instance, path)
+        assert path.stat().st_size <= 8_000_000
+        again = parse_instance_file(path)
+        assert again.system.coeffs.tobytes() == instance.system.coeffs.tobytes()
+        assert np.array_equal(again.system.exponents, instance.system.exponents)
+        assert again.z0.tobytes() == instance.z0.tobytes()
+
+
+def old_layout(doc):
+    """``doc`` rewritten in the older layout, which is refused: one JSON
+    object per coefficient, and z0 as one [re, im] pair per component."""
+    system = system_from_dict(doc)
+    del doc["exponents"], doc["coeffs"]
+    doc["coefficients"] = [
+        {"eq": eq, "exponents": list(index), "re": value.real, "im": value.imag}
+        for (eq, index), value in system.coefficients.items()
+    ]
+    if "z0" in doc:
+        doc["z0"] = [list(pair) for pair in zip(*doc["z0"])]
+
+
+# (edit of ``system_doc()``, the error message it must raise).
+MALFORMED_SYSTEMS = [
+    (lambda d: d.update(n=2.7), r"n must be an integer >= 2, got 2\.7"),
+    (lambda d: d.update(n=1e400), r"n must be an integer >= 2, got inf"),
+    (lambda d: d.update(m=True), r"m must be an integer >= 2, got True"),
+    (lambda d: d.update(coeffs=5), r"coeffs holds 5, not a JSON list"),
+    (lambda d: d.update(coeffs=[7]), r"coeffs holds 7, not a JSON list"),
+    (lambda d: d["exponents"][0].__setitem__(0, True), r"exponents holds True, not a JSON int"),
+    (lambda d: d["exponents"][0].__setitem__(0, 1e400), r"exponents holds inf, not a JSON int"),
+    (lambda d: d.update(exponents=[[2.5, 1.5]]), r"exponents holds 2\.5, not a JSON int"),
+    (lambda d: d.update(exponents="40"), r"exponents holds '40', not a JSON list"),
+    (lambda d: d["coeffs"][0][0].__setitem__(0, "1.0"), r"coeffs holds '1\.0', not a JSON int or float"),
+    (lambda d: d["coeffs"][1][0].__setitem__(0, 10**400), r"coeffs is not an array of numbers: int too large"),
+    (lambda d: d["coeffs"].pop(), r"coeffs must be a \[real parts, imaginary parts\] pair"),
+    (lambda d: d.pop("n"), r"expected a JSON object with key 'n'"),
+    # Added with the array layout: one of each check the reader or
+    # PolynomialSystem makes on the arrays.
+    (lambda d: d.update(exponents=[[4, 0], [3]]), r"exponents is not an array of numbers"),
+    (lambda d: d.update(exponents=[[[4], 0]]), r"exponents holds \[4\], not a JSON int"),
+    (lambda d: d.update(exponents=[[4, 0, 0]]), r"exponents must be integer rows of length 2"),
+    (lambda d: d.update(exponents=[[2**63, 0]]), r"exponents is not an array of numbers"),
+    (lambda d: d.update(exponents=[]), r"coefficients \(2, 1\) do not fit exponents \(0, 2\)"),
+    (lambda d: d["coeffs"][0].__setitem__(0, [1.0, 2.0]), r"coeffs is not an array of numbers"),
+    (lambda d: d["coeffs"][0][0].__setitem__(0, [1.0]), r"coeffs holds \[1\.0\], not a JSON int or float"),
+    (lambda d: d["coeffs"][1][1].__setitem__(0, float("nan")), r"coefficients contain non-finite"),
+    (
+        lambda d: d.update(exponents=[[0, 4], [4, 0]], coeffs=[[[1.0, 1.0], [0.0, 0.0]]] * 2),
+        r"exponent rows must be unique and in descending order",
+    ),
+    (old_layout, r"expected a JSON object with key 'exponents'"),
+]
+
 
 class TestStrictReader:
-    """Only JSON integers (not bools) are read as n, m, eq and exponents,
-    and only JSON numbers as real and imaginary parts."""
+    """Only JSON integers (not bools) are read as n, m and exponents, and
+    only JSON numbers as real and imaginary parts; each refusal names its
+    field or check."""
 
-    def doc(self):
-        return {
-            "n": 2,
-            "m": 4,
-            "coefficients": [{"eq": 1, "exponents": [4, 0], "re": 1.0, "im": 0.0}],
-        }
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d.update(n=2.7),
-            lambda d: d.update(n=1e400),
-            lambda d: d.update(m=True),
-            lambda d: d.update(coefficients=5),
-            lambda d: d.update(coefficients=[7]),
-            lambda d: d["coefficients"][0].update(eq=True),
-            lambda d: d["coefficients"][0].update(eq=1e400),
-            lambda d: d["coefficients"][0].update(exponents=[2.5, 1.5]),
-            lambda d: d["coefficients"][0].update(exponents="40"),
-            lambda d: d["coefficients"][0].update(re="1.0"),
-            lambda d: d["coefficients"][0].update(im=10**400),
-            lambda d: d["coefficients"][0].pop("im"),
-            lambda d: d.pop("n"),
-        ],
-    )
+    @pytest.mark.parametrize("edit", [edit for edit, _ in MALFORMED_SYSTEMS])
     def test_rejects_non_integer_fields(self, edit):
-        doc = self.doc()
+        doc = system_doc()
         edit(doc)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=dict(MALFORMED_SYSTEMS)[edit]):
             system_from_dict(doc)
 
     @pytest.mark.parametrize(
         "z0,k",
         [([[1, 0]], [0, 0]), ([[1, 0], [0]], [0, 0]), ([[1, 0], [0, 1]], [0]),
-         ([[1, 0], [0, 1]], [True, 0]), ([[1, 0], [0, 1]], "0"), ([[1, 0], [0, 1]], [10**400, 0])],
+         ([[1, 0], [0, 1]], [True, 0]), ([[1, 0], [0, 1]], "0"), ([[1, 0], [0, 1]], [10**400, 0]),
+         ([], [0, 0]), ([[1, 0], [0, 1], [0, 0]], [0, 0])],
     )
     def test_rejects_malformed_initial_data_and_k(self, z0, k):
-        doc = dict(self.doc(), coefficients=[], z0=z0, k=k)
-        with pytest.raises(ValidationError):
+        # z0 = [[1, 0], [0, 1]] is (1, i), well formed; the other field is not.
+        doc = system_doc(exponents=[], coeffs=[[[], []], [[], []]], z0=z0, k=k)
+        field = "k" if z0 == [[1, 0], [0, 1]] else "z0"
+        with pytest.raises(ValidationError, match=f"^{field} "):
             serialization.instance_from_dict(doc)
 
     def test_writer_bytes_survive_a_read(self, tmp_path):
@@ -148,6 +208,23 @@ class TestStrictReader:
             text = path.read_bytes()
             write_instance_file(parse_instance_file(path), path)
             assert path.read_bytes() == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 5),
+        density=st.sampled_from([0.2, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, n, m, density, seed):
+        instance = generate_random_instance(n, m, seed, density=density)
+        text = document_text(instance_to_dict(instance))
+        again = instance_from_dict(json.loads(text))
+        assert again.system.coeffs.tobytes() == instance.system.coeffs.tobytes()
+        assert np.array_equal(again.system.exponents, instance.system.exponents)
+        assert again.z0.tobytes() == instance.z0.tobytes()
+        assert np.complex128(again.k).tobytes() == np.complex128(instance.k).tobytes()
+        assert document_text(instance_to_dict(again)) == text
 
 
 class TestInstanceFormat:
