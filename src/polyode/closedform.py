@@ -65,15 +65,15 @@ def eval_closed_form(sol: ClosedFormSolution, t_grid) -> Trajectory:
     """
     check_type("sol", sol, ClosedFormSolution)
     times = as_array(t_grid, float, "time grid")
-    if times.ndim != 1 or not np.isfinite(times).all():
+    if times.ndim != 1 or not np.logical_and.reduce(np.isfinite(times)):
         raise ValidationError("closed form needs a 1-D array of finite times")
-    if (times < 0).any():
+    if np.logical_or.reduce(times < 0):
         raise NegativeTime(f"closed form is defined for t >= 0, got t={times.min()}")
     t_star = blow_up_time(sol)
-    if t_star is not None and (times >= t_star - MIN_BRACKET_MODULUS).any():
+    if t_star is not None and np.logical_or.reduce(times >= t_star - MIN_BRACKET_MODULUS):
         raise SingularTime(f"t={times.max()} at or beyond blow-up time t*={t_star}")
     bracket = 1 + sol.k * times
-    gap = np.abs(bracket).min(initial=np.inf)
+    gap = np.minimum.reduce(np.abs(bracket), initial=np.inf)
     if gap < MIN_BRACKET_MODULUS:
         raise SingularTime(f"|1 + K t| = {gap:.3e} below guard")
     states = np.multiply.outer(bracket ** (1.0 / (1 - sol.m)), sol.z0)

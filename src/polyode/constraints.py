@@ -61,8 +61,8 @@ def _residual(m: int, z0: np.ndarray, k: complex, f: np.ndarray) -> np.ndarray:
 
 def _scale(m: int, z0: np.ndarray, k: complex, f: np.ndarray) -> float:
     """The ``residual_scale``, from f = rhs(z0)."""
-    return max(1.0, float(np.abs(k * z0).max(initial=0.0)),
-               (m - 1) * float(np.abs(f).max(initial=0.0)))
+    return max(1.0, float(np.maximum.reduce(np.abs(k * z0), initial=0.0)),
+               (m - 1) * float(np.maximum.reduce(np.abs(f), initial=0.0)))
 
 
 # The acceptance bound on the constraint residual, relative to ``residual_scale``.
@@ -88,7 +88,7 @@ class SolvableInstance:
         # refused, and an infinite scale must not admit an infinite residual.
         with np.errstate(over="ignore", invalid="ignore"):
             f = evaluate_rhs(self.system, z0)
-            res = np.abs(_residual(self.system.m, z0, k, f)).max()
+            res = np.maximum.reduce(np.abs(_residual(self.system.m, z0, k, f)))
             scale = _scale(self.system.m, z0, k, f)
         if not res <= RESIDUAL_TOL * scale < math.inf:
             raise ConstraintNotSatisfied(
@@ -147,15 +147,15 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     # The fixed terms are summed over the columns they use, as the rhs of a
     # system holding only them would sum them: an all-zero column shifts
     # the BLAS summation order, and with it the last bits of the solution.
-    stored = coeffs.any(axis=0)
+    stored = np.logical_or.reduce(coeffs, axis=0)
     b = -_residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
     pivots = -(1 - system.m) * values[cols]
     diagonal, entries = pivots, pivots
     if k_unknown:
         (free,) = set(range(system.n)).difference(rows)
         diagonal, entries = np.append(pivots, z0[free]), np.append(pivots, z0)
-    smallest = float(np.min(np.abs(diagonal)))
-    threshold = SINGULAR_RATIO * float(np.max(np.abs(entries)))
+    smallest = float(np.minimum.reduce(np.abs(diagonal)))
+    threshold = SINGULAR_RATIO * float(np.maximum.reduce(np.abs(entries)))
     # A NaN pivot passes; its NaN coefficient is refused by PolynomialSystem.
     if smallest <= threshold:
         raise SingularSystem(f"pivot {smallest:.3e} at or below threshold {threshold:.3e}")
@@ -218,7 +218,7 @@ def newton_solve_initial_data(system: PolynomialSystem, k, guess, tol=NEWTON_TOL
     # NoConvergence, not in a numpy warning or in LAPACK's LinAlgError.
     with np.errstate(over="ignore", invalid="ignore"):
         res = constraint_residual(system, z, k)
-        norm = float(np.abs(res).max())
+        norm = float(np.maximum.reduce(np.abs(res)))
         iterations = 0
         while not norm <= tol:  # a NaN residual has not converged
             if iterations == NEWTON_MAX_ITER:
@@ -227,7 +227,7 @@ def newton_solve_initial_data(system: PolynomialSystem, k, guess, tol=NEWTON_TOL
                 )
             iterations += 1
             jac = jacobian(system, z, k)
-            if not (math.isfinite(norm) and np.isfinite(jac).all()):
+            if not (math.isfinite(norm) and np.logical_and.reduce(np.isfinite(jac), axis=None)):
                 raise NoConvergence(f"residual {norm:.3e} or its Jacobian is not finite")
             step, _, rank, singular = np.linalg.lstsq(jac, -res, rcond=SINGULAR_RATIO)
             if rank < system.n:
@@ -238,9 +238,9 @@ def newton_solve_initial_data(system: PolynomialSystem, k, guess, tol=NEWTON_TOL
             lam = 1.0
             for _ in range(31):
                 z_new = z + lam * step
-                if np.isfinite(z_new).all():
+                if np.logical_and.reduce(np.isfinite(z_new)):
                     res_new = constraint_residual(system, z_new, k)
-                    norm_new = float(np.abs(res_new).max())
+                    norm_new = float(np.maximum.reduce(np.abs(res_new)))
                     if norm_new < norm:
                         break
                 lam *= 0.5

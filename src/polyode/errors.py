@@ -122,4 +122,6 @@ class StepUnderflow(PolyOdeError):
 
 
 class MaxStepsExceeded(PolyOdeError):
-    """Adaptive integrator exceeded its step budget."""
+    """Adaptive integrator exceeded its step budget or step history: it gave
+    up before t_end, so the check it serves has failed."""
+    exit_code = 2

@@ -26,6 +26,9 @@ from .errors import (
 from .polysys import PolynomialSystem, enumerate_multi_indices
 
 _RESEED_ATTEMPTS = 16
+# The signs of z0's parts, indexed as ``rng.choice([-1.0, 1.0])`` reads its
+# stream: one integer draw in {0, 1} each.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def generate_random_instance(
@@ -53,7 +56,7 @@ def generate_random_instance(
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         mags = rng.uniform(0.2, 1.0, size=(n, 2))
-        signs = rng.choice([-1.0, 1.0], size=(n, 2))
+        signs = _SIGNS[rng.integers(0, 2, size=(n, 2))]
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]
 
         coeffs = np.zeros(free.shape, dtype=complex)
@@ -81,7 +84,7 @@ def _layout(n: int, m: int) -> tuple:
     free = np.ones((n, len(indices)), dtype=bool)
     free[range(n), [indices.index(own) for _, own in pure]] = False
     exponents.flags.writeable = free.flags.writeable = False
-    return exponents, pure, free, int(free.sum())
+    return exponents, pure, free, int(np.add.reduce(free, axis=None))
 
 
 def _free_values_and_k(rng, count: int, density: float) -> tuple[list[complex], complex]:

@@ -11,9 +11,17 @@ component j and |.| the complex modulus: one scale per complex unknown.
 Multiplying a component by e^{i theta} changes none of these moduli, so
 the step sequence does not depend on where the real and imaginary axes
 lie, as the deviation |z_int - z_cf| / (1 + |z_cf|) does not.
+
+The first trial step is the problem's own scale, 0.01 max_j |z0_j| / max_j
+|f(z0)_j| with both measured against ABS_TOL + REL_TOL |z0_j| (Hairer,
+Norsett & Wanner, Solving Ordinary Differential Equations I, II.4), capped
+at the window. Where that ratio is not finite and positive (z0 = 0 or
+f(z0) = 0) it is INITIAL_STEP. The error test rejects a guess too large.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,9 +36,9 @@ from .polysys import as_array, as_state
 from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .trajectory import StepStats, Trajectory
 
-# Step control: the first step, the step below which StepUnderflow signals a
-# nearby blow-up (times t_end on windows shorter than 1), and the budget of
-# accepted plus rejected steps.
+# Step control: the first step where the problem's scale gives none, the step
+# below which StepUnderflow signals a nearby blow-up (times t_end on windows
+# shorter than 1), and the budget of accepted plus rejected steps.
 INITIAL_STEP = 1e-3
 MIN_STEP = 1e-12
 MAX_STEPS = 10_000_000
@@ -81,22 +89,25 @@ MAX_DEVIATION = 1e-6
 def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     """Integrate dz/dt = rhs(z) from t=0 to t_end.
 
-    ``rhs`` maps a complex state vector to a complex state vector of the
-    same shape; it need not validate its input. z0 must be finite and
-    non-empty, and each RHS result numeric and of its shape. The six stage
-    states of a step are checked together after the step's RHS calls, so
-    ``rhs`` may see a non-finite state; a step with one is rejected and h
-    shrinks by 0.2, as on a NaN error estimate. When ``t_eval`` (a 1-D
-    array of times in [0, t_end]) is given, states are produced at those
-    times via the dense output interpolant; otherwise the accepted step
-    points are returned. Deterministic.
+    ``rhs`` is a callable that maps a complex state vector to a complex
+    state vector of the same shape; it need not validate its input. z0 must
+    be finite and non-empty, and each RHS result numeric and of its shape.
+    The six stage states of a step are checked together after the step's RHS
+    calls, so ``rhs`` may see a non-finite state; a step with one is
+    rejected and h shrinks by 0.2, as on a NaN error estimate. When
+    ``t_eval`` (a 1-D array of times in [0, t_end]) is given, states are
+    produced at those times via the dense output interpolant; otherwise the
+    accepted step points are returned. Deterministic.
     """
+    if not callable(rhs):
+        raise ValidationError(f"rhs must be callable, got {type(rhs).__name__}")
     t_end = check_positive("t_end", t_end)
     if t_eval is not None:
         times = as_array(t_eval, float, "t_eval")
-        if times.ndim != 1 or not np.all((times >= 0) & (times <= t_end + 1e-12 * max(1.0, t_end))):
+        within = (times >= 0) & (times <= t_end + 1e-12 * max(1.0, t_end))
+        if times.ndim != 1 or not np.logical_and.reduce(within):
             raise ValidationError("t_eval must be a 1-D array of times within [0, t_end]")
-        if not np.all(times[1:] > times[:-1]):
+        if not np.logical_and.reduce(times[1:] > times[:-1]):
             raise ValidationError("t_eval times must be strictly increasing")
     z0 = as_array(z0, complex, "initial state")
     z0 = as_state(z0, z0.size)
@@ -122,7 +133,8 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     weights[:6, 0] = 1.0
     tableau, h_weights, error_weights = _TABLEAU[1:], weights[:, 1:], weights[6, 1:]
     stage_dots = [
-        (weights[i - 1, : i + 1], row_view[: i + 1], state_view[i - 1], stage_states[i - 1])
+        (weights[i - 1, : i + 1], row_view[: i + 1], state_view[i - 1], stage_states[i - 1],
+         rows[i + 1])
         for i in range(1, 7)
     ]
     h_arr, rel_tol, abs_tol = np.empty(()), np.array(REL_TOL), np.array(ABS_TOL)
@@ -137,7 +149,14 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     starts, sizes = [], []
     history = np.empty((32, 8, n), dtype=complex)
     t, accepted, rejected, min_step = 0.0, 0, 0, float("inf")
-    h, step_floor = min(INITIAL_STEP, t_end), MIN_STEP * min(1.0, t_end)
+    # The first trial step from the problem's scale (see the module docstring).
+    np.multiply(abs_y, rel_tol, out=scale)
+    scale += abs_tol
+    size = float(np.maximum.reduce(abs_y / scale))
+    rate = float(np.maximum.reduce(np.abs(k1) / scale))
+    first = 0.01 * size / rate if rate > 0 else 0.0
+    h = min(first if 0 < first < math.inf else INITIAL_STEP, t_end)
+    step_floor = MIN_STEP * min(1.0, t_end)
 
     # Overflow in a trial step is expected far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,14 +168,14 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
             h_step = t_end - t if final else h
             h_arr[()] = h_step
             np.multiply(tableau, h_arr, out=h_weights)
-            for i, (a, operands, state, z) in enumerate(stage_dots, start=2):
+            for a, operands, state, z, row in stage_dots:
                 a.dot(operands, out=state)
                 value = rhs(z)
                 try:
                     # np.shape only where .shape is missing or differs: a list passes.
                     if getattr(value, "shape", None) != shape and np.shape(value) != shape:
                         raise ValueError(f"shape {np.shape(value)} for a state of shape {shape}")
-                    rows[i] = value
+                    row[...] = value
                 except (TypeError, ValueError) as exc:
                     raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc
             # The last stage state is the 5th-order solution (_TABLEAU row 6).
@@ -228,7 +247,8 @@ def _verify(rhs, reference: Trajectory) -> float:
     its last; returns the max relative deviation |z_int - z_ref| / (1 + |z_ref|)."""
     times, expected = reference.times, reference.states
     traj = integrate(rhs, expected[0], times[-1], t_eval=times)
-    return float(np.max(np.abs(traj.states - expected) / (1 + np.abs(expected))))
+    deviation = np.abs(traj.states - expected) / (1 + np.abs(expected))
+    return float(np.maximum.reduce(deviation, axis=None))
 
 
 def verify_instance(instance: SolvableInstance, t_end: float, samples: int) -> float:

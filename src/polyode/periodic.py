@@ -144,7 +144,7 @@ def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
     Returns z0 exactly at t = 0."""
     check_type("pcf", pcf, PeriodicClosedForm)
     times = as_array(t_grid, float, "time grid")
-    if times.ndim != 1 or not np.isfinite(times).all():
+    if times.ndim != 1 or not np.logical_and.reduce(np.isfinite(times)):
         raise ValidationError("time grid must be one-dimensional and finite")
     z0, m = pcf.instance.z0, pcf.instance.system.m
     log_g = _log_bracket(pcf, times)
@@ -179,7 +179,7 @@ def detect_period(pcf: PeriodicClosedForm) -> PeriodReport:
     k = 1 if q else m - 1
     t_b = pcf.base_period
     traj = eval_periodic_closed_form(pcf, t_b * np.arange(k + 1))
-    errors = np.abs(traj.states - z0).max(axis=1)
+    errors = np.maximum.reduce(np.abs(traj.states - z0), axis=1)
     closure = float(errors[k])
     if not closure <= CLOSURE_TOL:
         raise NotClosed(f"closure error {closure:.3e} at k={k} exceeds tol {CLOSURE_TOL:.1e}")

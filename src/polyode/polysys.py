@@ -107,7 +107,7 @@ def as_state(z, n: int) -> np.ndarray:
     arr = as_array(z, complex, "state")
     if n == 0 or arr.shape != (n,):
         raise ValidationError(f"state has shape {arr.shape}, expected a non-empty ({n},)")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValidationError("state contains non-finite components")
     return arr
 

@@ -117,8 +117,10 @@ def instance_to_dict(instance: SolvableInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> SolvableInstance:
-    system = system_from_dict(data)
-    return SolvableInstance(system, _array(data, "z0", 2), _array(data, "k", 1).item())
+    system, z0 = system_from_dict(data), _array(data, "z0", 2)
+    if z0.size != system.n:
+        raise ValidationError(f"z0 has {z0.size} components, expected n = {system.n}")
+    return SolvableInstance(system, z0, _array(data, "k", 1).item())
 
 
 def write_instance_file(instance: SolvableInstance, path) -> None:
@@ -225,7 +227,7 @@ def _format_block(block: np.ndarray) -> bytes:
         text = ("%-24.17g" * odd.size % tuple(x[odd].tolist())).encode()
         chars = np.frombuffer(text, np.uint8).reshape(-1, 24)
         record[odd, :3] = chars.view("<u8")
-        key[odd] = _FALLBACK * 100 + (chars != 32).sum(1) * 4
+        key[odd] = _FALLBACK * 100 + np.add.reduce(chars != 32, axis=1) * 4
     key.reshape(block.shape)[:, -1] += 1
     return np.compress(keep.take(key, axis=0).ravel(), record.view(np.uint8)).tobytes()
 

@@ -32,7 +32,8 @@ class Trajectory:
             raise ValidationError(
                 f"inconsistent trajectory shapes {times.shape} / {states.shape}"
             )
-        if np.isnan(times).any() or not np.all(times[1:] > times[:-1]):
+        increasing = np.logical_and.reduce(times[1:] > times[:-1])
+        if np.logical_or.reduce(np.isnan(times)) or not increasing:
             raise ValidationError("trajectory times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)

@@ -100,6 +100,8 @@ BAD_ARGUMENTS = [
         lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=[[0, 0.05]]),
         None,
     ),
+    ("integrate_rhs_str", lambda: integrate("x", instance().z0, 0.1), None),
+    ("integrate_rhs_none", lambda: integrate(None, instance().z0, 0.1), None),
     (
         "integrate_rhs_not_numeric",
         lambda: integrate(lambda z: np.array(["a", "b"]), instance().z0, 0.1),
@@ -317,6 +319,13 @@ def test_zero_omega_is_its_own_error(omega):
         PeriodicClosedForm(instance(), omega)
     with pytest.raises(ZeroOmega):
         PeriodicSystem(instance().system, omega)
+
+
+@pytest.mark.parametrize("rhs, name", [("x", "str"), (None, "NoneType")])
+def test_a_non_callable_rhs_is_refused_first(rhs, name):
+    # Named before the state is read: the bad z0 here is never converted.
+    with pytest.raises(ValidationError, match=f"^rhs must be callable, got {name}$"):
+        integrate(rhs, "not a state", 0.1)
 
 
 def test_a_wrong_library_object_names_the_argument_and_its_type():

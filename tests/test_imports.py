@@ -5,7 +5,8 @@ they are imported) carries ``# noqa: F401`` on its line. Every private
 module-level name (``_x``, not a dunder) is read somewhere in the package,
 and every public one there or in the benchmark harness (``perfbench/``).
 The modules import one another in one layered order, and the integrator
-reads nothing of the closed forms it is used to check."""
+reads nothing of the closed forms it is used to check. No module calls a
+numpy reduction through its Python wrapper outside a ``raise``."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,48 @@ def test_the_check_flags_an_unused_import():
         "x = os.path.join('a')\n"
     )
     assert unused_imports(source) == ["2: np", "6: inf"]
+
+
+# numpy's reductions that go through a Python wrapper before their ufunc:
+# the ndarray methods, and np.any, np.all, np.max, np.min (np.sum, np.prod).
+WRAPPED_REDUCTIONS = {"any", "all", "max", "min", "sum", "prod"}
+
+
+def wrapped_reductions(source: str) -> list[str]:
+    """``line: call`` for each call of a ``WRAPPED_REDUCTIONS`` attribute in
+    ``source`` outside a ``raise`` statement, in source order. The ufunc's
+    own ``reduce`` (``np.logical_or.reduce``, ``np.maximum.reduce``, ...)
+    gives the same bits without the wrapper; a message built while raising
+    runs once and may use either."""
+    tree = ast.parse(source)
+    raised = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
+              for node in ast.walk(stmt)}
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in WRAPPED_REDUCTIONS and id(node) not in raised
+    ]
+    calls.sort(key=lambda node: (node.lineno, node.func.end_col_offset))
+    return [f"{node.lineno}: {ast.unparse(node.func)}" for node in calls]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_wrapped_reductions(path):
+    assert wrapped_reductions(path.read_text()) == []
+
+
+def test_the_check_flags_a_wrapped_reduction():
+    source = (
+        "import numpy as np\n"
+        "def check(x):\n"
+        "    if x.any() or np.all(x):\n"
+        "        raise ValueError(f'{x.max()} {np.min(x)}')\n"
+        "    top = np.maximum.reduce(x, axis=None)\n"
+        "    return max(top, 0) + x.sum(axis=0).prod()\n"
+    )
+    assert wrapped_reductions(source) == [
+        "3: x.any", "3: np.all", "6: x.sum", "6: x.sum(axis=0).prod",
+    ]
 
 
 def names_read(sources) -> set[str]:

@@ -51,18 +51,30 @@ def dense_output_loop(rhs, steps, t_end, t_eval):
     return out
 
 
+def first_step(z0, k1, t_end):
+    """The integrator's first trial step: 0.01 max_j |z0_j| / max_j |k1_j|,
+    both over the error test's scale ABS_TOL + REL_TOL |z0_j|, at most
+    t_end; INITIAL_STEP where that ratio is not finite and positive."""
+    abs_z0 = np.abs(np.asarray(z0, dtype=complex))
+    scale = oracle.ABS_TOL + oracle.REL_TOL * abs_z0
+    size, rate = float((abs_z0 / scale).max()), float((np.abs(k1) / scale).max())
+    first = 0.01 * size / rate if rate > 0 else 0.0
+    return min(first if 0 < first < np.inf else oracle.INITIAL_STEP, t_end)
+
+
 def reference_step_points(rhs, z0, t_end):
     """The DP5 step loop with fresh arrays each step and Python lists of
     step points: the reference for the integrator's buffered loop, which
     must reproduce its arithmetic bit for bit. Stage i's state is one dot of
     the weights [1, h a_i1, ..., h a_ii] with the rows [y; k1..ki], and the
     error estimate one dot of h e with k1..k7. Reads the tolerances at call
-    time, as the integrator does. The error norm is the max over complex
+    time, as the integrator does, and takes its first step from
+    ``first_step``. The error norm is the max over complex
     components of the error's modulus over ABS_TOL + REL_TOL times the
     larger modulus of the component's start and end states. Returns the
     step times, the states and the accepted and rejected step counts."""
     y, k1 = np.array(z0, dtype=complex).view(float), np.asarray(rhs(z0))
-    t, h, accepted, rejected = 0.0, min(oracle.INITIAL_STEP, t_end), 0, 0
+    t, h, accepted, rejected = 0.0, first_step(z0, k1, t_end), 0, 0
     times, states = [0.0], [y]
     while t < t_end:
         final = h >= t_end - t
@@ -137,28 +149,28 @@ def rotated(instance, theta):
 # shrink the tolerance to ABS_TOL.
 RECORDED_STEPS = {
     (2, 2): [
-        (20, 0), (36, 0), (27, 0), (20, 0), (35, 0), (30, 0), (23, 0), (33, 0), (15, 0), (28, 0),
-        (49, 0), (21, 0), (34, 0), (21, 0), (29, 0), (31, 0), (21, 0), (63, 0), (15, 0), (29, 0),
+        (19, 0), (34, 0), (25, 0), (19, 0), (33, 0), (29, 0), (21, 0), (32, 0), (13, 0), (26, 0),
+        (48, 0), (20, 0), (33, 0), (19, 0), (28, 0), (30, 0), (19, 0), (62, 0), (13, 0), (28, 0),
     ],
     (2, 3): [
-        (10, 0), (21, 0), (26, 0), (18, 0), (6, 0), (20, 0), (14, 0), (41, 0), (42, 0), (23, 0),
-        (11, 0), (12, 0), (39, 0), (24, 0), (23, 0), (18, 0), (28, 0), (22, 0), (23, 0), (14, 0),
+        (8, 0), (19, 0), (24, 0), (16, 0), (1, 0), (18, 0), (12, 0), (39, 0), (41, 0), (22, 0),
+        (9, 0), (10, 0), (38, 0), (22, 0), (21, 0), (16, 0), (26, 0), (20, 0), (21, 0), (12, 0),
     ],
     (2, 4): [
-        (11, 0), (17, 0), (25, 0), (20, 0), (9, 0), (20, 0), (11, 0), (13, 0), (14, 0), (10, 0),
-        (25, 0), (12, 0), (14, 0), (17, 0), (18, 0), (17, 0), (30, 0), (23, 0), (19, 0), (17, 0),
+        (8, 0), (15, 0), (23, 0), (18, 0), (6, 0), (18, 0), (8, 0), (10, 0), (11, 0), (8, 0),
+        (22, 0), (10, 0), (12, 0), (15, 0), (16, 0), (15, 0), (28, 0), (21, 0), (17, 0), (15, 0),
     ],
     (3, 2): [
-        (31, 0), (45, 0), (36, 0), (26, 0), (25, 0), (34, 0), (42, 0), (32, 0), (28, 0), (26, 0),
-        (28, 0), (23, 0), (26, 0), (14, 0), (53, 0), (23, 0), (17, 0), (7, 0), (26, 0), (25, 0),
+        (30, 0), (43, 0), (35, 0), (25, 0), (23, 0), (32, 0), (41, 0), (31, 0), (26, 0), (25, 0),
+        (26, 0), (21, 0), (25, 0), (12, 0), (51, 0), (22, 0), (15, 0), (4, 0), (24, 0), (23, 0),
     ],
     (3, 3): [
-        (25, 0), (18, 0), (20, 0), (13, 0), (35, 0), (21, 0), (34, 0), (41, 0), (21, 0), (19, 0),
-        (17, 0), (26, 0), (32, 0), (16, 0), (42, 0), (16, 0), (17, 0), (17, 0), (13, 0), (18, 0),
+        (24, 0), (16, 0), (18, 0), (10, 0), (34, 0), (20, 0), (33, 0), (39, 0), (19, 0), (17, 0),
+        (16, 0), (24, 0), (30, 0), (14, 0), (40, 0), (14, 0), (15, 0), (15, 0), (10, 0), (16, 0),
     ],
     (3, 4): [
-        (16, 0), (12, 0), (11, 0), (13, 0), (19, 0), (18, 0), (23, 0), (21, 0), (34, 0), (34, 0),
-        (17, 0), (17, 0), (32, 0), (32, 0), (18, 0), (20, 0), (10, 0), (18, 0), (20, 0), (28, 1),
+        (14, 0), (10, 0), (9, 0), (10, 0), (17, 0), (16, 0), (21, 0), (19, 0), (32, 0), (32, 0),
+        (15, 0), (15, 0), (30, 0), (30, 0), (16, 0), (17, 0), (7, 0), (16, 0), (19, 0), (26, 1),
     ],
 }
 
@@ -209,8 +221,8 @@ class TestIntegrate:
     def test_nan_error_estimate_shrinks_the_step(self, monkeypatch):
         # k7 = rhs(y_new), each attempt's 6th call after the first k1, is not
         # among the checked stage states; NaN there makes err_norm NaN. The
-        # step must shrink (x0.2 from 1e-3, 13 rejections) to StepUnderflow,
-        # not retry the same h until MAX_STEPS.
+        # step must shrink (x0.2 from the first step 0.01 |z0| / |k1| = 0.01,
+        # 15 rejections) to StepUnderflow, not retry the same h until MAX_STEPS.
         monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
         calls = []
 
@@ -220,7 +232,7 @@ class TestIntegrate:
 
         with pytest.raises(StepUnderflow):
             integrate(rhs, np.array([1 + 0j]), 1.0)
-        assert len(calls) == 1 + 13 * 6
+        assert len(calls) == 1 + 15 * 6
 
     def test_step_history_bounded(self, monkeypatch):
         # The history starts at 32 steps (32 * 8 * 2 = 512 entries at n = 2)
@@ -245,14 +257,14 @@ class TestIntegrate:
             integrate(rhs, np.array([1 + 0j]), 1.0, t_eval=t_eval)
         assert calls == []
 
-    def test_stage_weights_at_unit_step_reproduce_tableau(self, monkeypatch):
+    def test_stage_weights_at_unit_step_reproduce_tableau(self):
         # One step of h = 1 on dz/dt = k from y: stage i's state is
         # y + (a_i . 1) k = y + c_i k, with c_i the DP5 nodes, so an
         # off-by-one in the folded weights [1 | h A] moves a stage state.
-        # The error row sums to 0, so the error estimate vanishes and the
-        # step is accepted at the default tolerances.
-        monkeypatch.setattr(oracle, "INITIAL_STEP", 1.0)
-        y, k = 2 - 1j, 1 + 0.5j
+        # |y| = 200 |k| makes the first step 0.01 |y| / |k| = 2, capped at
+        # t_end = 1. The error row sums to 0, so the error estimate vanishes
+        # and the step is accepted at the default tolerances.
+        y, k = 200 - 100j, 1 + 0.5j
         states = []
 
         def rhs(z):
@@ -266,6 +278,27 @@ class TestIntegrate:
         assert abs(_TABLEAU[7].sum()) < 1e-16
         assert (traj.meta.accepted, traj.meta.rejected) == (1, 0)
         np.testing.assert_allclose(traj.states[-1], y + k, rtol=1e-15)
+
+    def test_first_step_is_the_problem_scale(self):
+        # 0.01 max |z0| / max |f(z0)| in the error test's scale: the first
+        # accepted step, since this draw rejects none.
+        instance = generate_random_instance(2, 3, 0)
+        rhs, z0 = instance.system.rhs, instance.z0
+        traj = integrate(rhs, z0, 0.8)
+        h0 = first_step(z0, rhs(z0), 0.8)
+        assert traj.meta.rejected == 0
+        assert traj.times[1] == h0 != oracle.INITIAL_STEP
+
+    @pytest.mark.parametrize(
+        "z0,rhs",
+        [([0j, 0j], riccati_blowup_system().rhs), ([1 + 0j, 0j], lambda z: np.zeros_like(z))],
+        ids=["zero_state", "zero_rhs"],
+    )
+    def test_first_step_falls_back_without_a_scale(self, z0, rhs):
+        # z0 = 0 makes the ratio 0, f(z0) = 0 makes it infinite.
+        traj = integrate(rhs, np.array(z0), 1.0)
+        assert traj.times[1] == oracle.INITIAL_STEP
+        assert traj.meta.rejected == 0
 
     def test_step_stats_recorded(self):
         sys = riccati_decay_system()
@@ -305,17 +338,18 @@ class TestIntegrate:
     def test_overflowing_trial_step_is_rejected(self):
         # z' = -z^3 from 1 decays as (1 + 2t)^(-1/2). The step grows with t
         # until a trial step overflows its stages; that step is rejected, and
-        # the run reaches t_end within the absolute tolerance.
+        # the run reaches t_end within the absolute tolerance. Trial steps
+        # first overflow between t_end = 1e30 and 1e40.
         calls = []
 
         def rhs(z):
             calls.append(np.isfinite(z).all())
             return -(z**3)
 
-        traj = integrate(rhs, np.array([1 + 0j]), 1e30)
+        traj = integrate(rhs, np.array([1 + 0j]), 1e40)
         assert not all(calls)
         assert traj.meta.rejected > 0
-        np.testing.assert_allclose(traj.states[-1], (1 + 2e30) ** -0.5, rtol=0, atol=oracle.ABS_TOL)
+        np.testing.assert_allclose(traj.states[-1], (1 + 2e40) ** -0.5, rtol=0, atol=oracle.ABS_TOL)
 
     def test_rejects_empty_initial_state(self):
         with pytest.raises(ValidationError, match="non-empty"):

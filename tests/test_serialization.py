@@ -260,6 +260,12 @@ class TestInstanceFormat:
             assert again.z0.tobytes() == instance.z0.tobytes()
             assert again.k == instance.k
 
+    def test_rejects_z0_of_the_wrong_length(self):
+        doc = instance_to_dict(generate_random_instance(2, 4, 23))
+        doc["z0"] = [parts + [0.5] for parts in doc["z0"]]
+        with pytest.raises(ValidationError, match=r"^z0 has 3 components, expected n = 2$"):
+            instance_from_dict(doc)
+
     def test_rejects_inconsistent_instance(self, tmp_path):
         instance = generate_random_instance(2, 4, 23)
         path = tmp_path / "inst.json"
