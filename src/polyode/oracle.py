@@ -266,6 +266,8 @@ def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> floa
     """Integrate the complexified system over whole base periods and compare
     against the periodic closed form on the same grid."""
     check_type("pcf", pcf, PeriodicClosedForm)
-    t_end = check_count("periods", periods, 1) * pcf.base_period
+    # check_positive names a count beyond the double range, where the
+    # product with the base period would overflow.
+    t_end = check_positive("periods", check_count("periods", periods, 1)) * pcf.base_period
     reference = eval_periodic_closed_form(pcf, sample_times(t_end, samples))
     return _verify(pcf.system.rhs, reference)

@@ -9,7 +9,7 @@ equation ``eq``, where the exponents are nonnegative integers summing to M.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -68,11 +68,13 @@ def _multi_indices(n: int, m: int) -> list[tuple]:
 
 def exponent_rows(rows, n: int, m: int) -> np.ndarray:
     """``rows`` as a (U x n) integer array of multi-indices, each ``n``
-    integers in 0..m summing to ``m`` (a bool is not an integer); anything
-    else is a ValidationError."""
+    integers in 0..m summing to ``m`` (a bool is not an integer); an empty
+    ``rows`` of shape (0,) is zero rows. Anything else is a ValidationError."""
     try:
         exponents = np.asarray(rows)
-    except ValueError as exc:
+        if exponents.shape == (0,):  # [] holds no row length
+            exponents = np.zeros((0, n), dtype=np.intp)
+    except ValueError as exc:  # ragged rows, or n beyond numpy's dimensions
         raise ValidationError(f"malformed exponent rows: {exc}") from exc
     if exponents.dtype.kind not in "iu" or exponents.ndim != 2 or exponents.shape[1] != n:
         raise ValidationError(
@@ -116,48 +118,32 @@ def as_state(z, n: int) -> np.ndarray:
 class PolynomialSystem:
     """Homogeneous polynomial system of dimension ``n`` and degree ``m``.
 
-    The state is two arrays over the system's U monomials. ``exponents``
-    (U x n, integer) holds their multi-indices, unique and in canonical
-    order (strictly descending lexicographically). ``coeffs`` (n x U,
+    ``PolynomialSystem(n, m, coeffs=..., exponents=...)`` holds two arrays
+    over the system's U monomials. ``exponents`` (U x n, integer) holds
+    their multi-indices, unique and in canonical order (strictly descending
+    lexicographically); an empty ``[]`` is zero rows. ``coeffs`` (n x U,
     complex) holds the coefficient of monomial u in equation eq at
     ``coeffs[eq - 1, u]``. A zero coefficient is an absent term, and
     columns that are zero in every equation are dropped, so a sparse system
-    pays only for the monomials it stores. Both arrays are read-only.
-
-    ``PolynomialSystem(n, m, {(eq, multi-index): value})`` builds the arrays
-    from a mapping of nonzero coefficients, whose keys ``coefficient_keys``
-    validates; ``PolynomialSystem(n, m, coeffs=..., exponents=...)`` takes
-    them as they are. Either way ``__post_init__`` validates them, once,
-    and refuses a basis that ``check_basis_size`` refuses.
-    ``coefficients`` is the derived read-only mapping, in canonical order:
-    equation ascending, then exponents descending. Systems compare by
-    identity.
+    pays only for the monomials it stores. ``__post_init__`` validates
+    both arrays, once, stores read-only copies and refuses a basis that
+    ``check_basis_size`` refuses. ``coefficients`` is the derived read-only
+    mapping {(eq, multi-index): value}, in canonical order: equation
+    ascending, then exponents descending. Systems compare by identity.
     """
 
     n: int
     m: int
-    terms: InitVar[Mapping | None] = None
-    coeffs: np.ndarray = field(default=None, kw_only=True)
-    exponents: np.ndarray = field(default=None, kw_only=True)
+    coeffs: np.ndarray = field(kw_only=True)
+    exponents: np.ndarray = field(kw_only=True)
 
-    def __post_init__(self, terms):
+    def __post_init__(self):
         n, m = check_count("n", self.n, 2), check_count("m", self.m, 2)
-        coeffs, exponents = self.coeffs, self.exponents
-        given = coeffs is not None or exponents is not None
-        if terms is not None and given:
-            raise ValidationError("give the coefficients as a mapping or as arrays, not both")
-        if terms is not None:
-            check_type("terms", terms, Mapping)
         try:
-            if not given:
-                coeffs, exponents = _arrays_from_terms(n, m, {} if terms is None else terms)
-            coeffs = np.array(coeffs, dtype=complex)
-        except ValidationError:  # a bad key, already worded as one
-            raise
+            coeffs = np.array(self.coeffs, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed coefficients: {exc}") from exc
-        if given:  # coefficient_keys has validated a mapping's multi-indices
-            exponents = exponent_rows(exponents, n, m)
+        exponents = exponent_rows(self.exponents, n, m)
         if coeffs.shape != (n, len(exponents)):
             raise ValidationError(
                 f"coefficients {coeffs.shape} do not fit exponents {exponents.shape}"
@@ -225,24 +211,8 @@ def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, tuple]]:
         if not is_integer(eq) or not 1 <= eq <= n:
             raise ValidationError(f"equation index must be an integer in 1..{n}, got {eq!r}")
         pairs.append((eq, index))
-    exponent_rows([index for _, index in pairs] or np.zeros((0, n), dtype=np.intp), n, m)
+    exponent_rows([index for _, index in pairs], n, m)
     return pairs
-
-
-def _arrays_from_terms(n: int, m: int, terms: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    """(coeffs, exponents) of a mapping {(eq, multi-index): nonzero value}:
-    one column per distinct multi-index, in canonical order."""
-    columns = {}
-    for (eq, index), value in zip(coefficient_keys(terms, n, m), terms.values()):
-        if value == 0:
-            raise ValidationError(f"stored coefficient for eq {eq}, index {index} is exactly zero")
-        columns.setdefault(index, []).append((eq - 1, value))
-    indices = sorted(columns, reverse=True)
-    coeffs = np.zeros((n, len(indices)), dtype=complex)
-    for u, index in enumerate(indices):
-        for row, value in columns[index]:
-            coeffs[row, u] = value
-    return coeffs, np.array(indices, dtype=np.intp).reshape(-1, n)
 
 
 def factor_indices(exponents) -> np.ndarray:

@@ -91,8 +91,6 @@ def _array(doc, key: str, depth: int, dtype=complex) -> np.ndarray:
 def system_from_dict(data: dict) -> PolynomialSystem:
     """The system of a document; ``PolynomialSystem`` checks its arrays."""
     exponents, coeffs = _array(data, "exponents", 2, np.intp), _array(data, "coeffs", 3)
-    if exponents.ndim == 1:  # [] holds no row length; n is checked against it
-        exponents = exponents.reshape(0, len(coeffs))
     return PolynomialSystem(_get(data, "n"), _get(data, "m"), coeffs=coeffs, exponents=exponents)
 
 

@@ -18,7 +18,7 @@ class StepStats:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Times (strictly increasing) and complex states, one row per time;
+    """Times (finite, strictly increasing) and complex states, one row per time;
     ``meta`` holds the step counts of an integrated trajectory."""
 
     times: np.ndarray
@@ -33,8 +33,8 @@ class Trajectory:
                 f"inconsistent trajectory shapes {times.shape} / {states.shape}"
             )
         increasing = np.logical_and.reduce(times[1:] > times[:-1])
-        if np.logical_or.reduce(np.isnan(times)) or not increasing:
-            raise ValidationError("trajectory times must be strictly increasing")
+        if not np.logical_and.reduce(np.isfinite(times)) or not increasing:
+            raise ValidationError("trajectory times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 

@@ -143,18 +143,16 @@ def test_criterion_5_combinatorics():
 
 
 def _diagonal_plus_noise(rng, n=3, m=3, noise=0.05):
-    coeffs = {}
+    exponents = enumerate_multi_indices(n, m)
+    coeffs = np.zeros((n, len(exponents)), dtype=complex)
     diag = rng.uniform(0.5, 1.5, n)
-    for eq in range(1, n + 1):
-        for index in enumerate_multi_indices(n, m):
-            pure = index[eq - 1] == m
-            if pure:
-                coeffs[(eq, index)] = complex(diag[eq - 1])
+    for eq in range(n):
+        for u, index in enumerate(exponents):
+            if index[eq] == m:
+                coeffs[eq, u] = diag[eq]
             else:
-                value = noise * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                if value != 0:
-                    coeffs[(eq, index)] = value
-    return PolynomialSystem(n, m, coeffs), diag
+                coeffs[eq, u] = noise * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return PolynomialSystem(n, m, coeffs=coeffs, exponents=exponents), diag
 
 
 def test_criterion_6_jacobian_and_newton():
@@ -209,7 +207,7 @@ def test_criterion_7_broken_constraint_sensitivity():
 
 
 def test_criterion_8_singularity_handling():
-    system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+    system = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
     instance = SolvableInstance(system, [1, 0], -1)
     sol = ClosedFormSolution.from_instance(instance)
 

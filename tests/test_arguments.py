@@ -57,7 +57,7 @@ assert WIDE**2 > MAX_BASIS_SIZE
 @cache
 def wide_system():
     """One term at n = WIDE: small to build, but its Jacobian is too large."""
-    return PolynomialSystem(WIDE, 2, {(1, (2,) + (0,) * (WIDE - 1)): 1.0})
+    return PolynomialSystem(WIDE, 2, coeffs=np.eye(WIDE, 1), exponents=[[2] + [0] * (WIDE - 1)])
 
 
 def integrate_turning_bad(bad):
@@ -90,6 +90,8 @@ BAD_ARGUMENTS = [
     ("enumerate_n_bool", lambda: enumerate_multi_indices(True, 3), None),
     ("verify_samples_float", lambda: verify_instance(instance(), 0.1, 2.5), None),
     ("verify_periodic_periods_float", lambda: verify_periodic(pcf(), 1.5, 65), None),
+    # Beyond the double range, periods * base period would overflow.
+    ("verify_periodic_periods_huge_int", lambda: verify_periodic(pcf(), 10**400, 3), None),
     ("closed_form_m_float", lambda: ClosedFormSolution(instance().z0, instance().k, 2.5), None),
     ("closed_form_k_nan", lambda: ClosedFormSolution(instance().z0, complex("nan"), 4), None),
     ("closed_form_k_inf", lambda: ClosedFormSolution(instance().z0, complex("inf"), 4), None),
@@ -126,7 +128,6 @@ BAD_ARGUMENTS = [
     # An integer beyond the double range, where a complex or float belongs.
     ("as_state_huge_int", lambda: as_state([10**400, 1], 2), None),
     ("closed_form_z0_huge_int", lambda: ClosedFormSolution([10**400, 1], 0.5, 4), None),
-    ("system_terms_huge_int", lambda: PolynomialSystem(2, 2, {(1, (2, 0)): 10**400}), None),
     (
         "system_coeffs_huge_int",
         lambda: PolynomialSystem(2, 2, coeffs=[[10**400], [0]], exponents=[[2, 0]]),
@@ -195,7 +196,6 @@ BAD_ARGUMENTS = [
         lambda: solve(1.0, [(1, (4, 0)), (2, (0, 4)), (1, (2, 2))]),
         None,
     ),
-    ("system_terms_list", lambda: PolynomialSystem(2, 2, [(1, (2, 0))]), None),
     (
         "system_exponents_bool",
         lambda: PolynomialSystem(2, 2, coeffs=[[1.0], [0.0]], exponents=[[True, 1]]),
@@ -213,9 +213,11 @@ BAD_ARGUMENTS = [
         lambda: ["periodize", "--omega", "1.0", "--samples", str(too_many_samples() - 1), "--out", "OUT"],
     ),
     # NaN compares False both ways, so a strictly increasing check must
-    # refuse it, also as the only time. (+-inf times are accepted.)
+    # refuse it, also as the only time; +-inf increase but are refused too.
     ("trajectory_nan_time", lambda: Trajectory([0.0, np.nan, 1.0], np.zeros((3, 1))), None),
     ("trajectory_single_nan_time", lambda: Trajectory([np.nan], np.zeros((1, 1))), None),
+    ("trajectory_inf_time", lambda: Trajectory([0.0, np.inf], [[1], [1]]), None),
+    ("trajectory_minus_inf_time", lambda: Trajectory([-np.inf, 0.0], [[1], [1]]), None),
     # Arrays that numpy cannot convert at all: a string, a complex as a
     # time, a ragged list. Each conversion goes through polysys.as_array.
     ("eval_closed_form_times_str", lambda: eval_closed_form(solution(), ["a"]), None),
@@ -270,17 +272,22 @@ def test_newton_dimension_above_bound_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "terms, message",
     [
-        ({(0, (2, 0)): 1.0}, r"equation index must be an integer in 1\.\.2, got 0"),
-        ({(True, (2, 0)): 1.0}, r"equation index must be an integer in 1\.\.2, got True"),
-        ({(1, (3, 0)): 1.0}, r"multi-index \[3, 0\] is not 2 nonnegative integers summing to 2"),
-        ({5: 1.0}, r"coefficient key 5 is not \(eq, multi-index\)"),
-        ({(1, (2, 0)): "x"}, r"malformed coefficients: "),
+        ([(0, (2, 0))], r"equation index must be an integer in 1\.\.2, got 0"),
+        ([(True, (2, 0))], r"equation index must be an integer in 1\.\.2, got True"),
+        ([(1, (3, 0))], r"multi-index \[3, 0\] is not 2 nonnegative integers summing to 4"),
+        ([5], r"coefficient key 5 is not \(eq, multi-index\)"),
     ],
 )
 def test_system_mapping_errors_keep_their_message(terms, message):
-    # A key's own ValidationError is not rewrapped as a malformed value.
+    # Keys of the ``coefficients`` mapping, given as the unknowns of the
+    # selection solve: each bad key is refused in its own words.
     with pytest.raises(ValidationError, match="^" + message):
-        PolynomialSystem(2, 2, terms)
+        solve(None, terms)
+
+
+def test_malformed_coefficients_keep_their_message():
+    with pytest.raises(ValidationError, match="^malformed coefficients: "):
+        PolynomialSystem(2, 2, coeffs=[["x"], [0]], exponents=[[2, 0]])
 
 
 @pytest.mark.parametrize("value", [2, np.int64(7), 10**30])

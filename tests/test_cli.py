@@ -58,7 +58,7 @@ def test_enumerate_validation_error():
 
 
 def test_solve_with_k_unknown(tmp_path, capsys):
-    system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+    system = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
     sys_path = tmp_path / "system.json"
     write_system_file(system, sys_path)
     code = main(
@@ -75,7 +75,7 @@ def test_solve_with_k_unknown(tmp_path, capsys):
 
 
 def test_solve_singular_exit_code(tmp_path):
-    system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+    system = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
     sys_path = tmp_path / "system.json"
     write_system_file(system, sys_path)
     code = main(
@@ -112,7 +112,9 @@ SOLVE_EXIT_CODES = [
 @pytest.mark.parametrize("unknowns,k,code", SOLVE_EXIT_CODES)
 def test_solve_exit_codes(tmp_path, capsys, unknowns, k, code):
     sys_path = tmp_path / "system.json"
-    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (1, 1)): 0.5}), sys_path)
+    write_system_file(
+        PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 0.5]], exponents=[[2, 0], [1, 1]]), sys_path
+    )
     argv = ["solve", "--system", str(sys_path), "--z0", "1,0.5", "--unknowns", unknowns]
     assert main(argv + (["--k", k] if k is not None else [])) == code
     assert capsys.readouterr().err.startswith("error: ") == (code != 0)
@@ -120,7 +122,9 @@ def test_solve_exit_codes(tmp_path, capsys, unknowns, k, code):
 
 def test_solve_places_k_first_wherever_it_is_listed(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
-    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (1, 1)): 0.5}), sys_path)
+    write_system_file(
+        PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 0.5]], exponents=[[2, 0], [1, 1]]), sys_path
+    )
     outputs = []
     for unknowns in ("K,c:2:0-2", "c:2:0-2,K"):
         argv = ["solve", "--system", str(sys_path), "--z0", "1,0.5", "--unknowns", unknowns]
@@ -130,7 +134,7 @@ def test_solve_places_k_first_wherever_it_is_listed(tmp_path, capsys):
 
 
 def test_newton(tmp_path):
-    system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0})
+    system = PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]])
     sys_path = tmp_path / "system.json"
     write_system_file(system, sys_path)
     out_path = tmp_path / "instance.json"
@@ -151,7 +155,7 @@ def test_newton(tmp_path):
 def test_newton_writes_no_instance_that_misses_the_residual_bound(tmp_path, capsys):
     # Newton stops at a residual of at most 1e-2, far above the one bound
     # every instance meets.
-    system = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0})
+    system = PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]])
     sys_path = tmp_path / "system.json"
     write_system_file(system, sys_path)
     out_path = tmp_path / "instance.json"
@@ -164,7 +168,9 @@ def test_newton_writes_no_instance_that_misses_the_residual_bound(tmp_path, caps
 def test_newton_singular_jacobian_exit_code(tmp_path, capsys):
     # The guess makes the Jacobian exactly zero (see test_constraints).
     sys_path = tmp_path / "system.json"
-    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), sys_path)
+    write_system_file(
+        PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]]), sys_path
+    )
     out_path = tmp_path / "instance.json"
     args = ["--system", str(sys_path), "--k", "1", "--guess=-0.5,-0.25", "--out", str(out_path)]
     assert main(["newton", *args]) == 3
@@ -483,7 +489,9 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
     # for the tests only, so the CLI must run with both unimportable. The
     # demo never calls Newton, whose step is numpy's LAPACK least squares.
     sys_path, out_path = tmp_path / "system.json", tmp_path / "instance.json"
-    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), sys_path)
+    write_system_file(
+        PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]]), sys_path
+    )
     newton = ["newton", "--system", str(sys_path), "--k", "1", "--guess=-0.9,-0.4",
               "--out", str(out_path)]
     script = (
@@ -559,7 +567,8 @@ def test_a_window_past_blow_up_is_singular(tmp_path, capsys, command, t_max):
     # z1' = z1^2 from z0 = (1, 0) with K = -1 blows up at t* = 1. The closed
     # form refuses the window before any integration, so verify names the
     # blow-up time, even just below t*, and exits 3 as eval does.
-    riccati = SolvableInstance(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0}), [1, 0], -1)
+    system = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
+    riccati = SolvableInstance(system, [1, 0], -1)
     path, out = tmp_path / "riccati.json", tmp_path / "out.csv"
     write_instance_file(riccati, path)
     extra = ["--out", str(out)] if command == "eval" else []
@@ -647,7 +656,9 @@ def test_seed_and_size_are_validation_errors(capsys, args):
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_newton_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
     path = tmp_path / "system.json"
-    write_system_file(PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), path)
+    write_system_file(
+        PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]]), path
+    )
     args = ["newton", "--system", str(path), "--k", "1", "--guess=-0.9,-0.4", "--tol", tol]
     assert main(args) == 1
     assert "tol must be finite and positive" in capsys.readouterr().err
@@ -728,9 +739,8 @@ def test_fuzz_numeric_arguments(tmp_path, capsys, command):
         "OUT": tmp_path / "out.csv",
     }
     write_instance_file(generate_random_instance(2, 4, 42, k_cap=0.1), files["INSTANCE"])
-    write_system_file(
-        PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0}), files["SYSTEM"]
-    )
+    system = PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]])
+    write_system_file(system, files["SYSTEM"])
     command = [str(files.get(arg, arg)) for arg in command]
     numeric = [i for i in range(2, len(command), 2) if command[i - 1] not in
                ("--instance", "--system", "--out", "--unknowns")]

@@ -56,7 +56,7 @@ class TestResidual:
         np.testing.assert_array_equal(constraint_residual(sys, [0, 0], 2 + 1j), [0j, 0j])
 
     def test_riccati_case(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         np.testing.assert_array_equal(constraint_residual(sys, [1, 0], -1), [0j, 0j])
 
     def test_degree_four_factor(self):
@@ -158,7 +158,7 @@ def unknown_values(instance, keys):
 
 class TestSelection:
     def test_rejects_duplicates(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(ValidationError):
             solve_linear_selection(sys, [1, 1], 1.0, [(1, (2, 0)), (1, (2, 0))])
 
@@ -272,7 +272,7 @@ class TestLinearSolve:
     def test_riccati_k_and_coefficient(self):
         # Fixed c_{1,(2,0)} = 1, z0 = (1,1); unknowns K and c_{2,(0,2)}.
         # Equation 1 forces K = -1, equation 2 then forces c_{2,(0,2)} = 1.
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         inst = solve_linear_selection(sys, [1, 1], None, [(2, (0, 2))])
         assert inst.k == pytest.approx(-1)
         assert inst.system.coefficients[(2, (0, 2))] == pytest.approx(1)
@@ -288,17 +288,17 @@ class TestLinearSolve:
         assert np.abs(constraint_residual(inst.system, inst.z0, inst.k)).max() < 1e-12
 
     def test_zero_initial_data_is_singular(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(SingularSystem):
             solve_linear_selection(sys, [0, 0], 1.0, [(1, (0, 2)), (2, (0, 2))])
 
     def test_requires_k_when_not_selected(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(ValidationError):
             solve_linear_selection(sys, [1, 1], None, [(1, (0, 2)), (2, (0, 2))])
 
     def test_rejects_k_given_when_selected(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(ValidationError):
             solve_linear_selection(sys, [1, 1], 1.0, [(2, (0, 2))])
 
@@ -309,13 +309,13 @@ class TestLinearSolve:
         rng = np.random.default_rng(40 + seed)
         base = random_system(rng, 2, 4)
         z0 = rng.uniform(0.2, 1, 2) + 1j * rng.uniform(0.2, 1, 2)
-        keys = [(1, (4, 0)), (2, (0, 4))]
 
         def residual_at(u):
-            coeffs = dict(base.coefficients)
-            for key, value in zip(keys, u[1:]):
-                coeffs[key] = value
-            sys = PolynomialSystem(2, 4, coeffs)
+            # The unknowns are z1^4 in equation 1 and z2^4 in equation 2:
+            # the first and last columns of the full (2, 4) basis.
+            coeffs = base.coeffs.copy()
+            coeffs[0, 0], coeffs[1, -1] = u[1:]
+            sys = PolynomialSystem(2, 4, coeffs=coeffs, exponents=base.exponents)
             return constraint_residual(sys, z0, u[0])
 
         u1 = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
@@ -358,7 +358,7 @@ class TestLinearSolve:
 
 class TestInstanceValidation:
     def test_rejects_violated_constraints(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(ConstraintNotSatisfied):
             SolvableInstance(sys, [1, 0], -0.9)
 
@@ -375,7 +375,7 @@ class TestInstanceValidation:
     )
     def test_rejects_non_finite_k(self, k):
         # Zero coefficients and z0 make every constraint term vanish but K z0.
-        sys = PolynomialSystem(2, 2, {})
+        sys = PolynomialSystem(2, 2, coeffs=[[], []], exponents=[])
         with pytest.raises(ValidationError, match="finite"):
             SolvableInstance(sys, [1, 0], k)
 
@@ -422,7 +422,7 @@ class TestJacobian:
         np.testing.assert_allclose(jacobian(sys, [0, 0, 0], k), k * np.eye(3))
 
     def test_riccati_hand_value(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         jac = jacobian(sys, [1, 0], -1)
         # Entry (1,1): K - (1-M)*2*z1 = -1 + 2 = 1.
         assert jac[0, 0] == pytest.approx(1)
@@ -461,13 +461,13 @@ class TestJacobian:
 def diagonal_system_64():
     """dz_n/dt = n z_n^2 for n = 1..64."""
     return PolynomialSystem(
-        64, 2, {(n, tuple(2 * (j == n) for j in range(1, 65))): float(n) for n in range(1, 65)}
+        64, 2, coeffs=np.diag(np.arange(1.0, 65)), exponents=2 * np.eye(64, dtype=np.intp)
     )
 
 
 class TestNewton:
     def diagonal_system(self):
-        return PolynomialSystem(2, 2, {(1, (2, 0)): 1.0, (2, (0, 2)): 2.0})
+        return PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 2.0]], exponents=[[2, 0], [0, 2]])
 
     def cubic_system(self):
         """The system of ``polyode gen --n 2 --m 3 --seed 1``."""

@@ -21,12 +21,12 @@ from test_periodic import _instance_with_k
 
 def riccati_decay_system():
     # z1' = -z1^2 embedded in N=2; exact solution 1/(1+t).
-    return PolynomialSystem(2, 2, {(1, (2, 0)): -1.0})
+    return PolynomialSystem(2, 2, coeffs=[[-1.0], [0]], exponents=[[2, 0]])
 
 
 def riccati_blowup_system():
     # z1' = +z1^2; blows up at t = 1 from z1(0) = 1.
-    return PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+    return PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
 
 
 def dense_output_loop(rhs, steps, t_end, t_eval):
@@ -319,7 +319,9 @@ class TestIntegrate:
         "rhs,error",
         [
             pytest.param(
-                lambda z: evaluate_rhs(PolynomialSystem(2, 4, {(1, (4, 0)): 1.0}), z),
+                lambda z: evaluate_rhs(
+                    PolynomialSystem(2, 4, coeffs=[[1.0], [0]], exponents=[[4, 0]]), z
+                ),
                 ValidationError,
                 id="evaluate_rhs",
             ),
@@ -488,20 +490,20 @@ class UncheckedInstance(SolvableInstance):
 
 class TestVerifyInstance:
     def riccati_instance(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         return SolvableInstance(sys, [1, 0], -1)
 
     def test_riccati_deviation_small(self):
         assert verify_instance(self.riccati_instance(), 0.5, 64) < 1e-8
 
     def test_broken_k_detected(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         # Violates the constraints, so only an unchecked instance holds it.
         broken = UncheckedInstance(sys, np.array([1, 0], dtype=complex), -1 + 1e-2)
         assert verify_instance(broken, 0.5, 64) > 1e-4
 
     def test_zero_instance(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         inst = SolvableInstance(sys, [0, 0], -1)
         assert verify_instance(inst, 0.5, 16) == 0
 
@@ -557,7 +559,9 @@ class TestVerifyPeriodic:
         assert verify_periodic(pcf, 1, 65) < 1e-6
 
     def test_k_zero_pure_rotation(self):
-        inst = SolvableInstance(PolynomialSystem(2, 4, {}), [1 + 0j, -0.5j], 0.0)
+        inst = SolvableInstance(
+            PolynomialSystem(2, 4, coeffs=[[], []], exponents=[]), [1 + 0j, -0.5j], 0.0
+        )
         pcf = PeriodicClosedForm(inst, 1.0)
         assert verify_periodic(pcf, 3, 2049) < 1e-10
 

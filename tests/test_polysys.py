@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -55,14 +56,13 @@ def power_table_monomials(z, exponents, degree):
 
 
 def random_system(rng, n, m, density=1.0):
-    coeffs = {}
-    for eq in range(1, n + 1):
-        for index in enumerate_multi_indices(n, m):
+    exponents = enumerate_multi_indices(n, m)
+    coeffs = np.zeros((n, len(exponents)), dtype=complex)
+    for row in coeffs:
+        for u in range(len(exponents)):
             if rng.random() < density:
-                value = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                if value != 0:
-                    coeffs[(eq, index)] = value
-    return PolynomialSystem(n, m, coeffs)
+                row[u] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return PolynomialSystem(n, m, coeffs=coeffs, exponents=exponents)
 
 
 class TestEnumerate:
@@ -121,17 +121,15 @@ class TestBasisSizeGuard:
         with pytest.raises(ValidationError, match="exceeds"):
             enumerate_multi_indices(2, 1500)
 
-    def test_mapping_refuses_more_terms_than_the_limit_allows(self):
-        terms = {(1, (m, 2000 - m)): 1.0 for m in range(1001)}
+    def test_refuses_more_terms_than_the_limit_allows(self):
+        exponents = [[m, 2000 - m] for m in range(1000, -1, -1)]
         with pytest.raises(ValidationError, match="exceeds"):
-            PolynomialSystem(2, 2000, terms)
+            PolynomialSystem(2, 2000, coeffs=np.ones((2, 1001)), exponents=exponents)
 
-    def test_both_forms_refuse_one_term_of_a_huge_degree(self):
+    def test_refuses_one_term_of_a_huge_degree(self):
         # One monomial of degree 3,000,000 would need a factor table of
         # 3,000,000 entries, built at the first RHS call.
         m = 3_000_000
-        with pytest.raises(ValidationError, match="exceeds"):
-            PolynomialSystem(2, m, {(1, (m, 0)): 1.0})
         with pytest.raises(ValidationError, match="exceeds"):
             PolynomialSystem(2, m, coeffs=[[1.0], [0.0]], exponents=[[m, 0]])
 
@@ -139,42 +137,47 @@ class TestBasisSizeGuard:
 class TestSystemValidation:
     def test_rejects_small_n_or_m(self):
         with pytest.raises(ValidationError):
-            PolynomialSystem(1, 4, {})
+            PolynomialSystem(1, 4, coeffs=[[]], exponents=[])
         with pytest.raises(ValidationError):
-            PolynomialSystem(2, 1, {})
+            PolynomialSystem(2, 1, coeffs=[[], []], exponents=[])
 
     def test_rejects_bad_equation_index(self):
+        # A coefficient of equation 3 is a third row, which n = 2 lacks.
         with pytest.raises(ValidationError):
-            PolynomialSystem(2, 2, {(3, (2, 0)): 1.0})
+            PolynomialSystem(2, 2, coeffs=[[0], [0], [1.0]], exponents=[[2, 0]])
 
     def test_rejects_wrong_exponent_sum(self):
         with pytest.raises(ValidationError):
-            PolynomialSystem(2, 4, {(1, (3, 0)): 1.0})
-
-    def test_rejects_stored_zero(self):
-        with pytest.raises(ValidationError):
-            PolynomialSystem(2, 2, {(1, (2, 0)): 0.0})
+            PolynomialSystem(2, 4, coeffs=[[1.0], [0]], exponents=[[3, 0]])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
-            PolynomialSystem(2, 2, {(1, (2, 0)): complex(float("nan"), 0)})
+            PolynomialSystem(2, 2, coeffs=[[complex(float("nan"), 0)], [0]], exponents=[[2, 0]])
 
     def test_coefficients_stored_in_canonical_order(self):
-        sys = PolynomialSystem(2, 2, {(2, (0, 2)): 1.0, (1, (0, 2)): 2.0, (1, (2, 0)): 3.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[3.0, 2.0], [0, 1.0]], exponents=[[2, 0], [0, 2]])
         assert list(sys.coefficients) == [(1, (2, 0)), (1, (0, 2)), (2, (0, 2))]
 
 
 class TestSystemArrays:
-    def test_mapping_builds_the_arrays(self):
-        sys = PolynomialSystem(2, 2, {(2, (0, 2)): 1.0, (1, (0, 2)): 2.0, (1, (2, 0)): 3.0})
-        np.testing.assert_array_equal(sys.exponents, [[2, 0], [0, 2]])
-        np.testing.assert_array_equal(sys.coeffs, [[3, 2], [0, 1]])
+    def test_the_two_arrays_are_the_only_input(self):
+        assert list(inspect.signature(PolynomialSystem).parameters) == [
+            "n", "m", "coeffs", "exponents"
+        ]
+        with pytest.raises(TypeError):
+            PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
 
     def test_arrays_round_trip_through_the_mapping(self):
         sys = random_system(np.random.default_rng(3), 3, 4, density=0.5)
         again = PolynomialSystem(3, 4, coeffs=sys.coeffs, exponents=sys.exponents)
         assert again.coefficients == sys.coefficients
-        assert PolynomialSystem(3, 4, dict(sys.coefficients)).coefficients == sys.coefficients
+
+    def test_an_empty_basis_is_zero_rows(self):
+        sys = PolynomialSystem(2, 4, coeffs=[[], []], exponents=[])
+        assert sys.exponents.shape == (0, 2) and sys.coefficients == {}
+        for exponents in ([[]], [2, 0]):
+            with pytest.raises(ValidationError, match="integer rows of length 2"):
+                PolynomialSystem(2, 4, coeffs=[[], []], exponents=exponents)
 
     def test_zero_columns_are_dropped(self):
         sys = PolynomialSystem(
@@ -184,7 +187,7 @@ class TestSystemArrays:
         assert sys.coefficients == {(1, (2, 0)): 1, (2, (2, 0)): 2, (2, (0, 2)): 3}
 
     def test_state_is_read_only(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(ValueError):
             sys.coeffs[0, 0] = 2
         with pytest.raises(ValueError):
@@ -201,6 +204,9 @@ class TestSystemArrays:
             [[2, 1], [0, 2]],  # wrong sum
             [[2.0, 0.0], [0.0, 2.0]],  # not integers
             [[2, 0, 0], [0, 2, 0]],  # wrong length
+            [[2, 0], [2]],  # ragged
+            [[True, 1], [0, 2]],  # a bool, which numpy reads as 1
+            [[np.True_, 1], [0, 2]],
         ],
     )
     def test_rejects_bad_exponents(self, exponents):
@@ -212,38 +218,15 @@ class TestSystemArrays:
         with pytest.raises(ValidationError):
             PolynomialSystem(2, 2, coeffs=coeffs, exponents=[[2, 0], [0, 2]])
 
-    def test_rejects_mapping_and_arrays_together(self):
-        with pytest.raises(ValidationError, match="not both"):
-            PolynomialSystem(
-                2, 2, {(1, (2, 0)): 1.0}, coeffs=np.ones((2, 1)), exponents=[[2, 0]]
-            )
-
-    @pytest.mark.parametrize(
-        "terms",
-        [
-            {(True, (2, 0)): 1.0},
-            {(1.0, (2, 0)): 1.0},
-            {(1, (2.5, -0.5)): 1.0},
-            {(1, (2, 0)): 1.0, (1, (1,)): 1.0},
-            {(1, (2, 0)): "x"},
-            {(1, 2): 1.0},
-            {(1, (True, 1)): 1.0},
-            {(1, (np.True_, 1)): 1.0},
-        ],
-    )
-    def test_rejects_malformed_mappings(self, terms):
-        with pytest.raises(ValidationError):
-            PolynomialSystem(2, 2, terms)
-
     @pytest.mark.parametrize("n,m", [(2.5, 2), (2, "3"), (10**30, 2)])
     def test_rejects_bad_dimensions(self, n, m):
         with pytest.raises(ValidationError):
-            PolynomialSystem(n, m, {})
+            PolynomialSystem(n, m, coeffs=[[], []], exponents=[])
 
 
 class TestEvaluateRhs:
     def test_single_monomial(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         np.testing.assert_array_equal(evaluate_rhs(sys, [2, 3]), [4 + 0j, 0j])
 
     def test_zero_state_kills_all_monomials(self):
@@ -253,7 +236,7 @@ class TestEvaluateRhs:
 
     def test_zero_exponent_ignores_component(self):
         # 0^0 = 1: the monomial z_2^2 must not be affected by z_1 = 0.
-        sys = PolynomialSystem(2, 2, {(1, (0, 2)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[0, 2]])
         np.testing.assert_array_equal(evaluate_rhs(sys, [0, 3]), [9 + 0j, 0j])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -279,7 +262,7 @@ class TestEvaluateRhs:
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
-        sys = PolynomialSystem(2, 2, {(1, (2, 0)): 1.0})
+        sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(ValidationError):
             evaluate_rhs(sys, [1, 2, 3])
 
