@@ -139,6 +139,7 @@ class PolynomialSystem:
 
     def __post_init__(self):
         n, m = check_count("n", self.n, 2), check_count("m", self.m, 2)
+        check_basis_size(n, m, 1)  # bounds n before an empty basis builds any array
         try:
             coeffs = np.array(self.coeffs, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:

@@ -20,7 +20,12 @@ from 1/2. Python's ``"%.17g"`` formats the values the kernel cannot
 decide: NaN, ±inf, |x| outside that range (subnormals among them), values
 within 1e-9 of a rounding tie, and values next to a power of ten whose 17
 digits, before or after rounding, fall outside [10^16, 10^17) because log10
-misjudged X or the rounding carried into an 18th digit.
+misjudged X or the rounding carried into an 18th digit. The digits are
+cut into a leading digit and four 4-digit groups by floor division by
+constants and subtraction (numpy divides by a scalar with a multiply and a
+shift), and gathered as 8-byte ASCII words into a 48-byte record per value.
+The bytes a value does not print are multiplied by 0 and then deleted as
+NULs by one ``bytes.translate``; no table word or fallback text holds a NUL.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ from .trajectory import Trajectory
 
 
 # Rows per formatted block. Writing a 12,289-row n = 3 trajectory raised a
-# fresh process's peak RSS by 0.55 MB at 128 rows, 1.0 MB at 256, 1.85 MB at
-# 512 and 3.5 MB at 1024, where each write also took ~9,000 page faults.
-# 128 rows cost ~13 % of the periodic benchmark's throughput against 256.
+# fresh process's peak RSS by 0.12 MB at 128 rows, 0.38 MB at 256 and
+# 1.0 MB at 512, with 0, ~5,000 and ~5,900 minor page faults per write. In
+# the periodic benchmark, 128 rows gave ~17 % less throughput than 256, and
+# 512 rows ~7 % more, which a paired run has yet to confirm.
 CSV_BLOCK_ROWS = 256
 
 
@@ -130,9 +136,11 @@ def parse_instance_file(path) -> SolvableInstance:
 
 
 def _load_json(path) -> dict:
+    """The JSON value in the file at ``path``. A file that is not text, not
+    JSON, or nested too deeply for the parser is a ValidationError."""
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -211,9 +219,15 @@ def _format_block(block: np.ndarray) -> bytes:
     n -= zero * 10**16
     X += 400
     record = np.empty((x.size, 6), "<u8")
-    upper, lower = np.divmod(n, 10**8)
-    d0, upper = np.divmod(upper, 10**8)
-    groups = np.array(np.divmod(upper, 10000) + np.divmod(lower, 10000))
+    groups = np.empty((4, x.size), np.int64)  # n = d0 | g1 g2 | g3 g4, by constant division
+    upper = n // 10**8
+    lower = n - upper * 10**8
+    d0 = upper // 10**8
+    upper -= d0 * 10**8
+    np.floor_divide(upper, 10000, out=groups[0])
+    np.subtract(upper, groups[0] * 10000, out=groups[1])
+    np.floor_divide(lower, 10000, out=groups[2])
+    np.subtract(lower, groups[2] * 10000, out=groups[3])
     record[:, 0] = lead.take(d0, mode="clip")  # d0 > 9 only where falling back
     record[:, 1:5] = quads.take(groups.T)
     record[:, 5] = exps.take(X)
@@ -227,7 +241,9 @@ def _format_block(block: np.ndarray) -> bytes:
         record[odd, :3] = chars.view("<u8")
         key[odd] = _FALLBACK * 100 + np.add.reduce(chars != 32, axis=1) * 4
     key.reshape(block.shape)[:, -1] += 1
-    return np.compress(keep.take(key, axis=0).ravel(), record.view(np.uint8)).tobytes()
+    kept = record.view(np.uint8)  # (values, 48)
+    kept *= keep.take(key, axis=0)  # a dropped byte becomes NUL; no table byte is one
+    return kept.tobytes().translate(None, b"\0")
 
 
 def write_trajectory_csv(traj: Trajectory, path, periodic: bool = False) -> None:

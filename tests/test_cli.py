@@ -515,6 +515,21 @@ def test_missing_file_exit_code(tmp_path):
     assert main(["verify", "--instance", str(tmp_path / "nope.json"), "--t-max", "0.5"]) == 1
 
 
+def test_undecodable_instance_file_is_an_error_line(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_bytes(b"\xff\xfe{")
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["verify", "--instance", str(path), "--t-max", "0.1"]
+    result = subprocess.run(
+        [sys.executable, "-m", "polyode.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=50,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {path}: not valid JSON"), result.stderr
+
+
 # The documented exit code of every error class: 1 validation, 2 tolerance,
 # 3 singularity.
 EXIT_CODES = {

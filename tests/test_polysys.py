@@ -133,6 +133,12 @@ class TestBasisSizeGuard:
         with pytest.raises(ValidationError, match="exceeds"):
             PolynomialSystem(2, m, coeffs=[[1.0], [0.0]], exponents=[[m, 0]])
 
+    @pytest.mark.parametrize("n", [3 * 10**6, 10**30])
+    def test_an_empty_basis_still_bounds_n(self, n):
+        # One row of n exponents and m factors would exceed the limit.
+        with pytest.raises(ValidationError, match=rf"^\(n, m\) = \({n}, 2\) .* exceeds 2000000 "):
+            PolynomialSystem(n, 2, coeffs=np.zeros((0, 0)), exponents=[])
+
 
 class TestSystemValidation:
     def test_rejects_small_n_or_m(self):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,16 @@ class TestSystemFormat:
         path.write_text("not json")
         with pytest.raises(ValidationError, match="not valid JSON"):
             parse_system_file(path)
+
+    @pytest.mark.parametrize("parse", [parse_system_file, parse_instance_file])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000], ids=["undecodable", "too_deep"]
+    )
+    def test_rejects_files_that_do_not_decode(self, tmp_path, parse, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            parse(path)
 
     def test_random_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -397,6 +408,17 @@ class TestTrajectoryCsv:
         with mock.patch.object(np, "log10", lambda v: np.nextafter(log10(v), direction)):
             _check_writer(tmp_path, np.arange(float(states.size)), states, periodic=False)
 
+    def test_no_kept_byte_is_nul(self):
+        # The writer zeroes the bytes it drops and then deletes every NUL,
+        # which deletes exactly the dropped bytes only if no table word and
+        # no fallback text holds a NUL.
+        _, lead, quads, _, exps, _, _ = serialization._csv_tables()
+        for words in (lead, quads, exps):
+            assert np.all(words.view(np.uint8) != 0)
+        values = [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1.5e-281]
+        text = ("%-24.17g" * len(values) % tuple(values)).encode()
+        assert text.isascii() and b"\0" not in text and len(text) == 24 * len(values)
+
     def test_importing_the_cli_builds_no_kernel_tables(self):
         # Building them takes milliseconds, which a command that writes no
         # CSV should not pay at start-up.
@@ -419,3 +441,40 @@ class TestTrajectoryCsv:
         assert path.read_text().splitlines()[0] == "t,re_z1,im_z1,re_z2,im_z2"
         write_trajectory_csv(Trajectory(times, states), path, periodic=True)
         assert path.read_text().splitlines()[0] == "t,x1,y1,x2,y2"
+
+
+# Sizes the CSV kernel: the median wall time and minor page faults per write
+# of the 12,289-row n = 3 periodic trajectory ((3, 4) seed 3, K cap 0.1,
+# omega = 1, 4,096 points per base period over its period). It runs in a
+# fresh process that imports only polyode: the heap that pytest and
+# hypothesis leave behind changes how often the allocator returns memory,
+# and so the fault count.
+SIZE_THE_CSV_KERNEL = """
+import resource, statistics, tempfile, time
+from pathlib import Path
+import numpy as np
+from polyode.generate import generate_random_instance
+from polyode.periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
+from polyode.serialization import write_trajectory_csv
+
+pcf = PeriodicClosedForm(generate_random_instance(3, 4, 3, k_cap=0.1), 1.0)
+report = detect_period(pcf)
+zeta = eval_periodic_closed_form(pcf, np.linspace(0.0, report.T, 4096 * report.k + 1))
+seconds, faults = [], []
+with tempfile.TemporaryDirectory() as tmp:
+    for _ in range(21):
+        before, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+        write_trajectory_csv(zeta, Path(tmp) / "zeta.csv", periodic=True)
+        seconds.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(f"{len(zeta)} rows, n = {zeta.dimension}, {len(seconds)} writes")
+print(f"first write (builds the tables): {seconds[0] * 1e3:.2f} ms, {faults[0]} minor page faults")
+print(f"median per write: {statistics.median(seconds) * 1e3:.2f} ms, "
+      f"{statistics.median(faults):.0f} minor page faults")
+"""
+
+
+if __name__ == "__main__":
+    # python tests/test_serialization.py: prints SIZE_THE_CSV_KERNEL's sizes.
+    env = dict(os.environ, PYTHONPATH=str(Path(serialization.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", SIZE_THE_CSV_KERNEL], env=env, check=True)
