@@ -72,10 +72,12 @@ def eval_closed_form(sol: ClosedFormSolution, t_grid) -> Trajectory:
     t_star = blow_up_time(sol)
     if t_star is not None and np.logical_or.reduce(times >= t_star - MIN_BRACKET_MODULUS):
         raise SingularTime(f"t={times.max()} at or beyond blow-up time t*={t_star}")
-    bracket = 1 + sol.k * times
-    gap = np.minimum.reduce(np.abs(bracket), initial=np.inf)
-    if gap < MIN_BRACKET_MODULUS:
-        raise SingularTime(f"|1 + K t| = {gap:.3e} below guard")
-    states = np.multiply.outer(bracket ** (1.0 / (1 - sol.m)), sol.z0)
+    # A finite K t or state can overflow; the result then holds inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = 1 + sol.k * times
+        gap = np.minimum.reduce(np.abs(bracket), initial=np.inf)
+        if gap < MIN_BRACKET_MODULUS:
+            raise SingularTime(f"|1 + K t| = {gap:.3e} below guard")
+        states = np.multiply.outer(bracket ** (1.0 / (1 - sol.m)), sol.z0)
     states[times == 0] = sol.z0
     return Trajectory(times, states)

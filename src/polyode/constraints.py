@@ -115,6 +115,12 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     key, then each key's equation is solved by one division. Two keys in one
     equation, or a diagonal entry whose modulus is at most ``SINGULAR_RATIO``
     times the largest matrix entry, raise SingularSystem.
+
+    The solved system's basis is the union of the system's multi-indices
+    and the keys'. When no key adds a row, as in generation, the union is
+    the system's own basis, and the solve reuses its shared exponents and
+    factors and a copy of its coefficients. Monomials of z0 that overflow
+    end in the ValidationError of a non-finite coefficient.
     """
     check_type("system", system, PolynomialSystem)
     z0 = as_state(z0, system.n)
@@ -133,36 +139,47 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
 
     # The system over the union of its basis and the keys' multi-indices,
     # with the unknown entries masked: one vector of monomials at z0 gives
-    # both the base residual and the pivots.
-    own = [tuple(index) for index in system.exponents.tolist()]
-    indices = sorted({index for _, index in keys}.union(own), reverse=True)
-    column = {index: u for u, index in enumerate(indices)}
-    coeffs = np.zeros((system.n, len(indices)), dtype=complex)
-    coeffs[:, [column[index] for index in own]] = system.coeffs
-    exponents = np.array(indices, dtype=np.intp)
-    cols = [column[index] for _, index in keys]
+    # both the base residual and the pivots. When every key is a row of the
+    # system's basis, the union is that basis, factored already.
+    basis = system._basis
+    cols = [basis.column.get(index) for _, index in keys]
+    if None in cols:
+        own = list(basis.column)
+        indices = sorted({index for _, index in keys}.union(own), reverse=True)
+        column = {index: u for u, index in enumerate(indices)}
+        coeffs = np.zeros((system.n, len(indices)), dtype=complex)
+        coeffs[:, [column[index] for index in own]] = system.coeffs
+        exponents = np.array(indices, dtype=np.intp)
+        cols = [column[index] for _, index in keys]
+        factors = factor_indices(exponents)
+    else:
+        coeffs, exponents, factors = system.coeffs.copy(), basis.exponents, basis.factors
     coeffs[rows, cols] = 0
-    values = monomials(z0, factor_indices(exponents))
 
-    # The fixed terms are summed over the columns they use, as the rhs of a
-    # system holding only them would sum them: an all-zero column shifts
-    # the BLAS summation order, and with it the last bits of the solution.
-    stored = np.logical_or.reduce(coeffs, axis=0)
-    b = -_residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
-    pivots = -(1 - system.m) * values[cols]
-    diagonal, entries = pivots, pivots
-    if k_unknown:
-        (free,) = set(range(system.n)).difference(rows)
-        diagonal, entries = np.append(pivots, z0[free]), np.append(pivots, z0)
-    smallest = float(np.minimum.reduce(np.abs(diagonal)))
-    threshold = SINGULAR_RATIO * float(np.maximum.reduce(np.abs(entries)))
-    # A NaN pivot passes; its NaN coefficient is refused by PolynomialSystem.
-    if smallest <= threshold:
-        raise SingularSystem(f"pivot {smallest:.3e} at or below threshold {threshold:.3e}")
-    if k_unknown:
-        k = complex(b[free] / z0[free])
-        b = b - k * z0
-    coeffs[rows, cols] = b[rows] / pivots
+    # A finite z0 can overflow the monomials; the solved coefficients are
+    # then refused by PolynomialSystem, not warned about by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = monomials(z0, factors)
+        # The fixed terms are summed over the columns they use, as the rhs of
+        # a system holding only them would sum them: an all-zero column
+        # shifts the BLAS summation order, and with it the last bits of the
+        # solution.
+        stored = np.logical_or.reduce(coeffs, axis=0)
+        b = -_residual(system.m, z0, k, coeffs.compress(stored, axis=1).dot(values[stored]))
+        pivots = -(1 - system.m) * values[cols]
+        diagonal, entries = pivots, pivots
+        if k_unknown:
+            (free,) = set(range(system.n)).difference(rows)
+            diagonal, entries = np.append(pivots, z0[free]), np.append(pivots, z0)
+        smallest = float(np.minimum.reduce(np.abs(diagonal)))
+        threshold = SINGULAR_RATIO * float(np.maximum.reduce(np.abs(entries)))
+        # A NaN pivot passes; its NaN coefficient is refused by PolynomialSystem.
+        if smallest <= threshold:
+            raise SingularSystem(f"pivot {smallest:.3e} at or below threshold {threshold:.3e}")
+        if k_unknown:
+            k = complex(b[free] / z0[free])
+            b = b - k * z0
+        coeffs[rows, cols] = b[rows] / pivots
     solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
     return SolvableInstance(solved, z0, k)
 

@@ -111,10 +111,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
             raise ValidationError("t_eval times must be strictly increasing")
     z0 = as_array(z0, complex, "initial state")
     z0 = as_state(z0, z0.size)
-    k1 = as_array(rhs(z0), complex, "rhs value")
     shape = z0.shape
-    if k1.shape != shape:
-        raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {shape}")
 
     # A complex state is integrated as the real view of its memory, with the
     # real and imaginary parts of each component interleaved. ``rows`` holds
@@ -125,7 +122,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # and views are made once; h and the tolerances are 0-d arrays for ufuncs.
     n = z0.size
     rows = np.empty((8, n), dtype=complex)
-    rows[0], rows[1] = z0, k1
+    rows[0] = z0
     stage_states = np.empty((6, n), dtype=complex)
     row_view, state_view = rows.view(float), stage_states.view(float)
     y, y_new, k = rows[0], stage_states[5], row_view[1:]
@@ -143,23 +140,29 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # produced y; |y_new| is formed per step.
     err = np.empty(2 * n)
     err_complex, err_abs, scale = err.view(complex), np.empty(n), np.empty(n)
-    abs_y, abs_y_new = np.abs(y), np.empty(n)
+    abs_y_new = np.empty(n)
     finite = np.empty(state_view.shape, dtype=bool)
     # Accepted steps: start times, sizes, and start states and stages as rows.
     starts, sizes = [], []
     history = np.empty((32, 8, n), dtype=complex)
     t, accepted, rejected, min_step = 0.0, 0, 0, float("inf")
-    # The first trial step from the problem's scale (see the module docstring).
-    np.multiply(abs_y, rel_tol, out=scale)
-    scale += abs_tol
-    size = float(np.maximum.reduce(abs_y / scale))
-    rate = float(np.maximum.reduce(np.abs(k1) / scale))
-    first = 0.01 * size / rate if rate > 0 else 0.0
-    h = min(first if 0 < first < math.inf else INITIAL_STEP, t_end)
     step_floor = MIN_STEP * min(1.0, t_end)
 
-    # Overflow in a trial step is expected far past the stability limit.
+    # Overflow is expected in the first rhs and step of a finite but huge z0,
+    # and in a trial step far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
+        k1 = as_array(rhs(z0), complex, "rhs value")
+        if k1.shape != shape:
+            raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {shape}")
+        rows[1], abs_y = k1, np.abs(y)
+        # The first trial step from the problem's scale (see the module docstring).
+        np.multiply(abs_y, rel_tol, out=scale)
+        scale += abs_tol
+        size = float(np.maximum.reduce(abs_y / scale))
+        rate = float(np.maximum.reduce(np.abs(k1) / scale))
+        first = 0.01 * size / rate if rate > 0 else 0.0
+        h = min(first if 0 < first < math.inf else INITIAL_STEP, t_end)
+
         while t < t_end:
             # A final step shorter than the floor only ends the interval.
             final = h >= t_end - t

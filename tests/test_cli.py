@@ -530,6 +530,23 @@ def test_undecodable_instance_file_is_an_error_line(tmp_path):
     assert result.stderr.startswith(f"error: {path}: not valid JSON"), result.stderr
 
 
+def test_overflowing_solve_is_one_error_line(tmp_path):
+    # The monomials of z0 = (1e300, 1) overflow at M = 3. The solve ends in
+    # the error of a non-finite coefficient, with no numpy warning before it.
+    path = tmp_path / "system.json"
+    write_system_file(generate_random_instance(2, 3, 5).system, path)
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["solve", "--system", str(path), "--z0", "1e300,1",
+            "--unknowns", "c:1:3-0,c:2:0-3", "--k", "1"]
+    result = subprocess.run(
+        [sys.executable, "-m", "polyode.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=50,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: coefficients contain non-finite values\n", result.stderr
+
+
 # The documented exit code of every error class: 1 validation, 2 tolerance,
 # 3 singularity.
 EXIT_CODES = {

@@ -99,6 +99,13 @@ class TestEvalArray:
         with pytest.raises(ValidationError, match="1-D"):
             eval_closed_form(riccati_solution, t)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_bracket_warns_nothing(self):
+        # K t overflows at t = 1e300, and the bracket's power is then 0.
+        z0 = generate_random_instance(2, 3, 5).z0
+        states = eval_closed_form(ClosedFormSolution(z0, 1e300 + 1e300j, 3), [0.0, 1e300]).states
+        assert np.array_equal(states, [z0, [0, 0]])
+
 
 class TestBlowUpTime:
     def test_negative_real_k(self, riccati_solution):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyode import constraints
+from polyode import constraints, generate, polysys
 from polyode.constraints import (
     NEWTON_TOL,
     SolvableInstance,
@@ -24,6 +24,7 @@ from polyode.errors import (
     ValidationError,
 )
 from polyode.generate import generate_random_instance
+from polyode.oracle import verify_instance
 from polyode.polysys import (
     PolynomialSystem,
     enumerate_multi_indices,
@@ -287,6 +288,14 @@ class TestLinearSolve:
         inst = solve_linear_selection(sys, z0, k, [(1, (4, 0)), (2, (0, 4))])
         assert np.abs(constraint_residual(inst.system, inst.z0, inst.k)).max() < 1e-12
 
+    def test_overflowing_monomials_are_a_typed_error(self):
+        # The monomials of z0 = (1e300, 1) overflow at M = 3: the solved
+        # coefficients are not finite, and no numpy warning comes first.
+        system = generate_random_instance(2, 3, 5).system
+        keys = [(1, (3, 0)), (2, (0, 3))]
+        with pytest.raises(ValidationError, match="^coefficients contain non-finite values$"):
+            solve_linear_selection(system, [1e300, 1], 1, keys)
+
     def test_zero_initial_data_is_singular(self):
         sys = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
         with pytest.raises(SingularSystem):
@@ -412,6 +421,26 @@ class TestWorkCounts:
         calls = counting(monkeypatch, PolynomialSystem, "__post_init__")
         parse_instance_file(path)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 4)])
+    def test_an_op_validates_only_the_unknown_keys(self, monkeypatch, tmp_path, n, m):
+        # A generate -> write -> parse -> verify cycle carries one basis.
+        # Once the cell's basis is in the shared table, the cycle validates
+        # only the unknown keys' multi-indices and factors no basis.
+        path = tmp_path / "instance.json"
+
+        def cycle(seed):
+            write_instance_file(generate_random_instance(n, m, seed), path)
+            verify_instance(parse_instance_file(path), 0.1, 64)
+
+        cycle(0)
+        rows = counting(monkeypatch, polysys, "exponent_rows")
+        factors = counting(monkeypatch, polysys, "factor_indices")
+        factors += counting(monkeypatch, constraints, "factor_indices")
+        cycle(1)
+        pure = [index for _, index in generate._layout(n, m)[1]]
+        assert [args[0] for args in rows] == [pure]
+        assert factors == []
 
 
 class TestJacobian:

@@ -119,3 +119,24 @@ def test_constraint_satisfied_implies_oracle_agrees(n, m, seed):
     growth = log_error_growth(instance, np.linspace(0.0, end, 257))
     assume(growth <= math.log(MAX_DEVIATION / oracle.REL_TOL))
     assert verify_instance(instance, end, 64) <= MAX_DEVIATION
+
+
+# The cells of the proposition and periodic benchmark workloads, and the
+# generator options they and the tests use.
+HASHED_CELLS = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4))
+HASHED_OPTIONS = ({}, {"k_cap": 0.1}, {"density": 0.5})
+
+
+if __name__ == "__main__":
+    # Prints one SHA-256 over the bits of every instance generated in
+    # HASHED_CELLS with HASHED_OPTIONS at seeds 0-1499. A refactor of
+    # generation or of the selection solve keeps it: python
+    # tests/test_generate.py (with src on the path), before and after.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for n, m in HASHED_CELLS:
+        for options in HASHED_OPTIONS:
+            for seed in range(1500):
+                digest.update(b"".join(bits(generate_random_instance(n, m, seed, **options))))
+    print(digest.hexdigest())

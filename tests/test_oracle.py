@@ -353,6 +353,14 @@ class TestIntegrate:
         assert traj.meta.rejected > 0
         np.testing.assert_allclose(traj.states[-1], (1 + 2e40) ** -0.5, rtol=0, atol=oracle.ABS_TOL)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_first_rhs_warns_nothing(self):
+        # rhs(z0) overflows at M = 3 before any step; the steps then shrink
+        # to StepUnderflow, with no numpy warning on the way.
+        inst = generate_random_instance(2, 3, 5)
+        with pytest.raises(StepUnderflow):
+            integrate(inst.system.rhs, [1e150, 1e150], 1.0)
+
     def test_rejects_empty_initial_state(self):
         with pytest.raises(ValidationError, match="non-empty"):
             integrate(lambda z: z, np.array([], dtype=complex), 1.0)
@@ -557,6 +565,12 @@ class TestVerifyPeriodic:
         # scales with the window, so a regular closed form still verifies.
         pcf = PeriodicClosedForm(generate_random_instance(2, 4, 202, k_cap=0.1), omega)
         assert verify_periodic(pcf, 1, 65) < 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_omega_warns_nothing(self):
+        # |f(z0)| / scale overflows in the first step's size at omega = 1e300.
+        pcf = PeriodicClosedForm(generate_random_instance(2, 3, 5), 1e300)
+        assert verify_periodic(pcf, 1, 3) < 1e-6
 
     def test_k_zero_pure_rotation(self):
         inst = SolvableInstance(

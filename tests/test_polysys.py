@@ -1,16 +1,20 @@
 import inspect
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyode import polysys
 from polyode.constraints import jacobian
 from polyode.errors import ValidationError
 from polyode.polysys import (
     MAX_BASIS_SIZE,
+    MAX_SHARED_BASES,
     PolynomialSystem,
     check_basis_size,
     enumerate_multi_indices,
@@ -228,6 +232,85 @@ class TestSystemArrays:
     def test_rejects_bad_dimensions(self, n, m):
         with pytest.raises(ValidationError):
             PolynomialSystem(n, m, coeffs=[[], []], exponents=[])
+
+
+class TestSharedBasis:
+    def test_systems_share_the_basis_and_own_their_coefficients(self):
+        exponents = np.array(enumerate_multi_indices(2, 3))
+        a = PolynomialSystem(2, 3, coeffs=np.ones((2, 4)), exponents=exponents)
+        b = PolynomialSystem(2, 3, coeffs=np.ones((2, 4)), exponents=exponents.tolist())
+        assert a.exponents is b.exponents and a.exponents is not exponents
+        assert exponents.flags.writeable
+        assert a.coeffs is not b.coeffs and a != b
+
+    # The message of each bad array, as a system built without the table
+    # refuses it.
+    BAD_ROWS = {
+        "unsorted": ([[0, 2], [1, 1], [2, 0]], "unique and in descending order"),
+        "duplicated": ([[2, 0], [2, 0], [0, 2]], "unique and in descending order"),
+        "wrong_sum": ([[2, 0], [1, 1], [0, 1]], r"\[0, 1\] is not 2 nonnegative integers summing to 2"),
+        "bool": (np.ones((3, 2), dtype=bool), "integer rows of length 2, got bool"),
+        "list_with_bool": ([[2, 0], [1, True], [0, 2]], "a multi-index holds a bool"),
+    }
+
+    @pytest.mark.parametrize("name", BAD_ROWS)
+    def test_a_cached_shape_refuses_what_a_miss_refuses(self, name):
+        # The list with a bool reads as the cached basis's very bytes.
+        rows, message = self.BAD_ROWS[name]
+        valid = np.array([[2, 0], [1, 1], [0, 2]])
+        PolynomialSystem(2, 2, coeffs=np.ones((2, 3)), exponents=valid)
+        for _ in range(2):  # a refused array is not cached either
+            with pytest.raises(ValidationError, match=message):
+                PolynomialSystem(2, 2, coeffs=np.ones((2, 3)), exponents=rows)
+            if isinstance(rows, list) and name != "list_with_bool":
+                with pytest.raises(ValidationError, match=message):
+                    PolynomialSystem(2, 2, coeffs=np.ones((2, 3)), exponents=np.array(rows))
+
+    def test_the_table_keeps_its_bound_and_an_evicted_basis_rebuilds(self):
+        # Sparse draws at (3, 4) give distinct bases.
+        systems = [
+            random_system(np.random.default_rng(seed), 3, 4, density=0.3)
+            for seed in range(MAX_SHARED_BASES + 8)
+        ]
+        assert len({s.exponents.tobytes() for s in systems}) == len(systems)
+        assert len(polysys._BASES) == MAX_SHARED_BASES
+        first = systems[0]
+        again = PolynomialSystem(3, 4, coeffs=first.coeffs, exponents=first.exponents.copy())
+        assert again.exponents is not first.exponents  # evicted, then validated anew
+        z = np.array([0.3 + 0.1j, -0.7 + 0.2j, 0.5 - 0.9j])
+        for array in ("coeffs", "exponents"):
+            assert getattr(again, array).tobytes() == getattr(first, array).tobytes()
+        assert evaluate_rhs(again, z).tobytes() == evaluate_rhs(first, z).tobytes()
+        assert len(polysys._BASES) == MAX_SHARED_BASES
+
+    def test_threads_share_the_table(self):
+        # More threads than cores, switching often, build systems over more
+        # bases than the table keeps: every lookup, store and eviction races.
+        bases = [np.array(enumerate_multi_indices(2, m)) for m in range(2, 2 + 2 * MAX_SHARED_BASES)]
+        failures = []
+
+        def build():
+            try:
+                for _ in range(30):
+                    for exponents in bases:
+                        coeffs = np.ones((2, len(exponents)))
+                        system = PolynomialSystem(2, len(exponents) - 1, coeffs=coeffs, exponents=exponents)
+                        assert np.array_equal(system.exponents, exponents)
+            except Exception as exc:  # reported below, from the test's thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and len(polysys._BASES) <= MAX_SHARED_BASES
 
 
 class TestEvaluateRhs:
