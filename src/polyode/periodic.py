@@ -124,15 +124,15 @@ def bracket_values(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
     return 1 + pcf.instance.k * (np.exp(1j * pcf.omega * times) - 1) / (1j * pcf.omega)
 
 
-def _log_bracket(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
-    """Continuous log g(t) on the given times.
+def _log_bracket(pcf: PeriodicClosedForm, phase: np.ndarray) -> np.ndarray:
+    """Continuous log g(t) at the phases i*omega*t.
 
     With g = c + a*exp(i*omega*t), factor out the larger of the circle's
     centre c and radius |a|: the remaining log1p argument has modulus below
     1, so its principal branch is continuous. At t = 0 both forms give 0
     (q = 0 forces Re c > 1/2, otherwise Re a > 1/2).
     """
-    a, c, phase = pcf.a, pcf.c, 1j * pcf.omega * times
+    a, c = pcf.a, pcf.c
     if pcf.q == 0:
         return np.log(c) + np.log1p((a / c) * np.exp(phase))
     return np.log(a) + phase + np.log1p((c / a) * np.exp(-phase))
@@ -141,14 +141,16 @@ def _log_bracket(pcf: PeriodicClosedForm, times: np.ndarray) -> np.ndarray:
 def eval_periodic_closed_form(pcf: PeriodicClosedForm, t_grid) -> Trajectory:
     """Evaluate zeta on strictly increasing finite times, with the
     fractional power of the bracket taken on its continuous logarithm.
-    Returns z0 exactly at t = 0."""
+    Returns z0 exactly at t = 0. A time whose phase omega*t overflows is
+    refused with the grid's other faults."""
     check_type("pcf", pcf, PeriodicClosedForm)
     times = as_array(t_grid, float, "time grid")
-    if times.ndim != 1 or not np.logical_and.reduce(np.isfinite(times)):
-        raise ValidationError("time grid must be one-dimensional and finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 1j * pcf.omega * times
+    if times.ndim != 1 or not np.logical_and.reduce(np.isfinite(phase)):
+        raise ValidationError("time grid must be one-dimensional, with omega * t finite")
     z0, m = pcf.instance.z0, pcf.instance.system.m
-    log_g = _log_bracket(pcf, times)
-    states = np.multiply.outer(np.exp((1j * pcf.omega * times - log_g) / (m - 1)), z0)
+    states = np.multiply.outer(np.exp((phase - _log_bracket(pcf, phase)) / (m - 1)), z0)
     states[times == 0] = z0
     return Trajectory(times, states)
 

@@ -26,6 +26,10 @@ constants and subtraction (numpy divides by a scalar with a multiply and a
 shift), and gathered as 8-byte ASCII words into a 48-byte record per value.
 The bytes a value does not print are multiplied by 0 and then deleted as
 NULs by one ``bytes.translate``; no table word or fallback text holds a NUL.
+A block is a fixed number of values, as many whole rows as fit, so it takes
+the same memory at any n. A write allocates the kernel's work arrays once
+and formats every block in them with ``out=``; nothing is kept between
+writes, so concurrent writes share only the read-only tables.
 """
 
 from __future__ import annotations
@@ -43,12 +47,11 @@ from .polysys import PolynomialSystem, as_array
 from .trajectory import Trajectory
 
 
-# Rows per formatted block. Writing a 12,289-row n = 3 trajectory raised a
-# fresh process's peak RSS by 0.12 MB at 128 rows, 0.38 MB at 256 and
-# 1.0 MB at 512, with 0, ~5,000 and ~5,900 minor page faults per write. In
-# the periodic benchmark, 128 rows gave ~17 % less throughput than 256, and
-# 512 rows ~7 % more, which a paired run has yet to confirm.
-CSV_BLOCK_ROWS = 256
+# Values per formatted block: 512 rows at n = 3. A block holds as many whole
+# rows as fit, and at least one, so the work arrays that a write allocates
+# once (216 bytes per value, 0.77 MB) take the same memory at any n. They
+# are freed when the write ends; nothing is kept between writes.
+CSV_BLOCK_VALUES = 3584
 
 
 def _pair(values) -> list:
@@ -192,48 +195,90 @@ def _csv_tables() -> tuple:
     lead = words(np.arange(10, dtype=np.uint8), b"-0.000#.")
     quads = words(g, b"#.#.#.#.")
     pow10 = np.stack([hi, hh, hi - hh, lo])
-    return pow10, lead, quads, tz, exps, layout * 100, keep.reshape(-1, 48)
+    return pow10, lead, quads, tz, exps, layout.astype(np.intp) * 100, keep.reshape(-1, 48)
 
 
-def _format_block(block: np.ndarray) -> bytes:
+def _csv_work(values: int) -> tuple:
+    """The kernel's work arrays for blocks of up to ``values`` values: a row
+    per float, integer, flag and trailing-zero count of a value, then the
+    48-byte records. A write makes them once, as views of one allocation: a
+    process that frees one large block reuses it at the next write, while
+    several freed blocks can exceed the allocator's trim threshold and be
+    returned to the OS, to fault in again."""
+    work = np.empty((27, values), np.int64)
+    small = work[26].view(np.uint8).reshape(8, values)
+    record = work[20:26].reshape(values, 6).view("<u8")
+    return work[:9].view(float), work[9:20], small[:4].view(bool), small[4:], record
+
+
+def _format_block(block: np.ndarray, work: tuple) -> bytes:
     """The bytes of ``"%.17g"`` over a float block, ``,`` between columns
-    and ``\\r\\n`` after each row (see the module docstring)."""
+    and ``\\r\\n`` after each row (see the module docstring). Every
+    intermediate of a value goes into ``work`` (from ``_csv_work``), and
+    every row of it is written before it is read. A gather with
+    ``mode="clip"`` writes into its ``out`` directly, where the default mode
+    would fill a copy; every index here is in range."""
     pow10, lead, quads, tz, exps, layout, keep = _csv_tables()
-    x = block.ravel()
-    ax, zero = np.abs(x), x == 0
-    ok = (ax >= 1e-280) & (ax <= 1e280)
-    y = np.where(ok, ax, 1.0)
-    X = np.floor(np.log10(y)).astype(np.intp)
-    hi, hh, hl, lo = np.take(pow10, 16 - X + 270, axis=1)  # 10^(16 - X)
-    p = y * hi  # an integer: 10^16 > 2^53
-    split = y * 134217729.0
-    yh = split - (split - y)
-    yl = y - yh
-    r = ((yh * hh - p) + yh * hl + yl * hh) + yl * hl + y * lo
-    whole = np.floor(r)
-    frac = r - whole
-    n = p.astype(np.int64) + whole.astype(np.int64)
-    fallback = ~(ok | zero) | (np.abs(frac - 0.5) < 1e-9) | (n < 10**16)
-    n += frac > 0.5
-    fallback |= n >= 10**17
-    n -= zero * 10**16
+    x, v = block.ravel(), block.size
+    floats, ints, flags, zeros = (a[:, :v] for a in work[:4])
+    record = work[4][:v]
+    y, t, hi, hh, hl, lo, yh, r, m = floats
+    X, j, n, upper, lower, d0, key, *groups = ints
+    ok, zero, fallback, b = flags
+    np.abs(x, out=y)
+    np.equal(x, 0, out=zero)
+    np.greater_equal(y, 1e-280, out=ok)
+    ok &= np.less_equal(y, 1e280, out=b)
+    np.copyto(y, 1.0, where=np.logical_not(ok, out=b))  # |x| where in range, else 1
+    X[:] = np.floor(np.log10(y, out=t), out=t)
+    np.subtract(16 + 270, X, out=j)  # 10^(16 - X) is column 16 - X + 270
+    for row, out in zip(pow10, (hi, hh, hl, lo)):
+        row.take(j, out=out, mode="clip")
+    p = np.multiply(y, hi, out=hi)  # an integer: 10^16 > 2^53
+    np.multiply(y, 134217729.0, out=yh)
+    np.subtract(yh, np.subtract(yh, y, out=t), out=yh)
+    yl = np.subtract(y, yh, out=t)
+    np.multiply(yh, hh, out=r)  # r = ((yh hh - p) + yh hl + yl hh) + yl hl + y lo
+    r -= p
+    r += np.multiply(yh, hl, out=m)
+    r += np.multiply(yl, hh, out=m)
+    r += np.multiply(yl, hl, out=m)
+    r += np.multiply(y, lo, out=m)
+    whole = np.floor(r, out=m)
+    frac = np.subtract(r, whole, out=r)
+    n[:] = p
+    d0[:] = whole
+    n += d0
+    np.logical_not(np.logical_or(ok, zero, out=fallback), out=fallback)
+    fallback |= np.less(np.abs(np.subtract(frac, 0.5, out=m), out=m), 1e-9, out=b)
+    fallback |= np.less(n, 10**16, out=b)
+    np.add(n, 1, out=n, where=np.greater(frac, 0.5, out=b))
+    fallback |= np.greater_equal(n, 10**17, out=b)
+    np.subtract(n, 10**16, out=n, where=zero)
     X += 400
-    record = np.empty((x.size, 6), "<u8")
-    groups = np.empty((4, x.size), np.int64)  # n = d0 | g1 g2 | g3 g4, by constant division
-    upper = n // 10**8
-    lower = n - upper * 10**8
-    d0 = upper // 10**8
-    upper -= d0 * 10**8
-    np.floor_divide(upper, 10000, out=groups[0])
-    np.subtract(upper, groups[0] * 10000, out=groups[1])
-    np.floor_divide(lower, 10000, out=groups[2])
-    np.subtract(lower, groups[2] * 10000, out=groups[3])
-    record[:, 0] = lead.take(d0, mode="clip")  # d0 > 9 only where falling back
-    record[:, 1:5] = quads.take(groups.T)
-    record[:, 5] = exps.take(X)
-    t1, t2, t3, t4 = tz.take(groups)
-    s = 17 - (t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1)))
-    key = layout.take(X) + s * 4 + np.signbit(x) * 2
+    # n = d0 | g1 g2 | g3 g4, by constant division
+    np.floor_divide(n, 10**8, out=upper)
+    np.subtract(n, np.multiply(upper, 10**8, out=lower), out=lower)
+    np.floor_divide(upper, 10**8, out=d0)
+    upper -= np.multiply(d0, 10**8, out=n)
+    for half, (g, rest) in ((upper, groups[:2]), (lower, groups[2:])):
+        np.floor_divide(half, 10000, out=g)
+        np.subtract(half, np.multiply(g, 10000, out=n), out=rest)
+    words = floats[:6].view("<u8")  # a record's words, gathered where the floats were
+    lead.take(d0, out=words[0], mode="clip")  # d0 > 9 only where falling back
+    for g, word, z in zip(groups, words[1:5], zeros):
+        quads.take(g, out=word, mode="clip")
+        tz.take(g, out=z, mode="clip")
+    exps.take(X, out=words[5], mode="clip")
+    np.copyto(record, words.T)
+    trailing = zeros[0]  # the 17 digits' trailing zeros, group by group from g1
+    for z in zeros[1:]:
+        np.copyto(trailing, 0, where=np.not_equal(z, 4, out=b))
+        trailing += z
+    n[:] = np.subtract(17, trailing, out=trailing)  # significant digits; cast unbuffered
+    layout.take(X, out=key, mode="clip")
+    key += np.multiply(n, 4, out=n)
+    np.add(key, 2, out=key, where=np.signbit(x, out=b))
     odd = np.flatnonzero(fallback)
     if odd.size:
         text = ("%-24.17g" * odd.size % tuple(x[odd].tolist())).encode()
@@ -241,33 +286,38 @@ def _format_block(block: np.ndarray) -> bytes:
         record[odd, :3] = chars.view("<u8")
         key[odd] = _FALLBACK * 100 + np.add.reduce(chars != 32, axis=1) * 4
     key.reshape(block.shape)[:, -1] += 1
+    mask = work[0].reshape(-1)[: 6 * v].view(bool).reshape(v, 48)  # in the floats' place
     kept = record.view(np.uint8)  # (values, 48)
-    kept *= keep.take(key, axis=0)  # a dropped byte becomes NUL; no table byte is one
-    return kept.tobytes().translate(None, b"\0")
+    kept *= keep.take(key, axis=0, out=mask, mode="clip").view(np.uint8)  # dropped: NUL
+    return kept.tobytes().translate(None, b"\0")  # no table byte is one
 
 
 def write_trajectory_csv(traj: Trajectory, path, periodic: bool = False) -> None:
     """Write a trajectory; columns are (t, re_z1, im_z1, ...) or, for the
     periodized real form, (t, x1, y1, ...).
 
-    Rows go out in blocks of ``CSV_BLOCK_ROWS``: each block is copied into
-    one fixed float buffer and formatted by ``_format_block``, so memory
-    stays at one block however long the trajectory.
+    Rows go out in blocks of ``CSV_BLOCK_VALUES`` values, rounded down to
+    whole rows: each block is copied into one fixed float buffer and
+    formatted by ``_format_block`` in work arrays made once for this write,
+    so memory stays at one block however long the trajectory, and nothing
+    is kept between writes.
     """
     check_type("traj", traj, Trajectory)
     n = traj.dimension
     names = ("x", "y") if periodic else ("re_z", "im_z")
     header = ["t"] + [f"{c}{i}" for i in range(1, n + 1) for c in names]
-    buf = np.empty((CSV_BLOCK_ROWS, 1 + 2 * n))
+    rows = max(1, CSV_BLOCK_VALUES // len(header))
+    buf = np.empty((rows, len(header)))
+    work = _csv_work(buf.size)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for s in range(0, len(traj), CSV_BLOCK_ROWS):
-            e = min(s + CSV_BLOCK_ROWS, len(traj))
+        for s in range(0, len(traj), rows):
+            e = min(s + rows, len(traj))
             block = buf[: e - s]
             block[:, 0] = traj.times[s:e]
             block[:, 1::2] = traj.states[s:e].real
             block[:, 2::2] = traj.states[s:e].imag
-            fh.write(_format_block(block))
+            fh.write(_format_block(block, work))
 
 
 def write_report(report: dict, path) -> None:

@@ -157,6 +157,14 @@ class TestClosedForm:
         with pytest.raises(ValidationError):
             eval_periodic_closed_form(pcf, np.array(times))
 
+    @pytest.mark.parametrize("omega", [10.0, -10.0])
+    def test_rejects_finite_times_whose_phase_overflows(self, omega):
+        # omega * 1.7e308 is beyond the doubles, so no state is defined there:
+        # a typed error naming the grid, not a warning and NaN states.
+        pcf = PeriodicClosedForm(small_k_instance(), omega)
+        with pytest.raises(ValidationError, match="time grid"):
+            eval_periodic_closed_form(pcf, [0.0, 1.7e308])
+
     def test_singular_bracket(self):
         # K = i/2, omega = 1: the bracket circle passes through the origin,
         # so no closed form is built.
@@ -311,7 +319,7 @@ def log_error_growth(pcf, times):
     """
     system = pcf.instance.system
     mu, vecs = np.linalg.eig(jacobian(system, pcf.instance.z0, 0) / (system.m - 1))
-    rates = (mu[:, None] * (_log_bracket(pcf, times) / pcf.instance.k)[None, :]).real
+    rates = (mu[:, None] * (_log_bracket(pcf, 1j * pcf.omega * times) / pcf.instance.k)[None, :]).real
     growth = float((rates - np.minimum.accumulate(rates, axis=1)).max())
     return growth + math.log(np.linalg.cond(vecs))
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -341,6 +342,13 @@ def _check_writer(tmp_path, times, states, periodic):
         _assert_same_bits(s2, states)
 
 
+def csv_block(rows, n):
+    """Patches the writer's block to ``rows`` rows of an n-dimensional
+    trajectory; None keeps the shipped block."""
+    values = serialization.CSV_BLOCK_VALUES if rows is None else rows * (1 + 2 * n)
+    return mock.patch.object(serialization, "CSV_BLOCK_VALUES", values)
+
+
 class TestTrajectoryCsv:
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -360,7 +368,7 @@ class TestTrajectoryCsv:
         _check_writer(tmp_path, np.arange(1500.0), wide[:, ::-2], periodic=False)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), block_rows=st.sampled_from([1, 2, 3, serialization.CSV_BLOCK_ROWS]))
+    @given(data=st.data(), block_rows=st.sampled_from([1, 2, 3, None]))
     def test_arbitrary_floats_property(self, tmp_path, data, block_rows):
         n = data.draw(st.integers(1, 3))
         finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -369,10 +377,10 @@ class TestTrajectoryCsv:
             st.lists(st.floats(), min_size=2 * n * len(times), max_size=2 * n * len(times))
         )
         states = np.array(parts, dtype=float).view(complex).reshape(len(times), n)
-        with mock.patch.object(serialization, "CSV_BLOCK_ROWS", block_rows):
+        with csv_block(block_rows, n):
             _check_writer(tmp_path, np.array(times, dtype=float), states, data.draw(st.booleans()))
 
-    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_edge_values(self, tmp_path, n, block_rows):
         # Where the kernel's exponent, rounding or layout can go wrong:
@@ -387,14 +395,58 @@ class TestTrajectoryCsv:
             [1234567890123456.75, 1234567890123456.25],
             [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
         ])
-        runs = np.repeat([0.0, -0.0, np.nan, np.inf, -np.inf], 2 * n * block_rows + 1)
+        block = block_rows or serialization.CSV_BLOCK_VALUES // (1 + 2 * n)
+        runs = np.repeat([0.0, -0.0, np.nan, np.inf, -np.inf], 2 * n * block + 1)
         values = np.concatenate([edges, -edges, runs])
         rows = -(-values.size // (2 * n))
         times = np.unique(values[np.isfinite(values)])  # a Trajectory's times are finite
+        if times.size < rows:  # runs the length of a large block outnumber the edges
+            times = np.union1d(times, np.arange(float(rows)))
         times = times[np.linspace(0, times.size - 1, rows).astype(int)]
         states = np.resize(values, 2 * n * rows).view(complex).reshape(rows, n)
-        with mock.patch.object(serialization, "CSV_BLOCK_ROWS", block_rows):
+        with csv_block(block_rows, n):
             _check_writer(tmp_path, times, states, periodic=n == 2)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocks_alternating_fallback_and_plain_rows(self, tmp_path, n, block_rows):
+        # One write formats every block in the same work arrays, so what a
+        # block of fallback values leaves there (Python's text, its layout
+        # keys) must not reach the plain block after it, nor the short last
+        # block, and the reverse. Blocks 0, 2 and 4 fall back; 1, 3 and the
+        # short last one do not.
+        block = block_rows or serialization.CSV_BLOCK_VALUES // (1 + 2 * n)
+        odd = [np.nan, np.inf, -np.inf, 5e-324, -2.2e-310, -0.0, 1234567890123456.75,
+               1234567890123456.25, *np.nextafter([1e16, 1e17], 0), *np.nextafter([1e16, 1e17], 2e17)]
+        rows = 5 * block + max(1, block // 2)
+        values = np.random.default_rng(n).standard_normal((rows, 2 * n))
+        for start in range(0, 5 * block, 2 * block):
+            values[start : start + block] = np.resize(odd, (block, 2 * n))
+        states = values.view(complex)
+        with csv_block(block_rows, n):
+            for length in (rows, 0, 1):
+                _check_writer(tmp_path, np.arange(float(length)), states[:length], periodic=n == 1)
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_traced_memory_of_a_write_is_one_block(self, tmp_path, n):
+        # A write makes its work arrays once, sized by CSV_BLOCK_VALUES, so
+        # its traced peak is the same for 2 blocks and 40, up to a few
+        # Python objects, and as small at n = 64 as at n = 3.
+        block = max(1, serialization.CSV_BLOCK_VALUES // (1 + 2 * n))
+        one = np.random.default_rng(n).standard_normal((block, 2 * n)).view(complex)
+        write_trajectory_csv(Trajectory([0.0], one[:1]), tmp_path / "a.csv")  # tables, first-call caches
+
+        def peak(blocks):
+            traj = Trajectory(np.arange(float(blocks * block)), np.tile(one, (blocks, 1)))
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(traj, tmp_path / "a.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(2), peak(40)
+        assert abs(long - short) < 1000 and long <= 1.5e6, (short, long)
 
     @pytest.mark.parametrize("direction", [-np.inf, np.inf])
     def test_log10_off_by_one_ulp_changes_no_byte(self, tmp_path, direction):
@@ -405,7 +457,10 @@ class TestTrajectoryCsv:
         near = np.array([float(f"1e{k}") for k in range(-280, 281)])
         values = np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf)])
         states = np.resize(values, values.size + 1).view(complex)[:, None]
-        with mock.patch.object(np, "log10", lambda v: np.nextafter(log10(v), direction)):
+        def off_by_one_ulp(v, out):
+            return np.nextafter(log10(v, out=out), direction, out=out)
+
+        with mock.patch.object(np, "log10", off_by_one_ulp):
             _check_writer(tmp_path, np.arange(float(states.size)), states, periodic=False)
 
     def test_no_kept_byte_is_nul(self):
@@ -443,16 +498,18 @@ class TestTrajectoryCsv:
         assert path.read_text().splitlines()[0] == "t,x1,y1,x2,y2"
 
 
-# Sizes the CSV kernel: the median wall time and minor page faults per write
-# of the 12,289-row n = 3 periodic trajectory ((3, 4) seed 3, K cap 0.1,
-# omega = 1, 4,096 points per base period over its period). It runs in a
-# fresh process that imports only polyode: the heap that pytest and
-# hypothesis leave behind changes how often the allocator returns memory,
-# and so the fault count.
+# Sizes the CSV kernel: its block, the median wall time and minor page
+# faults per write of the 12,289-row n = 3 periodic trajectory ((3, 4) seed
+# 3, K cap 0.1, omega = 1, 4,096 points per base period over its period),
+# and how much the first write raises peak RSS. It runs in a fresh process
+# that imports only polyode: the heap that pytest and hypothesis leave
+# behind changes how often the allocator returns memory, and so the fault
+# count.
 SIZE_THE_CSV_KERNEL = """
 import resource, statistics, tempfile, time
 from pathlib import Path
 import numpy as np
+from polyode import serialization
 from polyode.generate import generate_random_instance
 from polyode.periodic import PeriodicClosedForm, detect_period, eval_periodic_closed_form
 from polyode.serialization import write_trajectory_csv
@@ -460,15 +517,19 @@ from polyode.serialization import write_trajectory_csv
 pcf = PeriodicClosedForm(generate_random_instance(3, 4, 3, k_cap=0.1), 1.0)
 report = detect_period(pcf)
 zeta = eval_periodic_closed_form(pcf, np.linspace(0.0, report.T, 4096 * report.k + 1))
-seconds, faults = [], []
+seconds, faults, rss = [], [], [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
 with tempfile.TemporaryDirectory() as tmp:
     for _ in range(21):
         before, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         write_trajectory_csv(zeta, Path(tmp) / "zeta.csv", periodic=True)
         seconds.append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+values = serialization.CSV_BLOCK_VALUES
 print(f"{len(zeta)} rows, n = {zeta.dimension}, {len(seconds)} writes")
-print(f"first write (builds the tables): {seconds[0] * 1e3:.2f} ms, {faults[0]} minor page faults")
+print(f"block: {values} values, {values // (1 + 2 * zeta.dimension)} rows")
+print(f"first write (builds the tables): {seconds[0] * 1e3:.2f} ms, {faults[0]} minor page faults, "
+      f"peak RSS +{(rss[1] - rss[0]) / 1024:.2f} MB")
 print(f"median per write: {statistics.median(seconds) * 1e3:.2f} ms, "
       f"{statistics.median(faults):.0f} minor page faults")
 """
