@@ -380,7 +380,7 @@ class TestTrajectoryCsv:
         with csv_block(block_rows, n):
             _check_writer(tmp_path, np.array(times, dtype=float), states, data.draw(st.booleans()))
 
-    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.parametrize("block_rows", [1, 3, pytest.param(None, id="shipped")])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_edge_values(self, tmp_path, n, block_rows):
         # Where the kernel's exponent, rounding or layout can go wrong:
@@ -407,7 +407,7 @@ class TestTrajectoryCsv:
         with csv_block(block_rows, n):
             _check_writer(tmp_path, times, states, periodic=n == 2)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, pytest.param(None, id="shipped")])
     @pytest.mark.parametrize("n", [1, 3])
     def test_blocks_alternating_fallback_and_plain_rows(self, tmp_path, n, block_rows):
         # One write formats every block in the same work arrays, so what a
