@@ -38,7 +38,7 @@ def _emit_base_artifacts(instance, out: Path) -> tuple[dict, np.ndarray]:
     times = np.linspace(0.0, t_end, 201)
     write_trajectory_csv(eval_closed_form(sol, times), out / "closed_form.csv")
 
-    integrated = integrate(instance.system.rhs, instance.z0, t_end, t_eval=times)
+    integrated = integrate(instance.system, instance.z0, t_end, t_eval=times)
     write_trajectory_csv(integrated, out / "integrated.csv")
 
     deviation = verify_instance(instance, t_end, 64)

@@ -2,8 +2,10 @@
 
 The single adaptive oracle is a Dormand-Prince 5(4) embedded pair with
 proportional step control and 4th-order dense output. Complex states are
-integrated as 2N real components. The integrator consumes only
-right-hand-side callables; it never touches the closed-form formulas.
+integrated as 2N real components. The integrator sees only the right-hand
+side: a system, whose kernel writes each stage's f(z) straight into its
+row of the stage buffer, or any callable, whose results are checked and
+copied there. It never touches the closed-form formulas.
 
 A step is accepted when max_j |e_j| / (ABS_TOL + REL_TOL max(|y_j|,
 |y_new_j|)) <= 1, where e_j is the local error estimate of complex
@@ -89,17 +91,27 @@ MAX_DEVIATION = 1e-6
 def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     """Integrate dz/dt = rhs(z) from t=0 to t_end.
 
-    ``rhs`` is a callable that maps a complex state vector to a complex
-    state vector of the same shape; it need not validate its input. z0 must
-    be finite and non-empty, and each RHS result numeric and of its shape.
-    The six stage states of a step are checked together after the step's RHS
-    calls, so ``rhs`` may see a non-finite state; a step with one is
-    rejected and h shrinks by 0.2, as on a NaN error estimate. When
-    ``t_eval`` (a 1-D array of times in [0, t_end]) is given, states are
-    produced at those times via the dense output interpolant; otherwise the
-    accepted step points are returned. Deterministic.
+    ``rhs`` is either a system or a callable. A system (anything with a
+    ``kernel`` attribute and a dimension ``n``, such as ``PolynomialSystem``
+    or ``PeriodicSystem``) fixes the dimension: z0 must have its ``n``
+    components, checked before any RHS call. One kernel is
+    built per call; its work arrays live as long as the call and are never
+    kept, so one system may be integrated by several threads at once. Each
+    stage's RHS is written straight into the stage buffer, unchecked. Any
+    other callable maps a complex state vector to a complex state vector of
+    the same shape, and need not validate its input; each of its results is
+    checked to be numeric and of the state's shape before it is stored.
+
+    z0 must be finite and non-empty. The six stage states of a step are
+    checked together after the step's RHS calls, so ``rhs`` may see a
+    non-finite state; a step with one is rejected and h shrinks by 0.2, as
+    on a NaN error estimate. When ``t_eval`` (a 1-D array of times in
+    [0, t_end]) is given, states are produced at those times via the dense
+    output interpolant; otherwise the accepted step points are returned.
+    Deterministic, and bit for bit the same for a system and its ``rhs``.
     """
-    if not callable(rhs):
+    kernel = getattr(rhs, "kernel", None)
+    if kernel is None and not callable(rhs):
         raise ValidationError(f"rhs must be callable, got {type(rhs).__name__}")
     t_end = check_positive("t_end", t_end)
     if t_eval is not None:
@@ -110,8 +122,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
         if not np.logical_and.reduce(times[1:] > times[:-1]):
             raise ValidationError("t_eval times must be strictly increasing")
     z0 = as_array(z0, complex, "initial state")
-    z0 = as_state(z0, z0.size)
-    shape = z0.shape
+    z0 = as_state(z0, z0.size if kernel is None else rhs.n)
 
     # A complex state is integrated as the real view of its memory, with the
     # real and imaginary parts of each component interleaved. ``rows`` holds
@@ -151,15 +162,17 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # Overflow is expected in the first rhs and step of a finite but huge z0,
     # and in a trial step far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = as_array(rhs(z0), complex, "rhs value")
-        if k1.shape != shape:
-            raise ValidationError(f"rhs returned shape {k1.shape} for a state of shape {shape}")
-        rows[1], abs_y = k1, np.abs(y)
+        if kernel is None:
+            store = _checked(rhs, z0, rows[1])
+        else:
+            store = kernel()
+            store(z0, rows[1])
+        abs_y = np.abs(y)
         # The first trial step from the problem's scale (see the module docstring).
         np.multiply(abs_y, rel_tol, out=scale)
         scale += abs_tol
         size = float(np.maximum.reduce(abs_y / scale))
-        rate = float(np.maximum.reduce(np.abs(k1) / scale))
+        rate = float(np.maximum.reduce(np.abs(rows[1]) / scale))
         first = 0.01 * size / rate if rate > 0 else 0.0
         h = min(first if 0 < first < math.inf else INITIAL_STEP, t_end)
 
@@ -173,14 +186,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
             np.multiply(tableau, h_arr, out=h_weights)
             for a, operands, state, z, row in stage_dots:
                 a.dot(operands, out=state)
-                value = rhs(z)
-                try:
-                    # np.shape only where .shape is missing or differs: a list passes.
-                    if getattr(value, "shape", None) != shape and np.shape(value) != shape:
-                        raise ValueError(f"shape {np.shape(value)} for a state of shape {shape}")
-                    row[...] = value
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc
+                store(z, row)
             # The last stage state is the 5th-order solution (_TABLEAU row 6).
             error_weights.dot(k, out=err)
             np.abs(err_complex, out=err_abs)
@@ -235,6 +241,31 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     return Trajectory(times, y_s.view(complex), meta=stats)
 
 
+def _checked(rhs, z0, k1):
+    """The callable ``rhs`` as a kernel ``store(z, out)``. Its first call,
+    at ``z0``, is made here and stored in ``k1``: a result that numpy cannot
+    read as complex numbers, or whose shape is not z0's, is refused. Each
+    later result is stored in ``out`` if it is numeric and of z0's shape (a
+    list of n numbers is); anything else is a ValidationError."""
+    shape = z0.shape
+    value = as_array(rhs(z0), complex, "rhs value")
+    if value.shape != shape:
+        raise ValidationError(f"rhs returned shape {value.shape} for a state of shape {shape}")
+    k1[...] = value
+
+    def store(z, out):
+        value = rhs(z)
+        try:
+            # np.shape only where .shape is missing or differs: a list passes.
+            if getattr(value, "shape", None) != shape and np.shape(value) != shape:
+                raise ValueError(f"shape {np.shape(value)} for a state of shape {shape}")
+            out[...] = value
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc
+
+    return store
+
+
 def sample_times(t_end: float, samples: int) -> np.ndarray:
     """``samples`` uniform times on [0, t_end], at most ``MAX_SAMPLES``. One
     sample would be t = 0 alone, where a check compares z0 with itself: a
@@ -245,11 +276,11 @@ def sample_times(t_end: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, check_positive("t_end", t_end), samples)
 
 
-def _verify(rhs, reference: Trajectory) -> float:
-    """Integrate ``rhs`` from ``reference``'s first state over its times to
+def _verify(system, reference: Trajectory) -> float:
+    """Integrate ``system`` from ``reference``'s first state over its times to
     its last; returns the max relative deviation |z_int - z_ref| / (1 + |z_ref|)."""
     times, expected = reference.times, reference.states
-    traj = integrate(rhs, expected[0], times[-1], t_eval=times)
+    traj = integrate(system, expected[0], times[-1], t_eval=times)
     deviation = np.abs(traj.states - expected) / (1 + np.abs(expected))
     return float(np.maximum.reduce(deviation, axis=None))
 
@@ -262,7 +293,7 @@ def verify_instance(instance: SolvableInstance, t_end: float, samples: int) -> f
     check_type("instance", instance, SolvableInstance)
     times = sample_times(t_end, samples)
     reference = eval_closed_form(ClosedFormSolution.from_instance(instance), times)
-    return _verify(instance.system.rhs, reference)
+    return _verify(instance.system, reference)
 
 
 def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> float:
@@ -273,4 +304,4 @@ def verify_periodic(pcf: PeriodicClosedForm, periods: int, samples: int) -> floa
     # product with the base period would overflow.
     t_end = check_positive("periods", check_count("periods", periods, 1)) * pcf.base_period
     reference = eval_periodic_closed_form(pcf, sample_times(t_end, samples))
-    return _verify(pcf.system.rhs, reference)
+    return _verify(pcf.system, reference)

@@ -47,7 +47,10 @@ CLOSURE_TOL = 1e-8
 class PeriodicSystem:
     """Autonomous complexified system: linear rotation at frequency
     omega/(M-1) plus the original homogeneous polynomial part. ``omega``
-    must be a finite nonzero real (a bool is not one); zero is a ZeroOmega."""
+    must be a finite nonzero real (a bool is not one); zero is a ZeroOmega.
+    Like ``PolynomialSystem`` it has a dimension ``n``, an unchecked
+    ``kernel()`` that writes the RHS into a given array through work arrays
+    of its own, and ``rhs(w)``, the same arithmetic into a new array."""
 
     base: PolynomialSystem
     omega: float
@@ -63,17 +66,41 @@ class PeriodicSystem:
         # The linear part's factor i * omega / (M - 1), formed once.
         object.__setattr__(self, "_spin", 1j * (omega / (self.base.m - 1)))
 
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    def kernel(self):
+        """``store(w, out)``: the base kernel writes the polynomial part into
+        ``out``, then the rotation i*omega/(M-1)*w is added in place through
+        one more work array of n entries. Unchecked, like the base kernel;
+        its work arrays belong to the returned function alone."""
+        base, spin = self.base.kernel(), self._spin
+        turn = np.empty(self.n, dtype=complex)
+
+        def store(w, out):
+            base(w, out)
+            out += np.multiply(spin, w, out=turn)
+
+        return store
+
     def rhs(self, w: np.ndarray) -> np.ndarray:
-        """The right-hand sides at ``w``, unchecked: ``w`` must be a finite
-        complex array of shape (n,). ``eval_periodic_rhs`` validates first."""
-        return self.base.rhs(w) + self._spin * w
+        """The right-hand sides at ``w`` as a new array: the ``kernel``
+        arithmetic, applied once. A ``w`` whose shape is not (n,) is a
+        ValidationError; its values are not checked. ``eval_periodic_rhs``
+        validates them first."""
+        if getattr(w, "shape", None) != (self.n,):
+            raise ValidationError(f"state has shape {np.shape(w)}, expected ({self.n},)")
+        out = np.empty(self.n, dtype=complex)
+        self.kernel()(w, out)
+        return out
 
 
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
     """Right-hand side of the complexified system at state w (autonomous):
-    w is validated, then passed to the unchecked ``PeriodicSystem.rhs``."""
+    w is validated, then passed to ``PeriodicSystem.rhs``."""
     check_type("psys", psys, PeriodicSystem)
-    return psys.rhs(as_state(w, psys.base.n))
+    return psys.rhs(as_state(w, psys.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -251,12 +251,36 @@ class PolynomialSystem:
         reduced[np.arange(rows.size), cols] -= 1
         return rows, cols, self.exponents[rows, cols], factor_indices(reduced)
 
+    def kernel(self):
+        """The right-hand sides as ``store(z, out)``, which writes f(z) into
+        the complex (n,) array ``out``, unchecked: ``z`` must be a complex
+        array of shape (n,), since the gather clips an index past its end.
+        Its work arrays, the gathered factors (U x M) and the monomials (U),
+        are allocated here, once, and belong to the returned function alone:
+        make one kernel per integration or thread, and nothing is kept on the
+        system. Each monomial is the product of its factors in factor order,
+        and the monomials are summed by one BLAS matrix-vector product."""
+        factors, coeffs = self._basis.factors, self.coeffs
+        taken = np.empty(factors.shape, dtype=complex)
+        values = np.empty(len(factors), dtype=complex)
+
+        def store(z, out):
+            z.take(factors, out=taken, mode="clip")
+            np.multiply.reduce(taken, axis=-1, out=values)
+            coeffs.dot(values, out=out)
+
+        return store
+
     def rhs(self, z: np.ndarray) -> np.ndarray:
-        """The right-hand sides at ``z``, unchecked: ``z`` must be a finite
-        complex array of shape (n,). ``evaluate_rhs`` validates first. The
-        body is ``monomials`` inlined: the integrator calls it six times a
-        step."""
-        return self.coeffs.dot(np.multiply.reduce(z.take(self._basis.factors), axis=-1))
+        """The right-hand sides at ``z`` as a new array: the ``kernel``
+        arithmetic, applied once. ``z`` must be a complex array; one whose
+        shape is not (n,) is a ValidationError, while its values are not
+        checked. ``evaluate_rhs`` validates them first."""
+        if getattr(z, "shape", None) != (self.n,):
+            raise ValidationError(f"state has shape {np.shape(z)}, expected ({self.n},)")
+        out = np.empty(self.n, dtype=complex)
+        self.kernel()(z, out)
+        return out
 
 
 def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, tuple]]:
@@ -309,8 +333,8 @@ def monomials(z: np.ndarray, factors: np.ndarray) -> np.ndarray:
 def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:
     """Evaluate the polynomial right-hand sides at state ``z``.
 
-    The state is validated, then passed to the unchecked kernel
-    ``PolynomialSystem.rhs``. Each monomial is a product of its factors in
+    The state is validated, then passed to ``PolynomialSystem.rhs``, which
+    checks only its shape. Each monomial is a product of its factors in
     factor order, and the monomials of the system's basis are summed by one
     BLAS matrix-vector product, so the summation order is BLAS's, not
     canonical multi-index order; the result is deterministic for a given

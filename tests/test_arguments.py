@@ -73,6 +73,13 @@ def integrate_turning_bad(bad):
     return integrate(rhs, instance().z0, 0.1)
 
 
+def integrate_misfit(rhs, extra):
+    """Integrate ``rhs`` from the instance's z0 with its last component
+    dropped (``extra`` = -1) or one component appended (1)."""
+    z0 = instance().z0
+    return integrate(rhs, z0[:-1] if extra < 0 else np.append(z0, 1j), 0.1)
+
+
 def solve(k, unknowns):
     """The linear solve on the (2, 4) instance, for K when ``k`` is None."""
     return solve_linear_selection(instance().system, instance().z0, k, unknowns)
@@ -102,6 +109,17 @@ BAD_ARGUMENTS = [
         lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=[[0, 0.05]]),
         None,
     ),
+    # A state one component short or long for a system, passed itself or as
+    # its rhs, is refused before any RHS arithmetic: the kernel's gather
+    # would clip an index past the state's end.
+    ("integrate_system_z0_short", lambda: integrate_misfit(instance().system, -1), None),
+    ("integrate_system_z0_long", lambda: integrate_misfit(instance().system, 1), None),
+    ("integrate_system_rhs_z0_short", lambda: integrate_misfit(instance().system.rhs, -1), None),
+    ("integrate_system_rhs_z0_long", lambda: integrate_misfit(instance().system.rhs, 1), None),
+    ("integrate_periodic_z0_short", lambda: integrate_misfit(pcf().system, -1), None),
+    ("integrate_periodic_z0_long", lambda: integrate_misfit(pcf().system, 1), None),
+    ("integrate_periodic_rhs_z0_short", lambda: integrate_misfit(pcf().system.rhs, -1), None),
+    ("integrate_periodic_rhs_z0_long", lambda: integrate_misfit(pcf().system.rhs, 1), None),
     ("integrate_rhs_str", lambda: integrate("x", instance().z0, 0.1), None),
     ("integrate_rhs_none", lambda: integrate(None, instance().z0, 0.1), None),
     (

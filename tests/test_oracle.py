@@ -1,3 +1,7 @@
+import sys
+import threading
+import timeit
+
 import numpy as np
 import pytest
 
@@ -137,6 +141,18 @@ def rotated(instance, theta):
         exponents=system.exponents,
     )
     return spun, instance.z0 * turn
+
+
+def assert_system_and_callable_agree(system, z0, t_end):
+    """``integrate`` through the system's kernel and through the checked
+    callable ``lambda z: system.rhs(z)`` gives the same step points,
+    ``StepStats`` and dense output, byte for byte."""
+    for t_eval in (None, np.linspace(0.0, t_end, 64)):
+        via_kernel = integrate(system, z0, t_end, t_eval=t_eval)
+        via_callable = integrate(lambda z: system.rhs(z), z0, t_end, t_eval=t_eval)
+        assert via_kernel.meta == via_callable.meta
+        assert via_kernel.times.tobytes() == via_callable.times.tobytes()
+        assert via_kernel.states.tobytes() == via_callable.states.tobytes()
 
 
 # Accepted and rejected DP5 steps of verify_instance's integration (64
@@ -454,6 +470,66 @@ class TestIntegrate:
             monkeypatch, pcf.system.rhs, pcf.instance.z0, pcf.base_period
         )
 
+    @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
+    def test_a_system_and_its_rhs_give_the_same_bytes(self, cell):
+        for seed in range(5):
+            instance = generate_random_instance(*cell, seed)
+            assert_system_and_callable_agree(
+                instance.system, instance.z0, proposition_t_end(instance)
+            )
+
+    @pytest.mark.parametrize(
+        "a,omega,q", [(0.3, 1.0, 0), (0.3, -0.7, 0), (2.0, 1.0, 1), (2.0, -0.7, -1)]
+    )
+    def test_a_periodic_system_and_its_rhs_give_the_same_bytes(self, a, omega, q):
+        pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
+        assert pcf.q == q
+        assert_system_and_callable_agree(pcf.system, pcf.instance.z0, pcf.base_period)
+
+    def test_threads_integrating_one_system_match_a_sequential_run(self):
+        # Two threads, switching as often as the interpreter allows,
+        # integrate the same systems at once. Each integration builds its own
+        # kernel, so every bit matches a run alone, and the systems gain no
+        # attribute from being integrated.
+        cases = []
+        for n, m, seed in [(2, 3, 0), (3, 4, 1), (3, 2, 2)]:
+            instance = generate_random_instance(n, m, seed)
+            cases.append((instance.system, instance.z0, proposition_t_end(instance)))
+        pcf = PeriodicClosedForm(_instance_with_k(2j), 1.0)
+        cases.append((pcf.system, pcf.instance.z0, pcf.base_period))
+        attributes = [set(vars(system)) for system, _, _ in cases]
+
+        def run():
+            return [
+                integrate(system, z0, t_end, t_eval=np.linspace(0.0, t_end, 64)).states.tobytes()
+                for system, z0, t_end in cases
+            ]
+
+        expected, results, failures = run(), [], []
+        start = threading.Barrier(2)
+
+        def work():
+            try:
+                start.wait(timeout=30)
+                results.extend(run() for _ in range(3))
+            except Exception as exc:  # reported below, from the test's thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and len(results) == 6
+        assert all(result == expected for result in results)
+        assert [set(vars(system)) for system, _, _ in cases] == attributes
+
     def test_deterministic(self):
         sys = riccati_decay_system()
         ts = np.linspace(0, 1, 17)
@@ -591,9 +667,29 @@ class TestVerifyPeriodic:
         assert integrated_closure(pcf, q) < 1e-6
 
 
+def us_per_step(instance, repeats=20):
+    """Microseconds per accepted step of ``step_counts``'s integration of
+    ``instance`` through its system's kernel and through the callable
+    ``lambda z: system.rhs(z)``: the fastest of ``repeats`` runs each, the
+    two forms run in turn so that a slow spell of the host hits both."""
+    system, z0, t_end = instance.system, instance.z0, proposition_t_end(instance)
+    times = np.linspace(0.0, t_end, 64)
+    forms = (system, lambda z: system.rhs(z))
+    best = [float("inf")] * len(forms)
+    for _ in range(repeats):
+        for i, rhs in enumerate(forms):
+            run = lambda: integrate(rhs, z0, t_end, t_eval=times)
+            best[i] = min(best[i], timeit.timeit(run, number=1))
+    accepted = integrate(system, z0, t_end, t_eval=times).meta.accepted
+    return [1e6 * seconds / accepted for seconds in best]
+
+
 if __name__ == "__main__":
     # Prints RECORDED_STEPS as the integrator counts them now, for a
-    # deliberate re-record: python tests/test_oracle.py (with src on the path).
+    # deliberate re-record, then the median time per accepted step of each
+    # cell's 20 instances, through the system's kernel and through the
+    # checked callable lambda z: system.rhs(z): one DP5 step as a layer.
+    # python tests/test_oracle.py (with src on the path).
     print("RECORDED_STEPS = {")
     for cell in sorted(RECORDED_STEPS):
         counts = [f"({a}, {r})," for a, r in recorded_cell(*cell)]
@@ -602,3 +698,8 @@ if __name__ == "__main__":
             print("        " + " ".join(row))
         print("    ],")
     print("}")
+    print("# median us per accepted step: kernel, callable")
+    for cell in sorted(RECORDED_STEPS):
+        per_step = [us_per_step(generate_random_instance(*cell, seed)) for seed in range(20)]
+        kernel, wrapped = np.median(per_step, axis=0)
+        print(f"# {cell}: {kernel:6.2f} {wrapped:6.2f}")

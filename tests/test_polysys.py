@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from polyode import polysys
 from polyode.constraints import jacobian
 from polyode.errors import ValidationError
+from polyode.periodic import PeriodicSystem, eval_periodic_rhs
 from polyode.polysys import (
     MAX_BASIS_SIZE,
     MAX_SHARED_BASES,
@@ -386,6 +387,45 @@ class TestEvaluateRhs:
         lhs = evaluate_rhs(sys, lam * z)
         rhs = lam**m * evaluate_rhs(sys, z)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * abs(lam) ** m * terms)
+
+
+class TestKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 5),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        omega_sign=st.sampled_from([1.0, -1.0]),
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_rhs_and_checked_rhs_agree_bit_for_bit(self, n, m, density, seed, omega_sign):
+        # Components scaled by up to 1e300, so that about three draws in
+        # four have monomials that overflow to inf, and NaN where an inf
+        # meets a zero part or another inf. The three forms do the
+        # same arithmetic, so their bytes, and with them the inf and NaN
+        # positions, agree. They run under the integrator's errstate; any
+        # other numpy warning fails the test.
+        rng = np.random.default_rng(seed)
+        base = random_system(rng, n, m, density)
+        periodic = PeriodicSystem(base, omega_sign * rng.uniform(0.1, 3.0))
+        z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        z *= 10.0 ** rng.choice([0, 0, 40, 80, 160, 300], n)
+        for system, checked in ((base, evaluate_rhs), (periodic, eval_periodic_rhs)):
+            out = np.full(n, np.nan, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                system.kernel()(z, out)
+                fresh, validated = system.rhs(z), checked(system, z)
+            assert out.tobytes() == fresh.tobytes() == validated.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (3,), (2, 1), ()], ids=["short", "long", "column", "scalar"]
+    )
+    def test_rhs_refuses_a_state_of_another_shape(self, shape):
+        system = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
+        for rhs in (system.rhs, PeriodicSystem(system, 1.0).rhs):
+            with pytest.raises(ValidationError, match=r"expected \(2,\)"):
+                rhs(np.ones(shape, dtype=complex))
 
 
 def assert_matches_power_table(system, z):
