@@ -118,9 +118,10 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
 
     The solved system's basis is the union of the system's multi-indices
     and the keys'. When no key adds a row, as in generation, the union is
-    the system's own basis, and the solve reuses its shared exponents and
-    factors and a copy of its coefficients. Monomials of z0 that overflow
-    end in the ValidationError of a non-finite coefficient.
+    the system's own basis, and the solve reuses its exponents, factors and
+    a copy of its coefficients; over ``full_basis``, the solved system
+    shares it too. One path serves every size. Monomials of z0 that
+    overflow end in the ValidationError of a non-finite coefficient.
     """
     check_type("system", system, PolynomialSystem)
     z0 = as_state(z0, system.n)
@@ -199,7 +200,7 @@ def jacobian(system: PolynomialSystem, z, k) -> np.ndarray:
     check_type("system", system, PolynomialSystem)
     _check_jacobian_size(system.n)
     z, k = as_state(z, system.n), check_complex("K", k)
-    rows, cols, multiplicity, factors = system._derivatives
+    rows, cols, multiplicity, factors = system._basis.derivatives
     # deriv[u, j] = m_j z^{m - e_j} for basis monomial u = z^m.
     deriv = np.zeros((len(system.exponents), system.n), dtype=complex)
     deriv[rows, cols] = multiplicity * monomials(z, factors)

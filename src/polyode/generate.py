@@ -23,7 +23,8 @@ from .errors import (
     check_count,
     check_positive,
 )
-from .polysys import PolynomialSystem, enumerate_multi_indices
+from .polysys import PolynomialSystem, full_basis
+from .polysys import enumerate_multi_indices  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
 _RESEED_ATTEMPTS = 16
 # The signs of z0's parts, indexed as ``rng.choice([-1.0, 1.0])`` reads its
@@ -51,7 +52,7 @@ def generate_random_instance(
         raise ValidationError(f"density must be in (0, 1], got {density!r}")
     if k_cap is not None:
         k_cap = check_positive("k_cap", k_cap)
-    exponents, pure, free, free_count = _layout(n, m)
+    pure, free, free_count = _layout(n, m)
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -64,7 +65,7 @@ def generate_random_instance(
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
 
-        system = PolynomialSystem(n, m, coeffs=coeffs, exponents=exponents)
+        system = PolynomialSystem(n, m, coeffs=coeffs, exponents=full_basis(n, m).exponents)
         try:
             return solve_linear_selection(system, z0, k, pure)
         except (SingularSystem, ConstraintNotSatisfied) as exc:
@@ -74,17 +75,16 @@ def generate_random_instance(
 
 @lru_cache(maxsize=8)
 def _layout(n: int, m: int) -> tuple:
-    """What every draw of (n, m) shares, read-only: the basis exponents, the
-    pure keys, and the mask and count of the free entries. The mask lists
-    them in draw order: equation by equation, each over the basis in
+    """What every draw of (n, m) shares over ``full_basis(n, m)``, read-only:
+    the pure keys, and the mask and count of the free entries. The mask
+    lists them in draw order: equation by equation, each over the basis in
     canonical order, skipping the equation's pure monomial."""
-    indices = enumerate_multi_indices(n, m)
-    exponents = np.array(indices, dtype=np.intp)
+    column = full_basis(n, m).column
     pure = tuple((eq + 1, (0,) * eq + (m,) + (0,) * (n - 1 - eq)) for eq in range(n))
-    free = np.ones((n, len(indices)), dtype=bool)
-    free[range(n), [indices.index(own) for _, own in pure]] = False
-    exponents.flags.writeable = free.flags.writeable = False
-    return exponents, pure, free, int(np.add.reduce(free, axis=None))
+    free = np.ones((n, len(column)), dtype=bool)
+    free[range(n), [column[own] for _, own in pure]] = False
+    free.flags.writeable = False
+    return pure, free, int(np.add.reduce(free, axis=None))
 
 
 def _free_values_and_k(rng, count: int, density: float) -> tuple[list[complex], complex]:

@@ -86,14 +86,10 @@ class PeriodicSystem:
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """The right-hand sides at ``w`` as a new array: the ``kernel``
-        arithmetic, applied once. A ``w`` whose shape is not (n,) is a
-        ValidationError; its values are not checked. ``eval_periodic_rhs``
-        validates them first."""
-        if getattr(w, "shape", None) != (self.n,):
-            raise ValidationError(f"state has shape {np.shape(w)}, expected ({self.n},)")
-        out = np.empty(self.n, dtype=complex)
-        self.kernel()(w, out)
-        return out
+        arithmetic, bit for bit, without work arrays. A ``w`` whose shape is
+        not (n,) is a ValidationError, raised by the base's ``rhs``; its
+        values are not checked. ``eval_periodic_rhs`` validates them first."""
+        return self.base.rhs(w) + self._spin * w
 
 
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:

@@ -5,22 +5,24 @@ basis of monomials: coefficient c[eq, u] multiplies the monomial
 z_1^{m_1} * ... * z_N^{m_N} of basis row u on the right-hand side of
 equation ``eq``, where the exponents are nonnegative integers summing to M.
 
-Systems share their bases. A process-wide table keeps the last
-``MAX_SHARED_BASES`` validated bases, keyed by (n, M, the exponent array's
-shape and bytes), and evicts the least recently used one when full. An
-entry holds the read-only exponents and, built on first use, their
-``factor_indices`` and a multi-index -> row map. So a basis that the
-generator, the selection solve, the file reader and the oracle pass along
-is validated and factored once. A system still owns its coefficients and
-compares by identity.
+A basis is a value. ``full_basis(n, M)`` holds all multi-indices of
+(n, M) in canonical order, made once per (n, M) and canonical by
+construction, so never checked. A system whose exponents are that array,
+or equal it, shares it: the generator's, the solved one, the file
+reader's. Dropping a system's zero columns takes rows of its basis, which
+are sorted and valid already, along with any factors built. Any other
+exponents (a sparse file, a list of a few terms) are validated, and the
+system owns them. A basis holds the read-only exponents and, built on
+first use, their ``factor_indices``, a multi-index -> row map and the
+derivatives' factors. A system owns its coefficients and compares by
+identity.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
 
@@ -34,21 +36,25 @@ from .errors import ValidationError, check_count, check_type, is_integer
 MAX_BASIS_SIZE = 2_000_000
 
 
+def _full_rows(n: int, m: int) -> int:
+    """binomial(m + n - 1, n - 1), built one factor at a time: once it
+    exceeds ``MAX_BASIS_SIZE // (n + m)``, the first partial product past it."""
+    limit = MAX_BASIS_SIZE // (n + m)
+    k = min(n - 1, m)
+    terms = 1
+    for i in range(1, k + 1):
+        terms = terms * (m + n - 1 - k + i) // i  # binomial(m + n - 1 - k + i, i)
+        if terms > limit:
+            break
+    return terms
+
+
 def check_basis_size(n: int, m: int, terms: int | None = None) -> None:
     """Refuse a basis of ``terms`` multi-indices of (n, m), by default all
-    binomial(m + n - 1, n - 1) of them, whose (U x n) exponents and
-    (U x M) ``factor_indices`` would exceed ``MAX_BASIS_SIZE`` entries.
-    The binomial is built one factor at a time and abandoned once it is
-    too large, so the check is cheap for any n and m."""
-    limit = MAX_BASIS_SIZE // (n + m)
-    if terms is None:
-        k = min(n - 1, m)
-        terms = 1
-        for i in range(1, k + 1):
-            terms = terms * (m + n - 1 - k + i) // i  # binomial(m + n - 1 - k + i, i)
-            if terms > limit:
-                break
-    if terms > limit:
+    ``_full_rows(n, m)`` of them, whose (U x n) exponents and (U x M)
+    ``factor_indices`` would exceed ``MAX_BASIS_SIZE`` entries."""
+    terms = _full_rows(n, m) if terms is None else terms
+    if terms > MAX_BASIS_SIZE // (n + m):
         raise ValidationError(
             f"(n, m) = ({n}, {m}) with {terms} or more multi-indices exceeds "
             f"{MAX_BASIS_SIZE} exponent and factor entries"
@@ -124,20 +130,13 @@ def as_state(z, n: int) -> np.ndarray:
     return arr
 
 
-# Most validated bases the shared table keeps; beyond it the least recently
-# used one is evicted. Dense draws share one basis per (n, M) cell, six in
-# the proposition suite, while each sparse draw brings new ones: one at
-# (10, 6) and density 0.1 adds two, of 0.4 and 0.8 MB.
-MAX_SHARED_BASES = 8
-
-
 class _Basis:
-    """A validated basis: read-only (U x n) exponents and, built on first
-    use, their ``factor_indices`` and the map {multi-index: row}. The
-    factors stay writable: ``take`` with a read-only index array costs
-    0.15 us more per RHS call."""
+    """Read-only (U x n) exponents, sorted and valid, and, built on first
+    use, their factors, {multi-index: row} and the derivative factors. The
+    factors stay writable: ``take`` costs 0.15 us more with read-only ones."""
 
     def __init__(self, exponents: np.ndarray):
+        exponents.flags.writeable = False
         self.exponents = exponents
 
     @cached_property
@@ -148,36 +147,51 @@ class _Basis:
     def column(self) -> dict[tuple, int]:
         return {tuple(index): u for u, index in enumerate(self.exponents.tolist())}
 
+    @cached_property
+    def derivatives(self) -> tuple:
+        """For each pair (u, j) with e_uj > 0 (u-major order): u, j, e_uj
+        and the ``factor_indices`` of z^(e_u - e_j), from d(z^e_u)/dz_j."""
+        rows, cols = np.nonzero(self.exponents)
+        reduced = self.exponents[rows]
+        reduced[np.arange(rows.size), cols] -= 1
+        return rows, cols, self.exponents[rows, cols], factor_indices(reduced)
 
-_BASES: dict[tuple, _Basis] = {}
-_BASES_LOCK = threading.Lock()  # held for each lookup and each store, not while validating
+    def subset(self, mask: np.ndarray) -> _Basis:
+        """The rows under a boolean mask, as sorted and valid as these, so
+        not checked; factors built already are taken by row, not rebuilt."""
+        basis = _Basis(self.exponents[mask])
+        if "factors" in self.__dict__:
+            basis.factors = self.factors[mask]
+        return basis
 
 
-def _shared_basis(rows, n: int, m: int) -> _Basis:
-    """The table's entry for the exponent rows ``rows`` of (n, m). Rows that
-    are not an intp array, such as a list that may hold a bool, are read by
-    ``exponent_rows`` before the lookup. A miss runs the checks that
-    ``PolynomialSystem`` documents, then stores the entry."""
+@lru_cache(maxsize=8)
+def full_basis(n: int, m: int) -> _Basis:
+    """The basis of all ``enumerate_multi_indices(n, m)``, kept for 8 (n, m)."""
+    return _Basis(np.array(enumerate_multi_indices(n, m), dtype=np.intp))
+
+
+def _basis_of(rows, n: int, m: int) -> _Basis:
+    """``full_basis(n, m)`` if ``rows`` are its exponents or equal them (the
+    row count decides whether to compare, so a refused size is never
+    enumerated); else a checked basis of their own. Rows not in an intp
+    array (a list may hold a bool) are read first."""
     read = not isinstance(rows, np.ndarray) or rows.dtype != np.intp
     if read:
         rows = exponent_rows(rows, n, m)
-    key = (n, m, rows.shape, rows.tobytes())
-    with _BASES_LOCK:
-        basis = _BASES.pop(key, None)
-    if basis is None:
-        if not read:
-            rows = exponent_rows(rows, n, m)
-        # Row u precedes row u + 1 iff their first differing exponent drops.
-        step = rows[:-1] - rows[1:]
-        if np.logical_or.reduce(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0):
-            raise ValidationError("exponent rows must be unique and in descending order")
-        # The key's bytes are the rows': the entry's exponents view them.
-        basis = _Basis(np.frombuffer(key[3], dtype=np.intp).reshape(rows.shape))
-    with _BASES_LOCK:
-        if key not in _BASES and len(_BASES) >= MAX_SHARED_BASES:
-            del _BASES[next(iter(_BASES))]
-        _BASES[key] = basis
-    return basis
+    count = _full_rows(n, m)
+    if rows.shape == (count, n) and count <= MAX_BASIS_SIZE // (n + m):
+        full = full_basis(n, m)
+        # ufuncs: np.array_equal adds a Python wrapper per call.
+        if rows is full.exponents or np.logical_and.reduce(rows == full.exponents, axis=None):
+            return full
+    if not read:
+        rows = exponent_rows(rows, n, m)
+    # Row u precedes row u + 1 iff their first differing exponent drops.
+    step = rows[:-1] - rows[1:]
+    if np.logical_or.reduce(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0):
+        raise ValidationError("exponent rows must be unique and in descending order")
+    return _Basis(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +205,14 @@ class PolynomialSystem:
     complex) holds the coefficient of monomial u in equation eq at
     ``coeffs[eq - 1, u]``. A zero coefficient is an absent term, and
     columns that are zero in every equation are dropped, so a sparse system
-    pays only for the monomials it stores. ``__post_init__`` validates
-    the exponents at the first system over their basis only: it looks them
-    up in the shared table (see the module docstring) and shares the
-    entry's read-only exponents and factors. It checks the coefficients of
-    every system, stores a read-only copy that the system owns, and refuses
-    a basis that ``check_basis_size`` refuses. ``coefficients`` is the
-    derived read-only mapping {(eq, multi-index): value}, in canonical
-    order: equation ascending, then exponents descending. Systems compare
-    by identity, not by their arrays.
+    pays only for the monomials it stores, as unchecked rows of its basis.
+    ``__post_init__`` shares ``full_basis(n, m)`` when the exponents are
+    its array or equal it, and else validates them into a read-only copy
+    that the system owns. It checks the coefficients of every system,
+    stores a read-only copy, and refuses what ``check_basis_size`` does.
+    ``coefficients`` is the derived read-only mapping {(eq, multi-index):
+    value}, in canonical order: equation ascending, then exponents
+    descending. Systems compare by identity, not by their arrays.
     """
 
     n: int
@@ -214,7 +227,7 @@ class PolynomialSystem:
             coeffs = np.array(self.coeffs, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed coefficients: {exc}") from exc
-        basis = _shared_basis(self.exponents, n, m)
+        basis = _basis_of(self.exponents, n, m)
         if coeffs.shape != (n, len(basis.exponents)):
             raise ValidationError(
                 f"coefficients {coeffs.shape} do not fit exponents {basis.exponents.shape}"
@@ -224,7 +237,7 @@ class PolynomialSystem:
         stored = np.logical_or.reduce(coeffs, axis=0)
         if not np.logical_and.reduce(stored):
             coeffs = coeffs.compress(stored, axis=1)
-            basis = _shared_basis(basis.exponents[stored], n, m)
+            basis = basis.subset(stored)
         check_basis_size(n, m, len(basis.exponents))
         coeffs.flags.writeable = False
         for name, value in (
@@ -240,16 +253,6 @@ class PolynomialSystem:
         return MappingProxyType(
             {(eq + 1, indices[u]): v for eq, u, v in zip(rows.tolist(), cols.tolist(), values)}
         )
-
-    @cached_property
-    def _derivatives(self):
-        """The first derivatives of the basis monomials: for each pair
-        (u, j) with e_uj > 0 (u-major order), u, j, e_uj and the
-        ``factor_indices`` of z^(e_u - e_j)."""
-        rows, cols = np.nonzero(self.exponents)
-        reduced = self.exponents[rows]
-        reduced[np.arange(rows.size), cols] -= 1
-        return rows, cols, self.exponents[rows, cols], factor_indices(reduced)
 
     def kernel(self):
         """The right-hand sides as ``store(z, out)``, which writes f(z) into
@@ -273,14 +276,13 @@ class PolynomialSystem:
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """The right-hand sides at ``z`` as a new array: the ``kernel``
-        arithmetic, applied once. ``z`` must be a complex array; one whose
-        shape is not (n,) is a ValidationError, while its values are not
-        checked. ``evaluate_rhs`` validates them first."""
+        arithmetic, bit for bit, without work arrays. ``z`` must be a
+        complex array; one whose shape is not (n,) is a ValidationError,
+        while its values are not checked. ``evaluate_rhs`` validates them
+        first."""
         if getattr(z, "shape", None) != (self.n,):
             raise ValidationError(f"state has shape {np.shape(z)}, expected ({self.n},)")
-        out = np.empty(self.n, dtype=complex)
-        self.kernel()(z, out)
-        return out
+        return self.coeffs.dot(monomials(z, self._basis.factors))
 
 
 def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, tuple]]:

@@ -425,8 +425,9 @@ class TestWorkCounts:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 4)])
     def test_an_op_validates_only_the_unknown_keys(self, monkeypatch, tmp_path, n, m):
         # A generate -> write -> parse -> verify cycle carries one basis.
-        # Once the cell's basis is in the shared table, the cycle validates
-        # only the unknown keys' multi-indices and factors no basis.
+        # Once the cell's full basis is built and factored, the cycle
+        # validates only the unknown keys' multi-indices and factors no
+        # basis.
         path = tmp_path / "instance.json"
 
         def cycle(seed):
@@ -438,7 +439,7 @@ class TestWorkCounts:
         factors = counting(monkeypatch, polysys, "factor_indices")
         factors += counting(monkeypatch, constraints, "factor_indices")
         cycle(1)
-        pure = [index for _, index in generate._layout(n, m)[1]]
+        pure = [index for _, index in generate._layout(n, m)[0]]
         assert [args[0] for args in rows] == [pure]
         assert factors == []
 

@@ -15,12 +15,12 @@ from polyode.errors import ValidationError
 from polyode.periodic import PeriodicSystem, eval_periodic_rhs
 from polyode.polysys import (
     MAX_BASIS_SIZE,
-    MAX_SHARED_BASES,
     PolynomialSystem,
     check_basis_size,
     enumerate_multi_indices,
     evaluate_rhs,
     factor_indices,
+    full_basis,
     monomials,
 )
 
@@ -235,6 +235,16 @@ class TestSystemArrays:
             PolynomialSystem(n, m, coeffs=[[], []], exponents=[])
 
 
+def refuse(monkeypatch, *names):
+    """Make a call of any of the ``polysys`` functions ``names`` fail."""
+
+    def refused(*args):
+        raise AssertionError("called")
+
+    for name in names:
+        monkeypatch.setattr(polysys, name, refused)
+
+
 class TestSharedBasis:
     def test_systems_share_the_basis_and_own_their_coefficients(self):
         exponents = np.array(enumerate_multi_indices(2, 3))
@@ -267,35 +277,19 @@ class TestSharedBasis:
                 with pytest.raises(ValidationError, match=message):
                     PolynomialSystem(2, 2, coeffs=np.ones((2, 3)), exponents=np.array(rows))
 
-    def test_the_table_keeps_its_bound_and_an_evicted_basis_rebuilds(self):
-        # Sparse draws at (3, 4) give distinct bases.
-        systems = [
-            random_system(np.random.default_rng(seed), 3, 4, density=0.3)
-            for seed in range(MAX_SHARED_BASES + 8)
-        ]
-        assert len({s.exponents.tobytes() for s in systems}) == len(systems)
-        assert len(polysys._BASES) == MAX_SHARED_BASES
-        first = systems[0]
-        again = PolynomialSystem(3, 4, coeffs=first.coeffs, exponents=first.exponents.copy())
-        assert again.exponents is not first.exponents  # evicted, then validated anew
-        z = np.array([0.3 + 0.1j, -0.7 + 0.2j, 0.5 - 0.9j])
-        for array in ("coeffs", "exponents"):
-            assert getattr(again, array).tobytes() == getattr(first, array).tobytes()
-        assert evaluate_rhs(again, z).tobytes() == evaluate_rhs(first, z).tobytes()
-        assert len(polysys._BASES) == MAX_SHARED_BASES
-
-    def test_threads_share_the_table(self):
+    def test_threads_share_full_bases(self):
         # More threads than cores, switching often, build systems over more
-        # bases than the table keeps: every lookup, store and eviction races.
-        bases = [np.array(enumerate_multi_indices(2, m)) for m in range(2, 2 + 2 * MAX_SHARED_BASES)]
+        # full bases than full_basis keeps: every miss and eviction races.
+        bases = [np.array(enumerate_multi_indices(2, m)) for m in range(2, 18)]
         failures = []
 
         def build():
             try:
                 for _ in range(30):
                     for exponents in bases:
+                        m = len(exponents) - 1
                         coeffs = np.ones((2, len(exponents)))
-                        system = PolynomialSystem(2, len(exponents) - 1, coeffs=coeffs, exponents=exponents)
+                        system = PolynomialSystem(2, m, coeffs=coeffs, exponents=exponents)
                         assert np.array_equal(system.exponents, exponents)
             except Exception as exc:  # reported below, from the test's thread
                 failures.append(exc)
@@ -311,7 +305,30 @@ class TestSharedBasis:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert failures == [] and len(polysys._BASES) <= MAX_SHARED_BASES
+        assert failures == []
+
+    def test_dropped_columns_take_rows_of_the_factored_full_basis(self, monkeypatch):
+        full = full_basis(3, 4)
+        full.factors  # built before the system
+        refuse(monkeypatch, "exponent_rows", "factor_indices", "enumerate_multi_indices")
+        coeffs = np.random.default_rng(4).standard_normal((3, len(full.exponents)))
+        mask = np.arange(len(full.exponents)) % 3 != 1
+        coeffs[:, ~mask] = 0
+        system = PolynomialSystem(3, 4, coeffs=coeffs, exponents=full.exponents)
+        assert system.exponents.tobytes() == full.exponents[mask].tobytes()
+        assert system._basis.factors.tobytes() == full.factors[mask].tobytes()
+        assert not system.exponents.flags.writeable
+
+    @pytest.mark.parametrize("n,m", [(1500, 2), (10**6, 10**6)])
+    def test_a_one_term_system_enumerates_no_full_basis(self, monkeypatch, n, m):
+        refuse(monkeypatch, "enumerate_multi_indices")
+        system = PolynomialSystem(n, m, coeffs=np.eye(n, 1), exponents=[[m] + [0] * (n - 1)])
+        assert system.exponents.shape == (1, n)
+
+    def test_dense_systems_share_the_derivative_factors(self):
+        a, b = (random_system(np.random.default_rng(seed), 3, 4) for seed in (1, 2))
+        assert a._basis is b._basis is full_basis(3, 4)
+        assert a._basis.derivatives is b._basis.derivatives
 
 
 class TestEvaluateRhs:
