@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -150,7 +151,13 @@ def _cmd_demo(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are ValidationErrors (exit 1), not
     argparse's exit 2, which here means a failed check. Its subparsers
-    share the class."""
+    share the class. An argument that starts with "-" and a digit or ".",
+    as in ``--guess -0.9,-0.4`` or ``--omega -1e-3``, is a value: no option
+    starts so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

@@ -117,11 +117,12 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     times the largest matrix entry, raise SingularSystem.
 
     The solved system's basis is the union of the system's multi-indices
-    and the keys'. When no key adds a row, as in generation, the union is
-    the system's own basis, and the solve reuses its exponents, factors and
-    a copy of its coefficients; over ``full_basis``, the solved system
-    shares it too. One path serves every size. Monomials of z0 that
-    overflow end in the ValidationError of a non-finite coefficient.
+    and the keys'. When no key adds a row, as in generation at any
+    density, the union is the system's own basis, and the solve reuses its
+    exponents, factors and a copy of its coefficients; over
+    ``full_basis``, the solved system shares it too. One path serves every
+    size. Monomials of z0 that overflow end in the ValidationError of a
+    non-finite coefficient.
     """
     check_type("system", system, PolynomialSystem)
     z0 = as_state(z0, system.n)

@@ -52,7 +52,7 @@ def generate_random_instance(
         raise ValidationError(f"density must be in (0, 1], got {density!r}")
     if k_cap is not None:
         k_cap = check_positive("k_cap", k_cap)
-    pure, free, free_count = _layout(n, m)
+    pure, template, free, free_count = _layout(n, m)
     last_error = None
     for attempt in range(_RESEED_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -60,7 +60,7 @@ def generate_random_instance(
         signs = _SIGNS[rng.integers(0, 2, size=(n, 2))]
         z0 = signs[:, 0] * mags[:, 0] + 1j * signs[:, 1] * mags[:, 1]
 
-        coeffs = np.zeros(free.shape, dtype=complex)
+        coeffs = template.copy()
         coeffs[free], k = _free_values_and_k(rng, free_count, density)
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
@@ -76,15 +76,18 @@ def generate_random_instance(
 @lru_cache(maxsize=8)
 def _layout(n: int, m: int) -> tuple:
     """What every draw of (n, m) shares over ``full_basis(n, m)``, read-only:
-    the pure keys, and the mask and count of the free entries. The mask
-    lists them in draw order: equation by equation, each over the basis in
+    the pure keys, coefficients with 1 at each pure entry (which the solve
+    replaces, so a sparse draw keeps its pure columns and is solved on its
+    own basis), and the mask and count of the free entries. The mask lists
+    them in draw order: equation by equation, each over the basis in
     canonical order, skipping the equation's pure monomial."""
     column = full_basis(n, m).column
     pure = tuple((eq + 1, (0,) * eq + (m,) + (0,) * (n - 1 - eq)) for eq in range(n))
     free = np.ones((n, len(column)), dtype=bool)
     free[range(n), [column[own] for _, own in pure]] = False
-    free.flags.writeable = False
-    return pure, free, int(np.add.reduce(free, axis=None))
+    template = np.where(free, 0j, 1 + 0j)
+    template.flags.writeable = free.flags.writeable = False
+    return pure, template, free, int(np.add.reduce(free, axis=None))
 
 
 def _free_values_and_k(rng, count: int, density: float) -> tuple[list[complex], complex]:

@@ -3,9 +3,10 @@
 The single adaptive oracle is a Dormand-Prince 5(4) embedded pair with
 proportional step control and 4th-order dense output. Complex states are
 integrated as 2N real components. The integrator sees only the right-hand
-side: a system, whose kernel writes each stage's f(z) straight into its
-row of the stage buffer, or any callable, whose results are checked and
-copied there. It never touches the closed-form formulas.
+side: a system, whose unchecked ``kernel()`` writes each stage's f(z)
+straight into its row of the stage buffer, or any callable, such as
+``lambda z: evaluate_rhs(system, z)``, each of whose results is checked and
+then copied there. It never touches the closed-form formulas.
 
 A step is accepted when max_j |e_j| / (ABS_TOL + REL_TOL max(|y_j|,
 |y_new_j|)) <= 1, where e_j is the local error estimate of complex
@@ -99,8 +100,9 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     kept, so one system may be integrated by several threads at once. Each
     stage's RHS is written straight into the stage buffer, unchecked. Any
     other callable maps a complex state vector to a complex state vector of
-    the same shape, and need not validate its input; each of its results is
-    checked to be numeric and of the state's shape before it is stored.
+    the same shape, and need not validate its input; each of its results,
+    the first included, is checked to be numeric and of the state's shape
+    before it is stored.
 
     z0 must be finite and non-empty. The six stage states of a step are
     checked together after the step's RHS calls, so ``rhs`` may see a
@@ -108,7 +110,8 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     on a NaN error estimate. When ``t_eval`` (a 1-D array of times in
     [0, t_end]) is given, states are produced at those times via the dense
     output interpolant; otherwise the accepted step points are returned.
-    Deterministic, and bit for bit the same for a system and its ``rhs``.
+    Deterministic, and bit for bit the same for a system and for
+    ``lambda z: evaluate_rhs(system, z)`` while every stage state is finite.
     """
     kernel = getattr(rhs, "kernel", None)
     if kernel is None and not callable(rhs):
@@ -162,11 +165,8 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # Overflow is expected in the first rhs and step of a finite but huge z0,
     # and in a trial step far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
-        if kernel is None:
-            store = _checked(rhs, z0, rows[1])
-        else:
-            store = kernel()
-            store(z0, rows[1])
+        store = _checked(rhs, z0.shape) if kernel is None else kernel()
+        store(z0, rows[1])
         abs_y = np.abs(y)
         # The first trial step from the problem's scale (see the module docstring).
         np.multiply(abs_y, rel_tol, out=scale)
@@ -241,17 +241,10 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     return Trajectory(times, y_s.view(complex), meta=stats)
 
 
-def _checked(rhs, z0, k1):
-    """The callable ``rhs`` as a kernel ``store(z, out)``. Its first call,
-    at ``z0``, is made here and stored in ``k1``: a result that numpy cannot
-    read as complex numbers, or whose shape is not z0's, is refused. Each
-    later result is stored in ``out`` if it is numeric and of z0's shape (a
-    list of n numbers is); anything else is a ValidationError."""
-    shape = z0.shape
-    value = as_array(rhs(z0), complex, "rhs value")
-    if value.shape != shape:
-        raise ValidationError(f"rhs returned shape {value.shape} for a state of shape {shape}")
-    k1[...] = value
+def _checked(rhs, shape):
+    """The callable ``rhs`` as a kernel ``store(z, out)``: each result, the
+    first included, is stored in ``out`` if it is numeric and of the state's
+    ``shape`` (a list of n numbers is); anything else is a ValidationError."""
 
     def store(z, out):
         value = rhs(z)
@@ -260,7 +253,7 @@ def _checked(rhs, z0, k1):
             if getattr(value, "shape", None) != shape and np.shape(value) != shape:
                 raise ValueError(f"shape {np.shape(value)} for a state of shape {shape}")
             out[...] = value
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc
 
     return store

@@ -7,7 +7,9 @@ autonomous system
     dw_n/dt = i*(omega/(M-1))*w_n + sum_m c_{n,m} prod_l w_l^{m_l} ,
 
 whose 2N real components (x_n, y_n) = (Re w_n, Im w_n) satisfy the rotated
-real form. On the solvable family the solution is
+real form. ``PeriodicSystem.kernel()`` writes this right-hand side in
+place for the integrator, unchecked; ``eval_periodic_rhs`` returns it,
+checked, to every other caller. On the solvable family the solution is
 
     zeta_n(t) = z_n(0) * exp((i*omega*t - log g(t))/(M-1)) ,
     g(t) = 1 + K*(exp(i*omega*t) - 1)/(i*omega) = c + a*exp(i*omega*t) ,
@@ -32,8 +34,7 @@ import numpy as np
 from .constraints import SolvableInstance
 from .errors import NotClosed, SingularBracket, ValidationError, ZeroOmega
 from .errors import check_complex, check_type
-from .polysys import PolynomialSystem, as_array, as_state
-from .polysys import evaluate_rhs  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .polysys import PolynomialSystem, as_array, evaluate_rhs
 from .trajectory import Trajectory
 
 # The least distance ||c| - |a|| of the bracket circle from the origin,
@@ -48,9 +49,9 @@ class PeriodicSystem:
     """Autonomous complexified system: linear rotation at frequency
     omega/(M-1) plus the original homogeneous polynomial part. ``omega``
     must be a finite nonzero real (a bool is not one); zero is a ZeroOmega.
-    Like ``PolynomialSystem`` it has a dimension ``n``, an unchecked
-    ``kernel()`` that writes the RHS into a given array through work arrays
-    of its own, and ``rhs(w)``, the same arithmetic into a new array."""
+    Like ``PolynomialSystem`` it has a dimension ``n`` and two contracts for
+    its right-hand sides: ``kernel()`` for the integrator, unchecked and in
+    place, and ``eval_periodic_rhs`` for every other caller, checked."""
 
     base: PolynomialSystem
     omega: float
@@ -84,19 +85,13 @@ class PeriodicSystem:
 
         return store
 
-    def rhs(self, w: np.ndarray) -> np.ndarray:
-        """The right-hand sides at ``w`` as a new array: the ``kernel``
-        arithmetic, bit for bit, without work arrays. A ``w`` whose shape is
-        not (n,) is a ValidationError, raised by the base's ``rhs``; its
-        values are not checked. ``eval_periodic_rhs`` validates them first."""
-        return self.base.rhs(w) + self._spin * w
-
 
 def eval_periodic_rhs(psys: PeriodicSystem, w) -> np.ndarray:
-    """Right-hand side of the complexified system at state w (autonomous):
-    w is validated, then passed to ``PeriodicSystem.rhs``."""
+    """Right-hand side of the complexified system at state w (autonomous),
+    checked: ``evaluate_rhs`` validates w once, and the result is a new
+    array, bit for bit what ``psys.kernel()`` writes."""
     check_type("psys", psys, PeriodicSystem)
-    return psys.rhs(as_state(w, psys.n))
+    return evaluate_rhs(psys.base, w) + psys._spin * np.asarray(w, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,11 @@ system owns them. A basis holds the read-only exponents and, built on
 first use, their ``factor_indices``, a multi-index -> row map and the
 derivatives' factors. A system owns its coefficients and compares by
 identity.
+
+The right-hand sides have two contracts. ``kernel()`` gives the
+integrator an unchecked in-place ``store(z, out)``; every other caller
+uses ``evaluate_rhs``, which checks the state and returns a new array
+with the same bits.
 """
 
 from __future__ import annotations
@@ -212,7 +217,9 @@ class PolynomialSystem:
     stores a read-only copy, and refuses what ``check_basis_size`` does.
     ``coefficients`` is the derived read-only mapping {(eq, multi-index):
     value}, in canonical order: equation ascending, then exponents
-    descending. Systems compare by identity, not by their arrays.
+    descending. Systems compare by identity, not by their arrays. The
+    integrator evaluates the RHS by ``kernel()``, any other caller by
+    ``evaluate_rhs``.
     """
 
     n: int
@@ -274,16 +281,6 @@ class PolynomialSystem:
 
         return store
 
-    def rhs(self, z: np.ndarray) -> np.ndarray:
-        """The right-hand sides at ``z`` as a new array: the ``kernel``
-        arithmetic, bit for bit, without work arrays. ``z`` must be a
-        complex array; one whose shape is not (n,) is a ValidationError,
-        while its values are not checked. ``evaluate_rhs`` validates them
-        first."""
-        if getattr(z, "shape", None) != (self.n,):
-            raise ValidationError(f"state has shape {np.shape(z)}, expected ({self.n},)")
-        return self.coeffs.dot(monomials(z, self._basis.factors))
-
 
 def coefficient_keys(keys, n: int, m: int) -> list[tuple[int, tuple]]:
     """``keys`` as ``PolynomialSystem.coefficients`` keys (eq, multi-index
@@ -333,14 +330,9 @@ def monomials(z: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def evaluate_rhs(system: PolynomialSystem, z) -> np.ndarray:
-    """Evaluate the polynomial right-hand sides at state ``z``.
-
-    The state is validated, then passed to ``PolynomialSystem.rhs``, which
-    checks only its shape. Each monomial is a product of its factors in
-    factor order, and the monomials of the system's basis are summed by one
-    BLAS matrix-vector product, so the summation order is BLAS's, not
-    canonical multi-index order; the result is deterministic for a given
-    input.
-    """
+    """The polynomial right-hand sides at state ``z``, validated by
+    ``as_state``, as a new array: bit for bit what ``system.kernel()``
+    writes. The monomials are summed by one BLAS matrix-vector product, in
+    BLAS's order, not canonical multi-index order; deterministic."""
     check_type("system", system, PolynomialSystem)
-    return system.rhs(as_state(z, system.n))
+    return system.coeffs.dot(monomials(as_state(z, system.n), system._basis.factors))

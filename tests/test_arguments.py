@@ -67,10 +67,16 @@ def integrate_turning_bad(bad):
 
     def rhs(z):
         calls.append(None)
-        value = instance().system.rhs(z)
+        value = evaluate_rhs(instance().system, z)
         return value if len(calls) < 3 else bad(value)
 
     return integrate(rhs, instance().z0, 0.1)
+
+
+def checked_rhs(system):
+    """``system``'s checked RHS as a plain callable, which has no kernel."""
+    evaluate = eval_periodic_rhs if isinstance(system, PeriodicSystem) else evaluate_rhs
+    return lambda z: evaluate(system, z)
 
 
 def integrate_misfit(rhs, extra):
@@ -106,20 +112,36 @@ BAD_ARGUMENTS = [
     ("closed_form_empty_z0", lambda: ClosedFormSolution([], 0.5, 4), None),
     (
         "integrate_t_eval_2d",
-        lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=[[0, 0.05]]),
+        lambda: integrate(instance().system, instance().z0, 0.1, t_eval=[[0, 0.05]]),
         None,
     ),
     # A state one component short or long for a system, passed itself or as
-    # its rhs, is refused before any RHS arithmetic: the kernel's gather
-    # would clip an index past the state's end.
+    # the callable of its checked RHS, is refused before any RHS arithmetic:
+    # the kernel's gather would clip an index past the state's end.
     ("integrate_system_z0_short", lambda: integrate_misfit(instance().system, -1), None),
     ("integrate_system_z0_long", lambda: integrate_misfit(instance().system, 1), None),
-    ("integrate_system_rhs_z0_short", lambda: integrate_misfit(instance().system.rhs, -1), None),
-    ("integrate_system_rhs_z0_long", lambda: integrate_misfit(instance().system.rhs, 1), None),
+    (
+        "integrate_system_rhs_z0_short",
+        lambda: integrate_misfit(checked_rhs(instance().system), -1),
+        None,
+    ),
+    (
+        "integrate_system_rhs_z0_long",
+        lambda: integrate_misfit(checked_rhs(instance().system), 1),
+        None,
+    ),
     ("integrate_periodic_z0_short", lambda: integrate_misfit(pcf().system, -1), None),
     ("integrate_periodic_z0_long", lambda: integrate_misfit(pcf().system, 1), None),
-    ("integrate_periodic_rhs_z0_short", lambda: integrate_misfit(pcf().system.rhs, -1), None),
-    ("integrate_periodic_rhs_z0_long", lambda: integrate_misfit(pcf().system.rhs, 1), None),
+    (
+        "integrate_periodic_rhs_z0_short",
+        lambda: integrate_misfit(checked_rhs(pcf().system), -1),
+        None,
+    ),
+    (
+        "integrate_periodic_rhs_z0_long",
+        lambda: integrate_misfit(checked_rhs(pcf().system), 1),
+        None,
+    ),
     ("integrate_rhs_str", lambda: integrate("x", instance().z0, 0.1), None),
     ("integrate_rhs_none", lambda: integrate(None, instance().z0, 0.1), None),
     (
@@ -243,16 +265,16 @@ BAD_ARGUMENTS = [
     ("bracket_values_times_str", lambda: bracket_values(pcf(), ["a"]), None),
     (
         "integrate_t_eval_str",
-        lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=["a"]),
+        lambda: integrate(instance().system, instance().z0, 0.1, t_eval=["a"]),
         None,
     ),
     (
         "integrate_t_eval_complex",
-        lambda: integrate(instance().system.rhs, instance().z0, 0.1, t_eval=1j),
+        lambda: integrate(instance().system, instance().z0, 0.1, t_eval=1j),
         None,
     ),
-    ("integrate_z0_str", lambda: integrate(instance().system.rhs, "a", 0.1), None),
-    ("integrate_z0_ragged", lambda: integrate(instance().system.rhs, [[0, 1], [2]], 0.1), None),
+    ("integrate_z0_str", lambda: integrate(instance().system, "a", 0.1), None),
+    ("integrate_z0_ragged", lambda: integrate(instance().system, [[0, 1], [2]], 0.1), None),
     ("closed_form_z0_ragged", lambda: ClosedFormSolution([[0, 1], [2]], 0.5, 4), None),
     ("trajectory_times_str", lambda: Trajectory(["a"], np.zeros((1, 1))), None),
     ("trajectory_states_str", lambda: Trajectory([0.0], "a"), None),

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ from test_periodic import _instance_with_k
 from test_serialization import old_layout, read_trajectory, reference_write_trajectory_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 @pytest.fixture
@@ -509,6 +511,47 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["k_multiple"] == 3
     np.testing.assert_allclose(parse_instance_file(out_path).z0, [-1.0, -0.5], atol=1e-9)
+
+
+def write_cli_inputs(directory):
+    """The files that README's CLI block reads, in ``directory``: the
+    instance of its ``gen`` line, and a (2, 4) system whose constraints at
+    K = 1 hold at z0 = (-1, -0.5), near the block's Newton guess."""
+    write_instance_file(generate_random_instance(2, 4, 1), directory / "instance.json")
+    system = PolynomialSystem(2, 4, coeffs=[[1 / 3, 0], [0, 8 / 3]], exponents=[[4, 0], [0, 4]])
+    write_system_file(system, directory / "system.json")
+
+
+def test_every_line_of_the_readme_cli_block_exits_0(tmp_path, monkeypatch, capsys):
+    block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert len(lines) == 10
+    monkeypatch.chdir(tmp_path)
+    write_cli_inputs(tmp_path)
+    for argv in lines:
+        # Values follow their option after a space, negative ones too.
+        assert argv[0] == "polyode" and not any("=" in arg for arg in argv), argv
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+
+
+NEGATIVE_VALUES = [
+    ["newton", "--system", "system.json", "--k", "1", "--guess", "-0.9,-0.4"],
+    ["solve", "--system", "system.json", "--z0", "-1,2", "--unknowns", "K,c:2:0-4"],
+    ["newton", "--system", "system.json", "--k", "-1+0.5j", "--guess", "-0.9,-0.4"],
+    ["period", "--instance", "instance.json", "--omega", "-1e-3"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=["guess", "z0", "k", "omega"])
+def test_a_negative_value_after_a_space_is_a_value(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_cli_inputs(tmp_path)
+    assert main(argv) == 0
+    # An unknown option, or a stray negative number, is still refused.
+    for extra in ("--bogus", "-1"):
+        assert main(argv + [extra]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path):

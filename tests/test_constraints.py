@@ -422,26 +422,39 @@ class TestWorkCounts:
         parse_instance_file(path)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n,m", [(2, 2), (3, 4)])
-    def test_an_op_validates_only_the_unknown_keys(self, monkeypatch, tmp_path, n, m):
+    @pytest.mark.parametrize(
+        "n,m,density", [(2, 2, 1.0), (3, 4, 1.0), (3, 4, 0.1)], ids=["2-2", "3-4", "3-4-sparse"]
+    )
+    def test_an_op_validates_only_the_unknown_keys(self, monkeypatch, tmp_path, n, m, density):
         # A generate -> write -> parse -> verify cycle carries one basis.
-        # Once the cell's full basis is built and factored, the cycle
+        # Once the cell's full basis is built and factored, a dense cycle
         # validates only the unknown keys' multi-indices and factors no
-        # basis.
+        # basis. A sparse draw keeps its pure columns, so its selection
+        # solve builds no union basis either. Its solved subset of the full
+        # basis is still validated and factored once by PolynomialSystem in
+        # generation, and once more when the file is read.
         path = tmp_path / "instance.json"
 
         def cycle(seed):
-            write_instance_file(generate_random_instance(n, m, seed), path)
+            instance = generate_random_instance(n, m, seed, density=density)
+            write_instance_file(instance, path)
             verify_instance(parse_instance_file(path), 0.1, 64)
+            return instance.system.exponents.tolist()
 
         cycle(0)
         rows = counting(monkeypatch, polysys, "exponent_rows")
         factors = counting(monkeypatch, polysys, "factor_indices")
-        factors += counting(monkeypatch, constraints, "factor_indices")
-        cycle(1)
-        pure = [index for _, index in generate._layout(n, m)[0]]
-        assert [args[0] for args in rows] == [pure]
-        assert factors == []
+        union = counting(monkeypatch, constraints, "factor_indices")
+        solved = cycle(1)
+        pure = [list(index) for _, index in generate._layout(n, m)[0]]
+        seen = [np.asarray(args[0]).tolist() for args in rows]
+        assert union == []
+        if density == 1:
+            assert seen == [pure]
+            assert factors == []
+        else:
+            assert seen == [pure, solved, solved]
+            assert len(factors) == 2
 
 
 class TestJacobian:

@@ -17,7 +17,8 @@ from polyode.oracle import (
     verify_instance,
     verify_periodic,
 )
-from polyode.periodic import PeriodicClosedForm, detect_period, eval_periodic_rhs
+from polyode.periodic import PeriodicClosedForm, PeriodicSystem, detect_period
+from polyode.periodic import eval_periodic_rhs
 from polyode.polysys import PolynomialSystem, evaluate_rhs
 
 from test_periodic import _instance_with_k
@@ -117,7 +118,7 @@ def proposition_t_end(instance):
 def step_counts(system, z0, t_end):
     """Accepted and rejected DP5 steps of verify_instance's integration
     (64 samples, default tolerances)."""
-    traj = integrate(system.rhs, z0, t_end, t_eval=np.linspace(0.0, t_end, 64))
+    traj = integrate(system, z0, t_end, t_eval=np.linspace(0.0, t_end, 64))
     return traj.meta.accepted, traj.meta.rejected
 
 
@@ -145,11 +146,13 @@ def rotated(instance, theta):
 
 def assert_system_and_callable_agree(system, z0, t_end):
     """``integrate`` through the system's kernel and through the checked
-    callable ``lambda z: system.rhs(z)`` gives the same step points,
-    ``StepStats`` and dense output, byte for byte."""
+    callable ``lambda z: evaluate_rhs(system, z)`` (``eval_periodic_rhs``
+    for a periodic system) gives the same step points, ``StepStats`` and
+    dense output, byte for byte."""
+    checked = eval_periodic_rhs if isinstance(system, PeriodicSystem) else evaluate_rhs
     for t_eval in (None, np.linspace(0.0, t_end, 64)):
         via_kernel = integrate(system, z0, t_end, t_eval=t_eval)
-        via_callable = integrate(lambda z: system.rhs(z), z0, t_end, t_eval=t_eval)
+        via_callable = integrate(lambda z: checked(system, z), z0, t_end, t_eval=t_eval)
         assert via_kernel.meta == via_callable.meta
         assert via_kernel.times.tobytes() == via_callable.times.tobytes()
         assert via_kernel.states.tobytes() == via_callable.states.tobytes()
@@ -253,13 +256,13 @@ class TestIntegrate:
     def test_step_history_bounded(self, monkeypatch):
         # The history starts at 32 steps (32 * 8 * 2 = 512 entries at n = 2)
         # and is refused before it doubles past MAX_HISTORY.
-        rhs, z0 = riccati_decay_system().rhs, np.array([1, 0], dtype=complex)
+        system, z0 = riccati_decay_system(), np.array([1, 0], dtype=complex)
         monkeypatch.setattr(oracle, "REL_TOL", 1e-13)
         monkeypatch.setattr(oracle, "ABS_TOL", 1e-15)
-        assert integrate(rhs, z0, 1.0).meta.accepted > 32
+        assert integrate(system, z0, 1.0).meta.accepted > 32
         monkeypatch.setattr(oracle, "MAX_HISTORY", 512)
         with pytest.raises(MaxStepsExceeded, match="history exceeds 512 entries"):
-            integrate(rhs, z0, 1.0)
+            integrate(system, z0, 1.0)
 
     @pytest.mark.parametrize("t_eval", [[0.5, 0.1], [0.1, 0.1], [0.0, 0.3, 0.2, 0.4]])
     def test_rejects_unordered_t_eval_before_any_rhs_call(self, t_eval):
@@ -299,15 +302,14 @@ class TestIntegrate:
         # 0.01 max |z0| / max |f(z0)| in the error test's scale: the first
         # accepted step, since this draw rejects none.
         instance = generate_random_instance(2, 3, 0)
-        rhs, z0 = instance.system.rhs, instance.z0
-        traj = integrate(rhs, z0, 0.8)
-        h0 = first_step(z0, rhs(z0), 0.8)
+        traj = integrate(instance.system, instance.z0, 0.8)
+        h0 = first_step(instance.z0, evaluate_rhs(instance.system, instance.z0), 0.8)
         assert traj.meta.rejected == 0
         assert traj.times[1] == h0 != oracle.INITIAL_STEP
 
     @pytest.mark.parametrize(
         "z0,rhs",
-        [([0j, 0j], riccati_blowup_system().rhs), ([1 + 0j, 0j], lambda z: np.zeros_like(z))],
+        [([0j, 0j], riccati_blowup_system()), ([1 + 0j, 0j], lambda z: np.zeros_like(z))],
         ids=["zero_state", "zero_rhs"],
     )
     def test_first_step_falls_back_without_a_scale(self, z0, rhs):
@@ -371,11 +373,12 @@ class TestIntegrate:
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_first_rhs_warns_nothing(self):
-        # rhs(z0) overflows at M = 3 before any step; the steps then shrink
-        # to StepUnderflow, with no numpy warning on the way.
+        # f(z0) overflows at M = 3 before any step; the steps then shrink
+        # to StepUnderflow, with no numpy warning on the way. The system's
+        # kernel takes the non-finite stage states that evaluate_rhs refuses.
         inst = generate_random_instance(2, 3, 5)
         with pytest.raises(StepUnderflow):
-            integrate(inst.system.rhs, [1e150, 1e150], 1.0)
+            integrate(inst.system, [1e150, 1e150], 1.0)
 
     def test_rejects_empty_initial_state(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -385,12 +388,38 @@ class TestIntegrate:
         with pytest.raises(ValidationError, match="shape"):
             integrate(lambda z: np.zeros(6, dtype=complex), np.zeros(4, dtype=complex), 1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda z: np.array(["a"] * z.size), lambda z: z[:1], lambda z: [10**400] * z.size,
+            lambda z: None,
+        ],
+        ids=["strings", "prefix", "huge_int", "none"],
+    )
+    def test_a_bad_first_or_third_result_is_refused_alike(self, bad):
+        # One check serves every result of a callable, the first included.
+        system = riccati_decay_system()
+        messages = []
+        for first_bad in (1, 3):
+            calls = []
+
+            def rhs(z):
+                calls.append(None)
+                return bad(z) if len(calls) >= first_bad else evaluate_rhs(system, z)
+
+            with pytest.raises(ValidationError) as caught:
+                integrate(rhs, np.array([1, 0], dtype=complex), 1.0)
+            assert len(calls) == first_bad
+            messages.append(str(caught.value))
+        prefix = "rhs value cannot be stored as a state: "
+        assert all(message.startswith(prefix) for message in messages)
+        assert messages[0] == messages[1]
+
     def test_rhs_returning_a_list_integrates(self):
         # Every RHS result must have the state's shape; a list of n numbers has.
         instance = generate_random_instance(2, 4, 42, k_cap=0.1)
-        rhs = instance.system.rhs
-        expected = integrate(rhs, instance.z0, 0.1)
-        traj = integrate(lambda z: rhs(z).tolist(), instance.z0, 0.1)
+        expected = integrate(instance.system, instance.z0, 0.1)
+        traj = integrate(lambda z: evaluate_rhs(instance.system, z).tolist(), instance.z0, 0.1)
         assert traj.times.tobytes() == expected.times.tobytes()
         assert traj.states.tobytes() == expected.states.tobytes()
 
@@ -454,7 +483,8 @@ class TestIntegrate:
         for seed in range(20):
             instance = generate_random_instance(*cell, seed)
             self.assert_matches_reference_loop(
-                monkeypatch, instance.system.rhs, instance.z0, proposition_t_end(instance)
+                monkeypatch, lambda z: evaluate_rhs(instance.system, z), instance.z0,
+                proposition_t_end(instance),
             )
 
     @pytest.mark.parametrize(
@@ -467,7 +497,8 @@ class TestIntegrate:
         pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
         assert pcf.q == q
         self.assert_matches_reference_loop(
-            monkeypatch, pcf.system.rhs, pcf.instance.z0, pcf.base_period
+            monkeypatch, lambda w: eval_periodic_rhs(pcf.system, w), pcf.instance.z0,
+            pcf.base_period,
         )
 
     @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
@@ -555,9 +586,10 @@ class TestIntegrate:
         for n, m, seed in [(2, 2, 1), (2, 3, 4), (2, 4, 1), (3, 2, 1), (3, 3, 1), (3, 4, 1)]:
             instance = generate_random_instance(n, m, seed)
             times = np.linspace(0.0, proposition_t_end(instance), 9)
-            ours = integrate(instance.system.rhs, instance.z0, times[-1], t_eval=times)
+            rhs = lambda z: evaluate_rhs(instance.system, z)
+            ours = integrate(rhs, instance.z0, times[-1], t_eval=times)
             ref = scipy_integrate.solve_ivp(
-                lambda t, z: instance.system.rhs(z), (0.0, times[-1]), instance.z0,
+                lambda t, z: rhs(z), (0.0, times[-1]), instance.z0,
                 method="DOP853", t_eval=times, rtol=1e-13, atol=1e-14,
             )
             assert ref.success
@@ -669,12 +701,13 @@ class TestVerifyPeriodic:
 
 def us_per_step(instance, repeats=20):
     """Microseconds per accepted step of ``step_counts``'s integration of
-    ``instance`` through its system's kernel and through the callable
-    ``lambda z: system.rhs(z)``: the fastest of ``repeats`` runs each, the
-    two forms run in turn so that a slow spell of the host hits both."""
+    ``instance`` through its system's kernel and through the checked
+    callable ``lambda z: evaluate_rhs(system, z)``: the fastest of
+    ``repeats`` runs each, the two forms run in turn so that a slow spell
+    of the host hits both."""
     system, z0, t_end = instance.system, instance.z0, proposition_t_end(instance)
     times = np.linspace(0.0, t_end, 64)
-    forms = (system, lambda z: system.rhs(z))
+    forms = (system, lambda z: evaluate_rhs(system, z))
     best = [float("inf")] * len(forms)
     for _ in range(repeats):
         for i, rhs in enumerate(forms):
@@ -688,7 +721,8 @@ if __name__ == "__main__":
     # Prints RECORDED_STEPS as the integrator counts them now, for a
     # deliberate re-record, then the median time per accepted step of each
     # cell's 20 instances, through the system's kernel and through the
-    # checked callable lambda z: system.rhs(z): one DP5 step as a layer.
+    # checked callable lambda z: evaluate_rhs(system, z): one DP5 step as a
+    # layer.
     # python tests/test_oracle.py (with src on the path).
     print("RECORDED_STEPS = {")
     for cell in sorted(RECORDED_STEPS):
@@ -698,7 +732,7 @@ if __name__ == "__main__":
             print("        " + " ".join(row))
         print("    ],")
     print("}")
-    print("# median us per accepted step: kernel, callable")
+    print("# median us per accepted step: system kernel, lambda z: evaluate_rhs(system, z)")
     for cell in sorted(RECORDED_STEPS):
         per_step = [us_per_step(generate_random_instance(*cell, seed)) for seed in range(20)]
         kernel, wrapped = np.median(per_step, axis=0)

@@ -419,10 +419,10 @@ class TestKernel:
     def test_kernel_rhs_and_checked_rhs_agree_bit_for_bit(self, n, m, density, seed, omega_sign):
         # Components scaled by up to 1e300, so that about three draws in
         # four have monomials that overflow to inf, and NaN where an inf
-        # meets a zero part or another inf. The three forms do the
-        # same arithmetic, so their bytes, and with them the inf and NaN
-        # positions, agree. They run under the integrator's errstate; any
-        # other numpy warning fails the test.
+        # meets a zero part or another inf. The kernel and the checked
+        # function do the same arithmetic, so their bytes, and with them the
+        # inf and NaN positions, agree. They run under the integrator's
+        # errstate; any other numpy warning fails the test.
         rng = np.random.default_rng(seed)
         base = random_system(rng, n, m, density)
         periodic = PeriodicSystem(base, omega_sign * rng.uniform(0.1, 3.0))
@@ -432,17 +432,19 @@ class TestKernel:
             out = np.full(n, np.nan, dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
                 system.kernel()(z, out)
-                fresh, validated = system.rhs(z), checked(system, z)
-            assert out.tobytes() == fresh.tobytes() == validated.tobytes()
+                validated = checked(system, z)
+            assert out.tobytes() == validated.tobytes()
 
     @pytest.mark.parametrize(
         "shape", [(1,), (3,), (2, 1), ()], ids=["short", "long", "column", "scalar"]
     )
     def test_rhs_refuses_a_state_of_another_shape(self, shape):
+        # The checked functions refuse it with as_state's message.
         system = PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
-        for rhs in (system.rhs, PeriodicSystem(system, 1.0).rhs):
-            with pytest.raises(ValidationError, match=r"expected \(2,\)"):
-                rhs(np.ones(shape, dtype=complex))
+        periodic = PeriodicSystem(system, 1.0)
+        for checked, target in ((evaluate_rhs, system), (eval_periodic_rhs, periodic)):
+            with pytest.raises(ValidationError, match=r"expected a non-empty \(2,\)"):
+                checked(target, np.ones(shape, dtype=complex))
 
 
 def assert_matches_power_table(system, z):
