@@ -119,8 +119,8 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     The solved system's basis is the union of the system's multi-indices
     and the keys'. When no key adds a row, as in generation at any
     density, the union is the system's own basis, and the solve reuses its
-    exponents, factors and a copy of its coefficients; over
-    ``full_basis``, the solved system shares it too. One path serves every
+    factors and a copy of its coefficients, and the solved system shares
+    that basis, neither checked nor factored again. One path serves every
     size. Monomials of z0 that overflow end in the ValidationError of a
     non-finite coefficient.
     """
@@ -154,8 +154,8 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
         exponents = np.array(indices, dtype=np.intp)
         cols = [column[index] for _, index in keys]
         factors = factor_indices(exponents)
-    else:
-        coeffs, exponents, factors = system.coeffs.copy(), basis.exponents, basis.factors
+    else:  # the solved system shares the basis itself
+        coeffs, exponents, factors = system.coeffs.copy(), basis, basis.factors
     coeffs[rows, cols] = 0
 
     # A finite z0 can overflow the monomials; the solved coefficients are

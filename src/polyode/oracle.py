@@ -155,7 +155,10 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     err = np.empty(2 * n)
     err_complex, err_abs, scale = err.view(complex), np.empty(n), np.empty(n)
     abs_y_new = np.empty(n)
-    finite = np.empty(state_view.shape, dtype=bool)
+    # 0 * x is NaN exactly where x is +-inf or NaN, and 0 (of either sign)
+    # elsewhere, so one dot of all stage states with zeros tests them: a
+    # sum would overflow on finite values.
+    states_flat, zeros = state_view.reshape(-1), np.zeros(state_view.size)
     # Accepted steps: start times, sizes, and start states and stages as rows.
     starts, sizes = [], []
     history = np.empty((32, 8, n), dtype=complex)
@@ -194,10 +197,10 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
             scale *= rel_tol
             scale += abs_tol
             err_abs /= scale
-            err_norm = float(np.maximum.reduce(err_abs))
+            err_norm = float(np.maximum.reduce(err_abs))  # ndarray.max adds a wrapper
             # A trial step whose stage states overflow is rejected as a NaN error
-            # estimate is. ufunc reductions: ndarray.all and .max add a wrapper.
-            if not np.logical_and.reduce(np.isfinite(state_view, out=finite), axis=None):
+            # estimate is.
+            if zeros.dot(states_flat) != 0:
                 err_norm = np.nan
 
             if err_norm <= 1.0:

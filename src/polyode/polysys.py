@@ -9,13 +9,14 @@ A basis is a value. ``full_basis(n, M)`` holds all multi-indices of
 (n, M) in canonical order, made once per (n, M) and canonical by
 construction, so never checked. A system whose exponents are that array,
 or equal it, shares it: the generator's, the solved one, the file
-reader's. Dropping a system's zero columns takes rows of its basis, which
-are sorted and valid already, along with any factors built. Any other
-exponents (a sparse file, a list of a few terms) are validated, and the
-system owns them. A basis holds the read-only exponents and, built on
-first use, their ``factor_indices``, a multi-index -> row map and the
-derivatives' factors. A system owns its coefficients and compares by
-identity.
+reader's. The selection solve passes its system's basis itself, full or
+not, and the solved system shares it unchecked. Dropping a system's zero
+columns takes rows of its basis, which are sorted and valid already,
+along with any factors built. Any other exponents (a sparse file, a list
+of a few terms) are validated, and the system owns them. A basis holds
+the read-only exponents and, built on first use, their
+``factor_indices``, a multi-index -> row map and the derivatives'
+factors. A system owns its coefficients and compares by identity.
 
 The right-hand sides have two contracts. ``kernel()`` gives the
 integrator an unchecked in-place ``store(z, out)``; every other caller
@@ -177,10 +178,13 @@ def full_basis(n: int, m: int) -> _Basis:
 
 
 def _basis_of(rows, n: int, m: int) -> _Basis:
-    """``full_basis(n, m)`` if ``rows`` are its exponents or equal them (the
+    """``rows`` itself if it is a ``_Basis`` of (n, m), already checked;
+    ``full_basis(n, m)`` if ``rows`` are its exponents or equal them (the
     row count decides whether to compare, so a refused size is never
     enumerated); else a checked basis of their own. Rows not in an intp
     array (a list may hold a bool) are read first."""
+    if isinstance(rows, _Basis):
+        return rows
     read = not isinstance(rows, np.ndarray) or rows.dtype != np.intp
     if read:
         rows = exponent_rows(rows, n, m)
@@ -212,7 +216,8 @@ class PolynomialSystem:
     columns that are zero in every equation are dropped, so a sparse system
     pays only for the monomials it stores, as unchecked rows of its basis.
     ``__post_init__`` shares ``full_basis(n, m)`` when the exponents are
-    its array or equal it, and else validates them into a read-only copy
+    its array or equal it, and a basis passed as ``exponents`` (the
+    selection solve's), and else validates them into a read-only copy
     that the system owns. It checks the coefficients of every system,
     stores a read-only copy, and refuses what ``check_basis_size`` does.
     ``coefficients`` is the derived read-only mapping {(eq, multi-index):
@@ -269,15 +274,17 @@ class PolynomialSystem:
         are allocated here, once, and belong to the returned function alone:
         make one kernel per integration or thread, and nothing is kept on the
         system. Each monomial is the product of its factors in factor order,
-        and the monomials are summed by one BLAS matrix-vector product."""
-        factors, coeffs = self._basis.factors, self.coeffs
+        and the monomials are summed by one BLAS matrix-vector product. The
+        three calls are bound here, so a call looks none of them up."""
+        factors = self._basis.factors
         taken = np.empty(factors.shape, dtype=complex)
         values = np.empty(len(factors), dtype=complex)
+        take, product, dot = np.ndarray.take, np.multiply.reduce, self.coeffs.dot
 
         def store(z, out):
-            z.take(factors, out=taken, mode="clip")
-            np.multiply.reduce(taken, axis=-1, out=values)
-            coeffs.dot(values, out=out)
+            take(z, factors, out=taken, mode="clip")
+            product(taken, axis=-1, out=values)
+            dot(values, out=out)
 
         return store
 

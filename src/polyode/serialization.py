@@ -1,15 +1,22 @@
 """File formats: system/instance JSON, trajectory CSV, JSON reports.
 
-Numbers are written with 17 significant digits so that doubles round-trip
-bit-exactly. A system or instance document is JSON, written on one line and
-read in any layout: n, m and the system's two arrays, ``exponents`` (U rows
-of n integers) and ``coeffs`` (n x U), then z0 and K for an instance. A
+A system or instance document is JSON, written on one line and read in
+any layout: n, m and the system's two arrays, ``exponents`` (U rows of n
+integers) and ``coeffs`` (n x U), then z0 and K for an instance. A
 complex field is the pair [real parts, imaginary parts], each of the
-field's shape. The older layout of one object per coefficient is refused.
+field's shape. A number is written as Python's ``repr``, the shortest
+text that reads back as the same double (``0.8124821092208767`` has 16
+digits), so doubles round-trip bit-exactly. The older layout of one
+object per coefficient is refused. A JSON document (system, instance or
+report) is written as the bytes of its ``json.dumps`` text by one binary
+write, and read by one binary read decoded strictly as UTF-8, so a
+byte-order mark or UTF-16 text is not valid JSON.
+
 A trajectory CSV is ASCII: a header row, then one row per sample, each
-value formatted as C's ``"%.17g"`` (so ``-0``, ``5e-324``, ``nan``,
-``inf``), fields separated by ``,``, rows ended by ``\r\n``, and nothing
-quoted. The library writes trajectory CSVs and does not read them.
+value formatted as C's ``"%.17g"``, 17 significant digits (so ``-0``,
+``5e-324``, ``nan``, ``inf``), fields separated by ``,``, rows ended by
+``\r\n``, and nothing quoted. The library writes trajectory CSVs and does
+not read them.
 
 The CSV digits come from a numpy kernel, not from Python's ``%``. For
 |x| in [1e-280, 1e280] with exponent X = floor(log10|x|), it forms
@@ -37,7 +44,6 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -109,8 +115,15 @@ def document_text(doc: dict) -> str:
     return json.dumps(doc) + "\n"
 
 
+def _write_text(text: str, path) -> None:
+    """``text`` as the whole file at ``path``, by one binary write of its
+    bytes: no text-I/O layer on the way. Every text written is ASCII."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+
+
 def write_system_file(system: PolynomialSystem, path) -> None:
-    Path(path).write_text(document_text(system_to_dict(system)))
+    _write_text(document_text(system_to_dict(system)), path)
 
 
 def parse_system_file(path) -> PolynomialSystem:
@@ -131,7 +144,7 @@ def instance_from_dict(data: dict) -> SolvableInstance:
 
 
 def write_instance_file(instance: SolvableInstance, path) -> None:
-    Path(path).write_text(document_text(instance_to_dict(instance)))
+    _write_text(document_text(instance_to_dict(instance)), path)
 
 
 def parse_instance_file(path) -> SolvableInstance:
@@ -139,10 +152,14 @@ def parse_instance_file(path) -> SolvableInstance:
 
 
 def _load_json(path) -> dict:
-    """The JSON value in the file at ``path``. A file that is not text, not
-    JSON, or nested too deeply for the parser is a ValidationError."""
+    """The JSON value in the file at ``path``, read by one binary read. A
+    file that is not UTF-8 (decoded strictly: ``json.loads`` would detect
+    UTF-16 in bytes), not JSON, or nested too deeply for the parser is a
+    ValidationError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -321,4 +338,4 @@ def write_trajectory_csv(traj: Trajectory, path, periodic: bool = False) -> None
 
 
 def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    _write_text(json.dumps(report, indent=2) + "\n", path)

@@ -514,9 +514,8 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
 
 
 def write_cli_inputs(directory):
-    """The files that README's CLI block reads, in ``directory``: the
-    instance of its ``gen`` line, and a (2, 4) system whose constraints at
-    K = 1 hold at z0 = (-1, -0.5), near the block's Newton guess."""
+    """An instance as README's ``gen`` line writes it, and a (2, 4) system
+    whose constraints at K = 1 hold at z0 = (-1, -0.5), in ``directory``."""
     write_instance_file(generate_random_instance(2, 4, 1), directory / "instance.json")
     system = PolynomialSystem(2, 4, coeffs=[[1 / 3, 0], [0, 8 / 3]], exponents=[[4, 0], [0, 4]])
     write_system_file(system, directory / "system.json")
@@ -526,8 +525,9 @@ def test_every_line_of_the_readme_cli_block_exits_0(tmp_path, monkeypatch, capsy
     block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line) for line in block.splitlines()]
     assert len(lines) == 10
+    # Run top to bottom in an empty directory: each line reads only what an
+    # earlier line wrote.
     monkeypatch.chdir(tmp_path)
-    write_cli_inputs(tmp_path)
     for argv in lines:
         # Values follow their option after a space, negative ones too.
         assert argv[0] == "polyode" and not any("=" in arg for arg in argv), argv

@@ -430,9 +430,9 @@ class TestWorkCounts:
         # Once the cell's full basis is built and factored, a dense cycle
         # validates only the unknown keys' multi-indices and factors no
         # basis. A sparse draw keeps its pure columns, so its selection
-        # solve builds no union basis either. Its solved subset of the full
-        # basis is still validated and factored once by PolynomialSystem in
-        # generation, and once more when the file is read.
+        # solve builds no union basis either, and its solved system shares
+        # the draw's subset of the full basis, factored by row. Only the file
+        # reader validates and factors that subset again.
         path = tmp_path / "instance.json"
 
         def cycle(seed):
@@ -453,8 +453,8 @@ class TestWorkCounts:
             assert seen == [pure]
             assert factors == []
         else:
-            assert seen == [pure, solved, solved]
-            assert len(factors) == 2
+            assert seen == [pure, solved]
+            assert len(factors) == 1
 
 
 class TestJacobian:

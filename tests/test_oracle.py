@@ -371,6 +371,24 @@ class TestIntegrate:
         assert traj.meta.rejected > 0
         np.testing.assert_allclose(traj.states[-1], (1 + 2e40) ** -0.5, rtol=0, atol=oracle.ABS_TOL)
 
+    def test_a_step_whose_stage_states_alone_overflow_is_rejected(self):
+        # The first step is the window, h = 1. Its k2 = 1.7e308 overflows
+        # stage states 4 and 5, whose weights on k2 exceed 1 in modulus; the
+        # 5th-order solution and the error estimate weigh k2 by 0, so they
+        # stay finite and small. Only the finiteness test of the stage states
+        # rejects that step; then h = 0.2 and the final 0.8 are accepted.
+        calls = []
+
+        def rhs(z):
+            calls.append(None)
+            return np.full_like(z, 1.7e308 if len(calls) == 2 else 1e-3)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(rhs, np.array([1 + 0j]), 1.0)
+        assert (traj.meta.accepted, traj.meta.rejected) == (2, 1)
+        assert traj.times.tolist() == [0.0, 0.2, 1.0]
+        assert np.isfinite(traj.states).all()
+
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_first_rhs_warns_nothing(self):
         # f(z0) overflows at M = 3 before any step; the steps then shrink

@@ -90,7 +90,16 @@ class TestSystemFormat:
 
     @pytest.mark.parametrize("parse", [parse_system_file, parse_instance_file])
     @pytest.mark.parametrize(
-        "content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000], ids=["undecodable", "too_deep"]
+        "content",
+        [
+            b"\xff\xfe{",
+            b"[" * 100_000 + b"]" * 100_000,
+            # json.loads would detect each of these encodings in bytes.
+            '{"n": 2}'.encode("utf-8-sig"),
+            '{"n": 2}'.encode("utf-16"),
+            '{"n": 2}'.encode("utf-16-le"),
+        ],
+        ids=["undecodable", "too_deep", "utf8_bom", "utf16_bom", "utf16le"],
     )
     def test_rejects_files_that_do_not_decode(self, tmp_path, parse, content):
         path = tmp_path / "doc.json"
