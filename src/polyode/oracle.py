@@ -3,10 +3,9 @@
 The single adaptive oracle is a Dormand-Prince 5(4) embedded pair with
 proportional step control and 4th-order dense output. Complex states are
 integrated as 2N real components. The integrator sees only the right-hand
-side: a system, whose unchecked ``kernel()`` writes each stage's f(z)
-straight into its row of the stage buffer, or any callable, such as
-``lambda z: evaluate_rhs(system, z)``, each of whose results is checked and
-then copied there. It never touches the closed-form formulas.
+side, and only through one contract: a system, whose unchecked
+``kernel()`` writes each stage's f(z) straight into its row of the stage
+buffer. It never touches the closed-form formulas.
 
 A step is accepted when max_j |e_j| / (ABS_TOL + REL_TOL max(|y_j|,
 |y_new_j|)) <= 1, where e_j is the local error estimate of complex
@@ -89,33 +88,28 @@ ABS_TOL = 1e-12
 MAX_DEVIATION = 1e-6
 
 
-def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
-    """Integrate dz/dt = rhs(z) from t=0 to t_end.
+def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
+    """Integrate dz/dt = f(z), the right-hand side of ``system``, from t=0
+    to t_end.
 
-    ``rhs`` is either a system or a callable. A system (anything with a
-    ``kernel`` attribute and a dimension ``n``, such as ``PolynomialSystem``
-    or ``PeriodicSystem``) fixes the dimension: z0 must have its ``n``
-    components, checked before any RHS call. One kernel is
-    built per call; its work arrays live as long as the call and are never
-    kept, so one system may be integrated by several threads at once. Each
-    stage's RHS is written straight into the stage buffer, unchecked. Any
-    other callable maps a complex state vector to a complex state vector of
-    the same shape, and need not validate its input; each of its results,
-    the first included, is checked to be numeric and of the state's shape
-    before it is stored.
+    ``system`` is anything with a ``kernel`` attribute and a dimension
+    ``n``, such as ``PolynomialSystem`` or ``PeriodicSystem``; anything else
+    is refused before z0 is read. z0 must have its ``n`` components, checked
+    before any RHS call. One kernel is built per call; its work arrays live
+    as long as the call and are never kept, so one system may be integrated
+    by several threads at once. Each stage's RHS is written straight into
+    the stage buffer, unchecked.
 
     z0 must be finite and non-empty. The six stage states of a step are
-    checked together after the step's RHS calls, so ``rhs`` may see a
+    checked together after the step's RHS calls, so the kernel may see a
     non-finite state; a step with one is rejected and h shrinks by 0.2, as
     on a NaN error estimate. When ``t_eval`` (a 1-D array of times in
     [0, t_end]) is given, states are produced at those times via the dense
     output interpolant; otherwise the accepted step points are returned.
-    Deterministic, and bit for bit the same for a system and for
-    ``lambda z: evaluate_rhs(system, z)`` while every stage state is finite.
+    Deterministic.
     """
-    kernel = getattr(rhs, "kernel", None)
-    if kernel is None and not callable(rhs):
-        raise ValidationError(f"rhs must be callable, got {type(rhs).__name__}")
+    if not (hasattr(system, "kernel") and hasattr(system, "n")):
+        raise ValidationError(f"system must have kernel() and n, got {type(system).__name__}")
     t_end = check_positive("t_end", t_end)
     if t_eval is not None:
         times = as_array(t_eval, float, "t_eval")
@@ -124,8 +118,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
             raise ValidationError("t_eval must be a 1-D array of times within [0, t_end]")
         if not np.logical_and.reduce(times[1:] > times[:-1]):
             raise ValidationError("t_eval times must be strictly increasing")
-    z0 = as_array(z0, complex, "initial state")
-    z0 = as_state(z0, z0.size if kernel is None else rhs.n)
+    z0 = as_state(as_array(z0, complex, "initial state"), system.n)
 
     # A complex state is integrated as the real view of its memory, with the
     # real and imaginary parts of each component interleaved. ``rows`` holds
@@ -168,7 +161,7 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # Overflow is expected in the first rhs and step of a finite but huge z0,
     # and in a trial step far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
-        store = _checked(rhs, z0.shape) if kernel is None else kernel()
+        store = system.kernel()
         store(z0, rows[1])
         abs_y = np.abs(y)
         # The first trial step from the problem's scale (see the module docstring).
@@ -244,32 +237,22 @@ def integrate(rhs, z0, t_end: float, *, t_eval=None) -> Trajectory:
     return Trajectory(times, y_s.view(complex), meta=stats)
 
 
-def _checked(rhs, shape):
-    """The callable ``rhs`` as a kernel ``store(z, out)``: each result, the
-    first included, is stored in ``out`` if it is numeric and of the state's
-    ``shape`` (a list of n numbers is); anything else is a ValidationError."""
-
-    def store(z, out):
-        value = rhs(z)
-        try:
-            # np.shape only where .shape is missing or differs: a list passes.
-            if getattr(value, "shape", None) != shape and np.shape(value) != shape:
-                raise ValueError(f"shape {np.shape(value)} for a state of shape {shape}")
-            out[...] = value
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"rhs value cannot be stored as a state: {exc}") from exc
-
-    return store
-
-
 def sample_times(t_end: float, samples: int) -> np.ndarray:
     """``samples`` uniform times on [0, t_end], at most ``MAX_SAMPLES``. One
     sample would be t = 0 alone, where a check compares z0 with itself: a
-    vacuous pass."""
+    vacuous pass. A t_end of a few subnormals spaces the times below the
+    doubles' resolution, so some repeat; such a grid is refused."""
     samples = check_count("samples", samples, 2)
     if samples > MAX_SAMPLES:
         raise ValidationError(f"samples must be <= {MAX_SAMPLES}, got {samples!r}")
-    return np.linspace(0.0, check_positive("t_end", t_end), samples)
+    t_end = check_positive("t_end", t_end)
+    times = np.linspace(0.0, t_end, samples)
+    if not np.logical_and.reduce(times[1:] > times[:-1]):
+        raise ValidationError(
+            f"{samples} sample times on [0, {t_end!r}] repeat a time: "
+            "raise t_end (--t-max) or lower samples (--samples)"
+        )
+    return times
 
 
 def _verify(system, reference: Trajectory) -> float:

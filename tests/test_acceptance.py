@@ -20,7 +20,7 @@ from polyode.constraints import (
 from polyode.errors import NoConvergence, SingularTime, StepUnderflow
 from polyode.generate import generate_random_instance
 from polyode.oracle import integrate, verify_instance, verify_periodic
-from polyode.periodic import PeriodicClosedForm, detect_period, eval_periodic_rhs
+from polyode.periodic import PeriodicClosedForm, detect_period
 from polyode.polysys import (
     PolynomialSystem,
     enumerate_multi_indices,
@@ -95,12 +95,8 @@ def test_criterion_3_example2_golden():
     report = detect_period(pcf)
 
     # Closure confirmed by integration alone, independent of the closed form.
-    psys = pcf.system
     t_closure = 3 * pcf.base_period
-    traj = integrate(
-        lambda w: eval_periodic_rhs(psys, w), instance.z0, t_closure,
-        t_eval=np.array([0.0, t_closure]),
-    )
+    traj = integrate(pcf.system, instance.z0, t_closure, t_eval=np.array([0.0, t_closure]))
     integrated_closure = float(np.abs(traj.states[-1] - instance.z0).max())
 
     _report(
@@ -218,7 +214,7 @@ def test_criterion_8_singularity_handling():
 
     underflow_before_blow_up = False
     try:
-        integrate(lambda z: evaluate_rhs(system, z), instance.z0, 1.0)
+        integrate(system, instance.z0, 1.0)
     except StepUnderflow as exc:
         underflow_before_blow_up = exc.t_reached < 1.0
     _report(

@@ -60,30 +60,19 @@ def wide_system():
     return PolynomialSystem(WIDE, 2, coeffs=np.eye(WIDE, 1), exponents=[[2] + [0] * (WIDE - 1)])
 
 
-def integrate_turning_bad(bad):
-    """Integrate the instance with an RHS whose results from its third call
-    on are ``bad`` of the true ones: values the integrator must refuse."""
-    calls = []
+class KernelWithoutN:
+    """A kernel without a dimension ``n``, so not a system. Building the
+    kernel fails the test: the refusal must come before any RHS call."""
 
-    def rhs(z):
-        calls.append(None)
-        value = evaluate_rhs(instance().system, z)
-        return value if len(calls) < 3 else bad(value)
-
-    return integrate(rhs, instance().z0, 0.1)
+    def kernel(self):
+        raise AssertionError("kernel built for an object without n")
 
 
-def checked_rhs(system):
-    """``system``'s checked RHS as a plain callable, which has no kernel."""
-    evaluate = eval_periodic_rhs if isinstance(system, PeriodicSystem) else evaluate_rhs
-    return lambda z: evaluate(system, z)
-
-
-def integrate_misfit(rhs, extra):
-    """Integrate ``rhs`` from the instance's z0 with its last component
+def integrate_misfit(system, extra):
+    """Integrate ``system`` from the instance's z0 with its last component
     dropped (``extra`` = -1) or one component appended (1)."""
     z0 = instance().z0
-    return integrate(rhs, z0[:-1] if extra < 0 else np.append(z0, 1j), 0.1)
+    return integrate(system, z0[:-1] if extra < 0 else np.append(z0, 1j), 0.1)
 
 
 def solve(k, unknowns):
@@ -115,53 +104,35 @@ BAD_ARGUMENTS = [
         lambda: integrate(instance().system, instance().z0, 0.1, t_eval=[[0, 0.05]]),
         None,
     ),
-    # A state one component short or long for a system, passed itself or as
-    # the callable of its checked RHS, is refused before any RHS arithmetic:
-    # the kernel's gather would clip an index past the state's end.
+    # A state one component short or long for a system is refused before
+    # any RHS arithmetic: the kernel's gather would clip an index past the
+    # state's end.
     ("integrate_system_z0_short", lambda: integrate_misfit(instance().system, -1), None),
     ("integrate_system_z0_long", lambda: integrate_misfit(instance().system, 1), None),
-    (
-        "integrate_system_rhs_z0_short",
-        lambda: integrate_misfit(checked_rhs(instance().system), -1),
-        None,
-    ),
-    (
-        "integrate_system_rhs_z0_long",
-        lambda: integrate_misfit(checked_rhs(instance().system), 1),
-        None,
-    ),
     ("integrate_periodic_z0_short", lambda: integrate_misfit(pcf().system, -1), None),
     ("integrate_periodic_z0_long", lambda: integrate_misfit(pcf().system, 1), None),
-    (
-        "integrate_periodic_rhs_z0_short",
-        lambda: integrate_misfit(checked_rhs(pcf().system), -1),
-        None,
-    ),
-    (
-        "integrate_periodic_rhs_z0_long",
-        lambda: integrate_misfit(checked_rhs(pcf().system), 1),
-        None,
-    ),
+    # Only a system (a kernel and a dimension n) is integrated; a callable
+    # is not one.
     ("integrate_rhs_str", lambda: integrate("x", instance().z0, 0.1), None),
     ("integrate_rhs_none", lambda: integrate(None, instance().z0, 0.1), None),
     (
-        "integrate_rhs_not_numeric",
-        lambda: integrate(lambda z: np.array(["a", "b"]), instance().z0, 0.1),
+        "integrate_rhs_callable",
+        lambda: integrate(lambda z: evaluate_rhs(instance().system, z), instance().z0, 0.1),
         None,
     ),
-    (
-        "integrate_later_rhs_not_numeric",
-        lambda: integrate_turning_bad(lambda value: np.array(["a"] * value.size)),
-        None,
-    ),
-    ("integrate_later_rhs_column", lambda: integrate_turning_bad(lambda value: value[:, None]), None),
-    ("integrate_later_rhs_scalar", lambda: integrate_turning_bad(lambda value: 0.5), None),
-    ("integrate_later_rhs_prefix", lambda: integrate_turning_bad(lambda value: value[:1]), None),
+    ("integrate_kernel_without_n", lambda: integrate(KernelWithoutN(), instance().z0, 0.1), None),
     ("eval_closed_form_times_2d", lambda: eval_closed_form(solution(), [[0, 0.1]]), None),
     (
         "eval_samples_above_bound",
         lambda: sample_times(0.4, too_many_samples()),
         lambda: ["eval", "--t-max", "0.4", "--samples", str(too_many_samples()), "--out", "OUT"],
+    ),
+    # A t_end of a few subnormals spaces the samples below the doubles'
+    # resolution, so some times repeat.
+    (
+        "sample_times_repeat_a_time",
+        lambda: sample_times(5e-324, 64),
+        lambda: ["verify", "--t-max", "5e-324", "--samples", "64"],
     ),
     ("as_state_str", lambda: as_state("x", 1), None),
     ("as_state_ragged", lambda: as_state([[1], [1, 2]], 2), None),
@@ -371,8 +342,21 @@ def test_zero_omega_is_its_own_error(omega):
 @pytest.mark.parametrize("rhs, name", [("x", "str"), (None, "NoneType")])
 def test_a_non_callable_rhs_is_refused_first(rhs, name):
     # Named before the state is read: the bad z0 here is never converted.
-    with pytest.raises(ValidationError, match=f"^rhs must be callable, got {name}$"):
+    with pytest.raises(ValidationError, match=f"^system must have kernel\\(\\) and n, got {name}$"):
         integrate(rhs, "not a state", 0.1)
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_a_grid_that_repeats_a_time_names_both_options(tmp_path, capsys, command):
+    path = tmp_path / "instance.json"
+    write_instance_file(instance(), path)
+    argv = [command, "--instance", str(path), "--t-max", "1e-322", "--samples", "64"]
+    out = tmp_path / "out.csv"
+    assert main(argv + (["--out", str(out)] if command == "eval" else [])) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: 64 sample times on [0, 1e-322] repeat a time")
+    assert "--t-max" in error and "--samples" in error
+    assert not out.exists()
 
 
 def test_a_wrong_library_object_names_the_argument_and_its_type():

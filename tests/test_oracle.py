@@ -4,6 +4,8 @@ import timeit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyode import oracle
 from polyode.closedform import ClosedFormSolution, blow_up_time
@@ -17,9 +19,10 @@ from polyode.oracle import (
     verify_instance,
     verify_periodic,
 )
-from polyode.periodic import PeriodicClosedForm, PeriodicSystem, detect_period
+from polyode.periodic import PeriodicClosedForm, PeriodReport, PeriodicSystem, detect_period
 from polyode.periodic import eval_periodic_rhs
 from polyode.polysys import PolynomialSystem, evaluate_rhs
+from polyode.trajectory import StepStats
 
 from test_periodic import _instance_with_k
 
@@ -32,6 +35,30 @@ def riccati_decay_system():
 def riccati_blowup_system():
     # z1' = +z1^2; blows up at t = 1 from z1(0) = 1.
     return PolynomialSystem(2, 2, coeffs=[[1.0], [0]], exponents=[[2, 0]])
+
+
+class RecordingSystem:
+    """A test system of dimension ``n``: its kernel records a copy of each
+    state it is given, then stores ``f`` of it. For the tests that count
+    RHS calls or inject a fault at one of them."""
+
+    def __init__(self, f, n=1):
+        self.f, self.n, self.states = f, n, []
+
+    def kernel(self):
+        def store(z, out):
+            self.states.append(z.copy())
+            out[...] = self.f(z)
+
+        return store
+
+
+def checked_rhs(system):
+    """``system``'s checked right-hand side as a callable: ``evaluate_rhs``,
+    or ``eval_periodic_rhs`` for a periodic system. The references below
+    call it; the integrator's kernel must match it bit for bit."""
+    evaluate = eval_periodic_rhs if isinstance(system, PeriodicSystem) else evaluate_rhs
+    return lambda z: evaluate(system, z)
 
 
 def dense_output_loop(rhs, steps, t_end, t_eval):
@@ -144,18 +171,14 @@ def rotated(instance, theta):
     return spun, instance.z0 * turn
 
 
-def assert_system_and_callable_agree(system, z0, t_end):
-    """``integrate`` through the system's kernel and through the checked
-    callable ``lambda z: evaluate_rhs(system, z)`` (``eval_periodic_rhs``
-    for a periodic system) gives the same step points, ``StepStats`` and
-    dense output, byte for byte."""
-    checked = eval_periodic_rhs if isinstance(system, PeriodicSystem) else evaluate_rhs
-    for t_eval in (None, np.linspace(0.0, t_end, 64)):
-        via_kernel = integrate(system, z0, t_end, t_eval=t_eval)
-        via_callable = integrate(lambda z: checked(system, z), z0, t_end, t_eval=t_eval)
-        assert via_kernel.meta == via_callable.meta
-        assert via_kernel.times.tobytes() == via_callable.times.tobytes()
-        assert via_kernel.states.tobytes() == via_callable.states.tobytes()
+def time_scaled(instance, scale):
+    """The instance with K and every coefficient times ``scale``, z0
+    unchanged: its solution is the original one at ``scale`` t."""
+    system = instance.system
+    faster = PolynomialSystem(
+        system.n, system.m, coeffs=system.coeffs * scale, exponents=system.exponents
+    )
+    return SolvableInstance(faster, instance.z0, instance.k * scale)
 
 
 # Accepted and rejected DP5 steps of verify_instance's integration (64
@@ -196,18 +219,16 @@ RECORDED_STEPS = {
 
 class TestIntegrate:
     def test_known_decay_solution(self):
-        sys = riccati_decay_system()
         traj = integrate(
-            lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0,
+            riccati_decay_system(), np.array([1, 0], dtype=complex), 1.0,
             t_eval=np.array([0.0, 0.5, 1.0]),
         )
         np.testing.assert_allclose(traj.states[:, 0], 1 / (1 + traj.times), atol=1e-8)
         np.testing.assert_array_equal(traj.states[:, 1], 0)
 
     def test_blow_up_raises_step_underflow(self):
-        sys = riccati_blowup_system()
         with pytest.raises(StepUnderflow) as excinfo:
-            integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0)
+            integrate(riccati_blowup_system(), np.array([1, 0], dtype=complex), 1.0)
         assert excinfo.value.t_reached < 1.0
         assert excinfo.value.t_reached > 0.9
 
@@ -215,27 +236,25 @@ class TestIntegrate:
         # z' = z^2 from z0 = 2 blows up at t = 0.5; the step floor, scaled
         # by t_end = 0.9, still stops the integration there.
         with pytest.raises(StepUnderflow) as excinfo:
-            integrate(lambda z: z * z, np.array([2 + 0j]), 0.9)
+            integrate(riccati_blowup_system(), np.array([2, 0], dtype=complex), 0.9)
         assert abs(excinfo.value.t_reached - 0.5) < 1e-9
 
     def test_final_step_below_min_step_ends_the_interval(self):
         # The whole window is one step shorter than MIN_STEP: it is the last
         # step, not an underflow.
         t_end = 1e-13
-        traj = integrate(lambda z: -z, np.array([1 + 0j]), t_end)
+        traj = integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), t_end)
         assert traj.times[-1] == t_end
-        np.testing.assert_allclose(traj.states[-1], [np.exp(-t_end)], rtol=1e-15)
+        np.testing.assert_allclose(traj.states[-1], [1 / (1 + t_end), 0], rtol=1e-15)
 
     def test_zero_initial_state(self):
-        sys = riccati_blowup_system()
-        traj = integrate(lambda z: evaluate_rhs(sys, z), np.zeros(2, dtype=complex), 1.0)
+        traj = integrate(riccati_blowup_system(), np.zeros(2, dtype=complex), 1.0)
         assert np.all(traj.states == 0)
 
     def test_max_steps_exceeded(self, monkeypatch):
-        sys = riccati_decay_system()
         monkeypatch.setattr(oracle, "MAX_STEPS", 3)
         with pytest.raises(MaxStepsExceeded):
-            integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0)
+            integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), 1.0)
 
     def test_nan_error_estimate_shrinks_the_step(self, monkeypatch):
         # k7 = rhs(y_new), each attempt's 6th call after the first k1, is not
@@ -243,15 +262,15 @@ class TestIntegrate:
         # step must shrink (x0.2 from the first step 0.01 |z0| / |k1| = 0.01,
         # 15 rejections) to StepUnderflow, not retry the same h until MAX_STEPS.
         monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
-        calls = []
 
-        def rhs(z):
-            calls.append(None)
-            return np.full_like(z, np.nan) if len(calls) > 1 and len(calls) % 6 == 1 else -z
+        def f(z):
+            calls = len(system.states)
+            return np.full_like(z, np.nan) if calls > 1 and calls % 6 == 1 else -z
 
+        system = RecordingSystem(f)
         with pytest.raises(StepUnderflow):
-            integrate(rhs, np.array([1 + 0j]), 1.0)
-        assert len(calls) == 1 + 15 * 6
+            integrate(system, np.array([1 + 0j]), 1.0)
+        assert len(system.states) == 1 + 15 * 6
 
     def test_step_history_bounded(self, monkeypatch):
         # The history starts at 32 steps (32 * 8 * 2 = 512 entries at n = 2)
@@ -266,15 +285,10 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("t_eval", [[0.5, 0.1], [0.1, 0.1], [0.0, 0.3, 0.2, 0.4]])
     def test_rejects_unordered_t_eval_before_any_rhs_call(self, t_eval):
-        calls = []
-
-        def rhs(z):
-            calls.append(z)
-            return z
-
+        system = RecordingSystem(lambda z: z)
         with pytest.raises(ValidationError, match="strictly increasing"):
-            integrate(rhs, np.array([1 + 0j]), 1.0, t_eval=t_eval)
-        assert calls == []
+            integrate(system, np.array([1 + 0j]), 1.0, t_eval=t_eval)
+        assert system.states == []
 
     def test_stage_weights_at_unit_step_reproduce_tableau(self):
         # One step of h = 1 on dz/dt = k from y: stage i's state is
@@ -284,15 +298,10 @@ class TestIntegrate:
         # t_end = 1. The error row sums to 0, so the error estimate vanishes
         # and the step is accepted at the default tolerances.
         y, k = 200 - 100j, 1 + 0.5j
-        states = []
-
-        def rhs(z):
-            states.append(z.copy())
-            return np.full_like(z, k)
-
-        traj = integrate(rhs, np.array([y]), 1.0)
+        system = RecordingSystem(lambda z: np.full_like(z, k))
+        traj = integrate(system, np.array([y]), 1.0)
         nodes = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
-        np.testing.assert_allclose(np.ravel(states[1:]), y + nodes * k, rtol=1e-15)
+        np.testing.assert_allclose(np.ravel(system.states[1:]), y + nodes * k, rtol=1e-15)
         np.testing.assert_allclose(_TABLEAU[1:7].sum(axis=1), nodes, rtol=1e-15)
         assert abs(_TABLEAU[7].sum()) < 1e-16
         assert (traj.meta.accepted, traj.meta.rejected) == (1, 0)
@@ -308,66 +317,51 @@ class TestIntegrate:
         assert traj.times[1] == h0 != oracle.INITIAL_STEP
 
     @pytest.mark.parametrize(
-        "z0,rhs",
-        [([0j, 0j], riccati_blowup_system()), ([1 + 0j, 0j], lambda z: np.zeros_like(z))],
+        "z0,system",
+        [
+            ([0j, 0j], riccati_blowup_system()),
+            ([1 + 0j, 0j], PolynomialSystem(2, 2, coeffs=[[], []], exponents=[])),
+        ],
         ids=["zero_state", "zero_rhs"],
     )
-    def test_first_step_falls_back_without_a_scale(self, z0, rhs):
+    def test_first_step_falls_back_without_a_scale(self, z0, system):
         # z0 = 0 makes the ratio 0, f(z0) = 0 makes it infinite.
-        traj = integrate(rhs, np.array(z0), 1.0)
+        traj = integrate(system, np.array(z0), 1.0)
         assert traj.times[1] == oracle.INITIAL_STEP
         assert traj.meta.rejected == 0
 
     def test_step_stats_recorded(self):
-        sys = riccati_decay_system()
-        traj = integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0)
+        traj = integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), 1.0)
         assert traj.meta.accepted > 0
         assert traj.meta.min_step < 1.0
 
     def test_rejects_nonpositive_t_end(self):
         with pytest.raises(ValidationError):
-            integrate(lambda z: z, np.array([1 + 0j]), 0.0)
+            integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), 0.0)
 
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
     def test_rejects_non_finite_t_end(self, t_end):
         with pytest.raises(ValidationError, match="finite"):
-            integrate(lambda z: z, np.array([1 + 0j]), t_end)
+            integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), t_end)
 
-    @pytest.mark.parametrize(
-        "rhs,error",
-        [
-            pytest.param(
-                lambda z: evaluate_rhs(
-                    PolynomialSystem(2, 4, coeffs=[[1.0], [0]], exponents=[[4, 0]]), z
-                ),
-                ValidationError,
-                id="evaluate_rhs",
-            ),
-            pytest.param(lambda z: z**4, StepUnderflow, id="plain_callable"),
-        ],
-    )
-    def test_non_finite_stage_state_raises(self, rhs, error):
+    def test_non_finite_stage_state_raises(self):
         # z1' = z1^4 from 1e100 blows up at t ~ 3e-301, and k1 is already
-        # infinite, so every stage state past the first is. evaluate_rhs's
-        # state validation refuses such a state; with a plain callable the
-        # integrator rejects each step, shrinking h to StepUnderflow.
+        # infinite, so every stage state past the first is. The unchecked
+        # kernel takes such a state; the integrator rejects each step,
+        # shrinking h to StepUnderflow.
+        system = PolynomialSystem(2, 4, coeffs=[[1.0], [0]], exponents=[[4, 0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(error, match="non-finite|underflow"):
-                integrate(rhs, np.array([1e100, 0j]), 1.0)
+            with pytest.raises(StepUnderflow):
+                integrate(system, np.array([1e100, 0j]), 1.0)
 
     def test_overflowing_trial_step_is_rejected(self):
         # z' = -z^3 from 1 decays as (1 + 2t)^(-1/2). The step grows with t
         # until a trial step overflows its stages; that step is rejected, and
         # the run reaches t_end within the absolute tolerance. Trial steps
         # first overflow between t_end = 1e30 and 1e40.
-        calls = []
-
-        def rhs(z):
-            calls.append(np.isfinite(z).all())
-            return -(z**3)
-
-        traj = integrate(rhs, np.array([1 + 0j]), 1e40)
-        assert not all(calls)
+        system = RecordingSystem(lambda z: -(z**3))
+        traj = integrate(system, np.array([1 + 0j]), 1e40)
+        assert not np.isfinite(system.states).all()
         assert traj.meta.rejected > 0
         np.testing.assert_allclose(traj.states[-1], (1 + 2e40) ** -0.5, rtol=0, atol=oracle.ABS_TOL)
 
@@ -377,14 +371,11 @@ class TestIntegrate:
         # 5th-order solution and the error estimate weigh k2 by 0, so they
         # stay finite and small. Only the finiteness test of the stage states
         # rejects that step; then h = 0.2 and the final 0.8 are accepted.
-        calls = []
-
-        def rhs(z):
-            calls.append(None)
-            return np.full_like(z, 1.7e308 if len(calls) == 2 else 1e-3)
-
+        system = RecordingSystem(
+            lambda z: np.full_like(z, 1.7e308 if len(system.states) == 2 else 1e-3)
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate(rhs, np.array([1 + 0j]), 1.0)
+            traj = integrate(system, np.array([1 + 0j]), 1.0)
         assert (traj.meta.accepted, traj.meta.rejected) == (2, 1)
         assert traj.times.tolist() == [0.0, 0.2, 1.0]
         assert np.isfinite(traj.states).all()
@@ -400,68 +391,27 @@ class TestIntegrate:
 
     def test_rejects_empty_initial_state(self):
         with pytest.raises(ValidationError, match="non-empty"):
-            integrate(lambda z: z, np.array([], dtype=complex), 1.0)
-
-    def test_rejects_rhs_result_of_wrong_shape(self):
-        with pytest.raises(ValidationError, match="shape"):
-            integrate(lambda z: np.zeros(6, dtype=complex), np.zeros(4, dtype=complex), 1.0)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            lambda z: np.array(["a"] * z.size), lambda z: z[:1], lambda z: [10**400] * z.size,
-            lambda z: None,
-        ],
-        ids=["strings", "prefix", "huge_int", "none"],
-    )
-    def test_a_bad_first_or_third_result_is_refused_alike(self, bad):
-        # One check serves every result of a callable, the first included.
-        system = riccati_decay_system()
-        messages = []
-        for first_bad in (1, 3):
-            calls = []
-
-            def rhs(z):
-                calls.append(None)
-                return bad(z) if len(calls) >= first_bad else evaluate_rhs(system, z)
-
-            with pytest.raises(ValidationError) as caught:
-                integrate(rhs, np.array([1, 0], dtype=complex), 1.0)
-            assert len(calls) == first_bad
-            messages.append(str(caught.value))
-        prefix = "rhs value cannot be stored as a state: "
-        assert all(message.startswith(prefix) for message in messages)
-        assert messages[0] == messages[1]
-
-    def test_rhs_returning_a_list_integrates(self):
-        # Every RHS result must have the state's shape; a list of n numbers has.
-        instance = generate_random_instance(2, 4, 42, k_cap=0.1)
-        expected = integrate(instance.system, instance.z0, 0.1)
-        traj = integrate(lambda z: evaluate_rhs(instance.system, z).tolist(), instance.z0, 0.1)
-        assert traj.times.tobytes() == expected.times.tobytes()
-        assert traj.states.tobytes() == expected.states.tobytes()
+            integrate(riccati_decay_system(), np.array([], dtype=complex), 1.0)
 
     @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 4, 3), (3, 3, 4), (3, 4, 2)])
     def test_dense_output_matches_per_sample_loop(self, monkeypatch, n, m, seed):
         instance = generate_random_instance(n, m, seed)
-        rhs = lambda z: evaluate_rhs(instance.system, z)
-        t_end = proposition_t_end(instance)
-        steps = integrate(rhs, instance.z0, t_end)
+        system, t_end = instance.system, proposition_t_end(instance)
+        steps = integrate(system, instance.z0, t_end)
         # Uniform samples plus every step boundary, where theta is 0 or 1.
         t_eval = np.unique(np.concatenate([np.linspace(0.0, t_end, 64), steps.times[:-1]]))
-        dense = integrate(rhs, instance.z0, t_end, t_eval=t_eval)
-        reference = dense_output_loop(rhs, steps, t_end, t_eval)
+        dense = integrate(system, instance.z0, t_end, t_eval=t_eval)
+        reference = dense_output_loop(checked_rhs(system), steps, t_end, t_eval)
         np.testing.assert_allclose(dense.states, reference, rtol=1e-14)
         np.testing.assert_array_equal(dense.states[-1], steps.states[-1])
         # Blocks of 7 samples put block boundaries inside and between steps;
         # the blocks change the memory used, never a bit of the result.
         monkeypatch.setattr(oracle, "DENSE_OUTPUT_BLOCK", 7)
-        blocked = integrate(rhs, instance.z0, t_end, t_eval=t_eval)
+        blocked = integrate(system, instance.z0, t_end, t_eval=t_eval)
         np.testing.assert_array_equal(blocked.states, dense.states)
 
     def test_step_points_are_accepted_states(self):
-        sys = riccati_decay_system()
-        traj = integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0)
+        traj = integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), 1.0)
         assert len(traj) == traj.meta.accepted + 1
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(traj.states[:, 0], 1 / (1 + traj.times), atol=1e-8)
@@ -484,13 +434,15 @@ class TestIntegrate:
             ), (cell, seed)
 
     @staticmethod
-    def assert_matches_reference_loop(monkeypatch, rhs, z0, t_end):
+    def assert_matches_reference_loop(monkeypatch, system, z0, t_end):
+        # The system's kernel against its checked RHS in the reference loop.
         # Many runs pass the 32 accepted steps the history starts with, and
         # so grow it, most of all at the tight tolerance.
+        rhs = checked_rhs(system)
         for rel_tol, abs_tol in ((oracle.REL_TOL, oracle.ABS_TOL), (1e-13, 1e-15)):
             monkeypatch.setattr(oracle, "REL_TOL", rel_tol)
             monkeypatch.setattr(oracle, "ABS_TOL", abs_tol)
-            traj = integrate(rhs, z0, t_end)
+            traj = integrate(system, z0, t_end)
             times, states, accepted, rejected = reference_step_points(rhs, z0, t_end)
             assert (traj.meta.accepted, traj.meta.rejected) == (accepted, rejected)
             assert traj.times.tobytes() == times.tobytes()
@@ -501,8 +453,7 @@ class TestIntegrate:
         for seed in range(20):
             instance = generate_random_instance(*cell, seed)
             self.assert_matches_reference_loop(
-                monkeypatch, lambda z: evaluate_rhs(instance.system, z), instance.z0,
-                proposition_t_end(instance),
+                monkeypatch, instance.system, instance.z0, proposition_t_end(instance)
             )
 
     @pytest.mark.parametrize(
@@ -515,25 +466,8 @@ class TestIntegrate:
         pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
         assert pcf.q == q
         self.assert_matches_reference_loop(
-            monkeypatch, lambda w: eval_periodic_rhs(pcf.system, w), pcf.instance.z0,
-            pcf.base_period,
+            monkeypatch, pcf.system, pcf.instance.z0, pcf.base_period
         )
-
-    @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
-    def test_a_system_and_its_rhs_give_the_same_bytes(self, cell):
-        for seed in range(5):
-            instance = generate_random_instance(*cell, seed)
-            assert_system_and_callable_agree(
-                instance.system, instance.z0, proposition_t_end(instance)
-            )
-
-    @pytest.mark.parametrize(
-        "a,omega,q", [(0.3, 1.0, 0), (0.3, -0.7, 0), (2.0, 1.0, 1), (2.0, -0.7, -1)]
-    )
-    def test_a_periodic_system_and_its_rhs_give_the_same_bytes(self, a, omega, q):
-        pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
-        assert pcf.q == q
-        assert_system_and_callable_agree(pcf.system, pcf.instance.z0, pcf.base_period)
 
     def test_threads_integrating_one_system_match_a_sequential_run(self):
         # Two threads, switching as often as the interpreter allows,
@@ -580,21 +514,19 @@ class TestIntegrate:
         assert [set(vars(system)) for system, _, _ in cases] == attributes
 
     def test_deterministic(self):
-        sys = riccati_decay_system()
-        ts = np.linspace(0, 1, 17)
-        a = integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0, t_eval=ts)
-        b = integrate(lambda z: evaluate_rhs(sys, z), np.array([1, 0], dtype=complex), 1.0, t_eval=ts)
+        system, ts = riccati_decay_system(), np.linspace(0, 1, 17)
+        a = integrate(system, np.array([1, 0], dtype=complex), 1.0, t_eval=ts)
+        b = integrate(system, np.array([1, 0], dtype=complex), 1.0, t_eval=ts)
         assert np.array_equal(a.states, b.states)
 
     def test_time_reversal(self):
         instance = generate_random_instance(2, 3, 9)
-        rhs = lambda z: evaluate_rhs(instance.system, z)
-        t_end = 0.5
-        fwd = integrate(rhs, instance.z0, t_end, t_eval=np.array([0.0, t_end]))
-        back = integrate(
-            lambda z: -rhs(z), fwd.states[-1], t_end, t_eval=np.array([0.0, t_end])
+        system, t_end = instance.system, 0.5
+        reverse = PolynomialSystem(
+            system.n, system.m, coeffs=-system.coeffs, exponents=system.exponents
         )
-        one_way = np.abs(fwd.states[-1] - instance.z0).max()  # scale reference only
+        fwd = integrate(system, instance.z0, t_end, t_eval=np.array([0.0, t_end]))
+        back = integrate(reverse, fwd.states[-1], t_end, t_eval=np.array([0.0, t_end]))
         assert np.abs(back.states[-1] - instance.z0).max() < 10 * 1e-8
 
     def test_matches_scipy_dop853(self):
@@ -604,10 +536,9 @@ class TestIntegrate:
         for n, m, seed in [(2, 2, 1), (2, 3, 4), (2, 4, 1), (3, 2, 1), (3, 3, 1), (3, 4, 1)]:
             instance = generate_random_instance(n, m, seed)
             times = np.linspace(0.0, proposition_t_end(instance), 9)
-            rhs = lambda z: evaluate_rhs(instance.system, z)
-            ours = integrate(rhs, instance.z0, times[-1], t_eval=times)
+            ours = integrate(instance.system, instance.z0, times[-1], t_eval=times)
             ref = scipy_integrate.solve_ivp(
-                lambda t, z: rhs(z), (0.0, times[-1]), instance.z0,
+                lambda t, z: evaluate_rhs(instance.system, z), (0.0, times[-1]), instance.z0,
                 method="DOP853", t_eval=times, rtol=1e-13, atol=1e-14,
             )
             assert ref.success
@@ -665,11 +596,7 @@ def integrated_closure(pcf, q):
     period, whose winding number must be ``q``."""
     report = detect_period(pcf)
     assert report.q == q
-    psys = pcf.system
-    traj = integrate(
-        lambda w: eval_periodic_rhs(psys, w), pcf.instance.z0, report.T,
-        t_eval=np.array([0.0, report.T]),
-    )
+    traj = integrate(pcf.system, pcf.instance.z0, report.T, t_eval=np.array([0.0, report.T]))
     return np.abs(traj.states[-1] - pcf.instance.z0).max()
 
 
@@ -717,29 +644,53 @@ class TestVerifyPeriodic:
         assert integrated_closure(pcf, q) < 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 9),
+    omega=st.sampled_from([1.0, -0.7, 2.5]),
+    scale=st.sampled_from([2.0, 0.25, 8.0]),
+)
+def test_time_scaling_is_exact(n, m, seed, omega, scale):
+    """K and every coefficient times a power of two, ``scale``, and omega
+    times ``scale``, give the same solution at ``scale`` t. Every stage
+    value, step size and error weight of the scaled run is the original's
+    times a power of two, so it matches the original bit for bit: the
+    states, the step times over ``scale``, both verifiers' deviations and
+    the detected period."""
+    instance = generate_random_instance(n, m, seed)
+    faster, t_end = time_scaled(instance, scale), proposition_t_end(instance)
+    slow = integrate(instance.system, instance.z0, t_end)
+    fast = integrate(faster.system, faster.z0, t_end / scale)
+    assert fast.states.tobytes() == slow.states.tobytes()
+    assert fast.times.tobytes() == (slow.times / scale).tobytes()
+    accepted, rejected, min_step = slow.meta.accepted, slow.meta.rejected, slow.meta.min_step
+    assert fast.meta == StepStats(accepted, rejected, min_step / scale)
+    assert verify_instance(faster, t_end / scale, 64) == verify_instance(instance, t_end, 64)
+
+    periodic = generate_random_instance(n, m, seed, k_cap=1.0)
+    pcf = PeriodicClosedForm(periodic, omega)
+    fast_pcf = PeriodicClosedForm(time_scaled(periodic, scale), omega * scale)
+    assert verify_periodic(fast_pcf, 1, 65) == verify_periodic(pcf, 1, 65)
+    report, fast_report = detect_period(pcf), detect_period(fast_pcf)
+    assert fast_report == PeriodReport(report.q, report.k, report.T / scale, report.closure_error)
+
+
 def us_per_step(instance, repeats=20):
     """Microseconds per accepted step of ``step_counts``'s integration of
-    ``instance`` through its system's kernel and through the checked
-    callable ``lambda z: evaluate_rhs(system, z)``: the fastest of
-    ``repeats`` runs each, the two forms run in turn so that a slow spell
-    of the host hits both."""
+    ``instance``'s system: the fastest of ``repeats`` runs."""
     system, z0, t_end = instance.system, instance.z0, proposition_t_end(instance)
     times = np.linspace(0.0, t_end, 64)
-    forms = (system, lambda z: evaluate_rhs(system, z))
-    best = [float("inf")] * len(forms)
-    for _ in range(repeats):
-        for i, rhs in enumerate(forms):
-            run = lambda: integrate(rhs, z0, t_end, t_eval=times)
-            best[i] = min(best[i], timeit.timeit(run, number=1))
-    accepted = integrate(system, z0, t_end, t_eval=times).meta.accepted
-    return [1e6 * seconds / accepted for seconds in best]
+    run = lambda: integrate(system, z0, t_end, t_eval=times)
+    best = min(timeit.repeat(run, number=1, repeat=repeats))
+    return 1e6 * best / run().meta.accepted
 
 
 if __name__ == "__main__":
     # Prints RECORDED_STEPS as the integrator counts them now, for a
     # deliberate re-record, then the median time per accepted step of each
-    # cell's 20 instances, through the system's kernel and through the
-    # checked callable lambda z: evaluate_rhs(system, z): one DP5 step as a
+    # cell's 20 instances through the system's kernel: one DP5 step as a
     # layer.
     # python tests/test_oracle.py (with src on the path).
     print("RECORDED_STEPS = {")
@@ -750,8 +701,7 @@ if __name__ == "__main__":
             print("        " + " ".join(row))
         print("    ],")
     print("}")
-    print("# median us per accepted step: system kernel, lambda z: evaluate_rhs(system, z)")
+    print("# median us per accepted step through the system's kernel")
     for cell in sorted(RECORDED_STEPS):
         per_step = [us_per_step(generate_random_instance(*cell, seed)) for seed in range(20)]
-        kernel, wrapped = np.median(per_step, axis=0)
-        print(f"# {cell}: {kernel:6.2f} {wrapped:6.2f}")
+        print(f"# {cell}: {np.median(per_step):6.2f}")
