@@ -30,10 +30,10 @@ from .errors import (
 from .polysys import (
     MAX_BASIS_SIZE,
     PolynomialSystem,
+    _Basis,
     as_state,
     coefficient_keys,
     evaluate_rhs,
-    factor_indices,
     monomials,
 )
 
@@ -116,12 +116,13 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     equation, or a diagonal entry whose modulus is at most ``SINGULAR_RATIO``
     times the largest matrix entry, raise SingularSystem.
 
-    The solved system's basis is the union of the system's multi-indices
-    and the keys'. When no key adds a row, as in generation at any
-    density, the union is the system's own basis, and the solve reuses its
-    factors and a copy of its coefficients, and the solved system shares
-    that basis, neither checked nor factored again. One path serves every
-    size. Monomials of z0 that overflow end in the ValidationError of a
+    The solve runs on the system's basis. A key whose multi-index the
+    system does not store extends it: one new basis holds the system's
+    rows and the keys', sorted and valid already, and the stored
+    coefficients are scattered into it. Everything after that runs once on
+    whichever basis results, and the solved system shares it, neither
+    checked nor factored again. Generation, at any density, adds no row.
+    Monomials of z0 that overflow end in the ValidationError of a
     non-finite coefficient.
     """
     check_type("system", system, PolynomialSystem)
@@ -139,29 +140,23 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
     if len(set(rows)) < len(rows):
         raise SingularSystem("two unknowns share an equation")
 
-    # The system over the union of its basis and the keys' multi-indices,
-    # with the unknown entries masked: one vector of monomials at z0 gives
-    # both the base residual and the pivots. When every key is a row of the
-    # system's basis, the union is that basis, factored already.
-    basis = system._basis
-    cols = [basis.column.get(index) for _, index in keys]
-    if None in cols:
-        own = list(basis.column)
+    # The system over its basis, extended by the keys' multi-indices it does
+    # not store, with the unknown entries masked: one vector of monomials
+    # at z0 gives both the base residual and the pivots.
+    basis, coeffs = system._basis, system.coeffs.copy()
+    if not all(index in basis.column for _, index in keys):
+        own = basis.column
         indices = sorted({index for _, index in keys}.union(own), reverse=True)
-        column = {index: u for u, index in enumerate(indices)}
-        coeffs = np.zeros((system.n, len(indices)), dtype=complex)
-        coeffs[:, [column[index] for index in own]] = system.coeffs
-        exponents = np.array(indices, dtype=np.intp)
-        cols = [column[index] for _, index in keys]
-        factors = factor_indices(exponents)
-    else:  # the solved system shares the basis itself
-        coeffs, exponents, factors = system.coeffs.copy(), basis, basis.factors
+        basis = _Basis(np.array(indices, dtype=np.intp))
+        coeffs = np.zeros((system.n, len(basis.exponents)), dtype=complex)
+        coeffs[:, [basis.column[index] for index in own]] = system.coeffs
+    cols = [basis.column[index] for _, index in keys]
     coeffs[rows, cols] = 0
 
     # A finite z0 can overflow the monomials; the solved coefficients are
     # then refused by PolynomialSystem, not warned about by numpy.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = monomials(z0, factors)
+        values = monomials(z0, basis.factors)
         # The fixed terms are summed over the columns they use, as the rhs of
         # a system holding only them would sum them: an all-zero column
         # shifts the BLAS summation order, and with it the last bits of the
@@ -182,7 +177,7 @@ def solve_linear_selection(system: PolynomialSystem, z0, k, unknowns) -> Solvabl
             k = complex(b[free] / z0[free])
             b = b - k * z0
         coeffs[rows, cols] = b[rows] / pivots
-    solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents)
+    solved = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=basis)
     return SolvableInstance(solved, z0, k)
 
 

@@ -65,7 +65,7 @@ def generate_random_instance(
         if k_cap is not None and abs(k) > k_cap:
             k *= k_cap / abs(k)
 
-        system = PolynomialSystem(n, m, coeffs=coeffs, exponents=full_basis(n, m).exponents)
+        system = PolynomialSystem(n, m, coeffs=coeffs, exponents=full_basis(n, m))
         try:
             return solve_linear_selection(system, z0, k, pure)
         except (SingularSystem, ConstraintNotSatisfied) as exc:

@@ -7,14 +7,14 @@ equation ``eq``, where the exponents are nonnegative integers summing to M.
 
 A basis is a value. ``full_basis(n, M)`` holds all multi-indices of
 (n, M) in canonical order, made once per (n, M) and canonical by
-construction, so never checked. A system whose exponents are that array,
-or equal it, shares it: the generator's, the solved one, the file
-reader's. The selection solve passes its system's basis itself, full or
-not, and the solved system shares it unchecked. Dropping a system's zero
-columns takes rows of its basis, which are sorted and valid already,
-along with any factors built. Any other exponents (a sparse file, a list
-of a few terms) are validated, and the system owns them. A basis holds
-the read-only exponents and, built on first use, their
+construction, so never checked. A system shares a basis passed as its
+exponents (the generator's ``full_basis``, the selection solve's),
+checking only its row length and degree, and shares ``full_basis`` when
+its exponents equal that array, as a file's may. Dropping a system's
+zero columns takes rows of its basis, which are sorted and valid
+already, along with any factors built. Any other exponents (a sparse
+file, a list of a few terms) are validated, and the system owns them. A
+basis holds the read-only exponents and, built on first use, their
 ``factor_indices``, a multi-index -> row map and the derivatives'
 factors. A system owns its coefficients and compares by identity.
 
@@ -178,12 +178,17 @@ def full_basis(n: int, m: int) -> _Basis:
 
 
 def _basis_of(rows, n: int, m: int) -> _Basis:
-    """``rows`` itself if it is a ``_Basis`` of (n, m), already checked;
-    ``full_basis(n, m)`` if ``rows`` are its exponents or equal them (the
-    row count decides whether to compare, so a refused size is never
-    enumerated); else a checked basis of their own. Rows not in an intp
-    array (a list may hold a bool) are read first."""
+    """``rows`` itself if it is a ``_Basis`` of (n, m): its rows are valid,
+    so only their length and degree are checked. ``full_basis(n, m)`` if
+    ``rows`` equal its exponents (the row count decides whether to
+    compare, so a refused size is never enumerated); else a checked basis
+    of their own. Rows not in an intp array (a list may hold a bool) are
+    read first."""
     if isinstance(rows, _Basis):
+        shape = rows.exponents.shape
+        degree = int(np.add.reduce(rows.exponents[0])) if shape[0] else m
+        if (shape[1], degree) != (n, m):
+            raise ValidationError(f"a basis of (n, m) = ({shape[1]}, {degree}), not ({n}, {m})")
         return rows
     read = not isinstance(rows, np.ndarray) or rows.dtype != np.intp
     if read:
@@ -192,7 +197,7 @@ def _basis_of(rows, n: int, m: int) -> _Basis:
     if rows.shape == (count, n) and count <= MAX_BASIS_SIZE // (n + m):
         full = full_basis(n, m)
         # ufuncs: np.array_equal adds a Python wrapper per call.
-        if rows is full.exponents or np.logical_and.reduce(rows == full.exponents, axis=None):
+        if np.logical_and.reduce(rows == full.exponents, axis=None):
             return full
     if not read:
         rows = exponent_rows(rows, n, m)
@@ -212,19 +217,19 @@ class PolynomialSystem:
     their multi-indices, unique and in canonical order (strictly descending
     lexicographically); an empty ``[]`` is zero rows. ``coeffs`` (n x U,
     complex) holds the coefficient of monomial u in equation eq at
-    ``coeffs[eq - 1, u]``. A zero coefficient is an absent term, and
-    columns that are zero in every equation are dropped, so a sparse system
-    pays only for the monomials it stores, as unchecked rows of its basis.
-    ``__post_init__`` shares ``full_basis(n, m)`` when the exponents are
-    its array or equal it, and a basis passed as ``exponents`` (the
-    selection solve's), and else validates them into a read-only copy
-    that the system owns. It checks the coefficients of every system,
-    stores a read-only copy, and refuses what ``check_basis_size`` does.
-    ``coefficients`` is the derived read-only mapping {(eq, multi-index):
-    value}, in canonical order: equation ascending, then exponents
-    descending. Systems compare by identity, not by their arrays. The
-    integrator evaluates the RHS by ``kernel()``, any other caller by
-    ``evaluate_rhs``.
+    ``coeffs[eq - 1, u]``. A zero coefficient is an absent term, and columns
+    that are zero in every equation are dropped, so a sparse system pays
+    only for the monomials it stores, as unchecked rows of its basis.
+    ``__post_init__`` shares a basis passed as ``exponents`` (the
+    generator's, the selection solve's), once its rows have length n and
+    degree m, and ``full_basis(n, m)`` when the exponents equal its array;
+    else it validates them into a read-only copy that the system owns. It
+    checks the coefficients of every system, stores a read-only copy, and
+    refuses what ``check_basis_size`` does. ``coefficients`` is the derived
+    read-only mapping {(eq, multi-index): value}, in canonical order:
+    equation ascending, then exponents descending. Systems compare by
+    identity, not by their arrays. The integrator evaluates the RHS by
+    ``kernel()``, any other caller by ``evaluate_rhs``.
     """
 
     n: int

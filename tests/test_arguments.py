@@ -27,7 +27,7 @@ from polyode.oracle import integrate, sample_times, verify_instance, verify_peri
 from polyode.periodic import PeriodicClosedForm, PeriodicSystem, bracket_values, detect_period
 from polyode.periodic import eval_periodic_closed_form, eval_periodic_rhs
 from polyode.polysys import MAX_BASIS_SIZE, PolynomialSystem, as_state, enumerate_multi_indices
-from polyode.polysys import evaluate_rhs
+from polyode.polysys import evaluate_rhs, full_basis
 from polyode.serialization import write_instance_file, write_system_file, write_trajectory_csv
 from polyode.trajectory import Trajectory
 
@@ -212,6 +212,18 @@ BAD_ARGUMENTS = [
         lambda: PolynomialSystem(2, 2, coeffs=[[1.0], [0.0]], exponents=[[True, 1]]),
         None,
     ),
+    # A basis passed as exponents is not checked again, but it must be one
+    # of (n, m): its rows of length n, of degree m.
+    (
+        "system_basis_of_another_n",
+        lambda: PolynomialSystem(2, 2, coeffs=np.ones((2, 15)), exponents=full_basis(3, 4)),
+        None,
+    ),
+    (
+        "system_basis_of_another_m",
+        lambda: PolynomialSystem(3, 2, coeffs=np.ones((3, 15)), exponents=full_basis(3, 4)),
+        None,
+    ),
     ("jacobian_dimension_above_bound", lambda: jacobian(wide_system(), np.ones(WIDE), 1.0), None),
     (
         "newton_dimension_above_bound",
@@ -227,6 +239,10 @@ BAD_ARGUMENTS = [
     # refuse it, also as the only time; +-inf increase but are refused too.
     ("trajectory_nan_time", lambda: Trajectory([0.0, np.nan, 1.0], np.zeros((3, 1))), None),
     ("trajectory_single_nan_time", lambda: Trajectory([np.nan], np.zeros((1, 1))), None),
+    # Times one-dimensional, states one row per time.
+    ("trajectory_times_2d", lambda: Trajectory([[0.0, 1.0]], np.zeros((1, 1))), None),
+    ("trajectory_states_1d", lambda: Trajectory([0.0, 1.0], np.zeros(2)), None),
+    ("trajectory_states_rows_mismatch", lambda: Trajectory([0.0, 1.0], np.zeros((3, 1))), None),
     ("trajectory_inf_time", lambda: Trajectory([0.0, np.inf], [[1], [1]]), None),
     ("trajectory_minus_inf_time", lambda: Trajectory([-np.inf, 0.0], [[1], [1]]), None),
     # Arrays that numpy cannot convert at all: a string, a complex as a

@@ -122,6 +122,18 @@ def test_solve_exit_codes(tmp_path, capsys, unknowns, k, code):
     assert capsys.readouterr().err.startswith("error: ") == (code != 0)
 
 
+@pytest.mark.parametrize("unknowns", ["K,c:1", "K,c:one:4-0", "K,c:1:4-x"])
+def test_a_malformed_unknown_is_one_error_line(tmp_path, capsys, unknowns):
+    sys_path = tmp_path / "system.json"
+    write_system_file(
+        PolynomialSystem(2, 2, coeffs=[[1.0, 0], [0, 0.5]], exponents=[[2, 0], [1, 1]]), sys_path
+    )
+    argv = ["solve", "--system", str(sys_path), "--z0", "1,0.5", "--unknowns", unknowns]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad unknown") and err.count("\n") == 1, err
+
+
 def test_solve_places_k_first_wherever_it_is_listed(tmp_path, capsys):
     sys_path = tmp_path / "system.json"
     write_system_file(
@@ -652,6 +664,19 @@ def test_a_window_past_blow_up_is_singular(tmp_path, capsys, command, t_max):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and "blow-up time t*=1.0" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, t_max", [(-0.01, "99.99999999995"), (-1 + 1e-13j, "1")])
+def test_eval_of_a_bracket_below_the_modulus_guard_exits_3(tmp_path, capsys, k, t_max):
+    # z1' = -K z1^2 from z0 = (1, 0) has rate K. At t_max, |1 + K t| is
+    # below 1e-12 short of the blow-up margin, or without a blow-up.
+    system = PolynomialSystem(2, 2, coeffs=[[-k], [0]], exponents=[[2, 0]])
+    path, out = tmp_path / "instance.json", tmp_path / "out.csv"
+    write_instance_file(SolvableInstance(system, [1, 0], k), path)
+    assert main(["eval", "--instance", str(path), "--t-max", t_max, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "below guard" in err and err.count("\n") == 1, err
     assert not out.exists()
 
 

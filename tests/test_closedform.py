@@ -50,6 +50,13 @@ class TestEval:
             with pytest.raises(SingularTime):
                 eval_closed_form(riccati_solution, [t])
 
+    @pytest.mark.parametrize("k, t", [(-0.01, 100 - 5e-11), (-1 + 1e-13j, 1.0)])
+    def test_a_bracket_below_the_modulus_guard_is_singular(self, k, t):
+        # |1 + K t| is below 1e-12 short of the blow-up margin (t* = 100),
+        # or where there is no blow-up (Im K = 1e-13).
+        with pytest.raises(SingularTime, match="below guard"):
+            eval_closed_form(ClosedFormSolution([1, 0], k, 2), [0.0, t])
+
     def test_monotone_modulus_for_positive_real_k(self):
         sol = ClosedFormSolution(np.array([1 + 1j, -2]), 0.8, 3)
         mags = np.abs(eval_closed_form(sol, np.linspace(0, 3, 50)).states)

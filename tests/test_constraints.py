@@ -430,8 +430,8 @@ class TestWorkCounts:
         # Once the cell's full basis is built and factored, a dense cycle
         # validates only the unknown keys' multi-indices and factors no
         # basis. A sparse draw keeps its pure columns, so its selection
-        # solve builds no union basis either, and its solved system shares
-        # the draw's subset of the full basis, factored by row. Only the file
+        # solve adds no row either: the solved system shares the draw's
+        # basis, a subset of the full basis factored by row. Only the file
         # reader validates and factors that subset again.
         path = tmp_path / "instance.json"
 
@@ -439,22 +439,60 @@ class TestWorkCounts:
             instance = generate_random_instance(n, m, seed, density=density)
             write_instance_file(instance, path)
             verify_instance(parse_instance_file(path), 0.1, 64)
-            return instance.system.exponents.tolist()
+            return instance.system
 
         cycle(0)
         rows = counting(monkeypatch, polysys, "exponent_rows")
         factors = counting(monkeypatch, polysys, "factor_indices")
-        union = counting(monkeypatch, constraints, "factor_indices")
+        draws = counting(monkeypatch, generate, "solve_linear_selection")
         solved = cycle(1)
         pure = [list(index) for _, index in generate._layout(n, m)[0]]
         seen = [np.asarray(args[0]).tolist() for args in rows]
-        assert union == []
+        assert [args[0]._basis for args in draws] == [solved._basis]
         if density == 1:
+            assert solved._basis is polysys.full_basis(n, m)
             assert seen == [pure]
             assert factors == []
         else:
-            assert seen == [pure, solved]
+            assert seen == [pure, solved.exponents.tolist()]
             assert len(factors) == 1
+
+    @pytest.mark.parametrize("k", [None, 0.5 - 0.5j])
+    def test_an_unstored_key_extends_the_basis_once(self, monkeypatch, k):
+        # The sparse (2, 3) system stores neither z_1^3 nor z_2^3. The solve
+        # extends its basis by the keys' rows: the keys are read once, the
+        # extended basis is factored once, and the solved system shares it,
+        # so neither is checked or factored again. Its bytes are pinned.
+        system = PolynomialSystem(
+            2, 3, coeffs=[[0.5 - 0.25j, -0.75j], [0.125, 1 + 0.5j]], exponents=[[2, 1], [1, 2]]
+        )
+        keys = [(1, (3, 0)), (2, (0, 3))][: 1 if k is None else 2]
+        rows = counting(monkeypatch, polysys, "exponent_rows")
+        factors = counting(monkeypatch, polysys, "factor_indices")
+        solved = solve_linear_selection(system, [0.5 + 0.25j, -0.75 + 0.5j], k, keys)
+        assert (len(rows), len(factors)) == (1, 1)
+        assert solved.system.exponents.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]][: 2 + len(keys)]
+        assert solved.system.coeffs.tobytes().hex() == EXTENDED_SOLVES[k is None][0]
+        assert np.complex128(solved.k).tobytes().hex() == EXTENDED_SOLVES[k is None][1]
+
+
+# The coefficients and K of ``test_an_unstored_key_extends_the_basis_once``,
+# K given then K unknown, as hex of their bytes.
+EXTENDED_SOLVES = (
+    (
+        "3e0ad7a3703dfe3fa5703d0ad7a3e8bf000000000000e03f000000000000d0bf"
+        "0000000000000080000000000000e8bf00000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000c03f0000000000000000"
+        "000000000000f03f000000000000e03f1b3e7fcc51bad5bf8c043515a20ddf3f",
+        "000000000000e03f000000000000e0bf",
+    ),
+    (
+        "b51e85eb51b8d63f7914ae47e17aecbf000000000000e03f000000000000d0bf"
+        "0000000000000080000000000000e8bf00000000000000000000000000000000"
+        "000000000000c03f0000000000000000000000000000f03f000000000000e03f",
+        "010000000040f03f000000000000d43f",
+    ),
+)
 
 
 class TestJacobian:

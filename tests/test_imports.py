@@ -6,7 +6,9 @@ module-level name (``_x``, not a dunder) is read somewhere in the package,
 and every public one there or in the benchmark harness (``perfbench/``).
 The modules import one another in one layered order, and the integrator
 reads nothing of the closed forms it is used to check. No module calls a
-numpy reduction through its Python wrapper outside a ``raise``."""
+numpy reduction through its Python wrapper outside a ``raise``. Only
+``polysys`` names ``factor_indices``: the factor layout of a basis is its
+own."""
 
 import ast
 from pathlib import Path
@@ -273,3 +275,41 @@ def test_the_integrator_reads_nothing_of_the_closed_forms():
     read = {node.id for node in ast.walk(integrate) if isinstance(node, ast.Name)}
     read |= {node.attr for node in ast.walk(integrate) if isinstance(node, ast.Attribute)}
     assert read & closed_forms == set()
+
+
+def names_outside(sources: dict[str, str], name: str, owner: str) -> list[str]:
+    """The modules of ``sources`` other than ``owner`` whose code names
+    ``name``: as a name, an attribute, an imported name or a def."""
+    found = []
+    for module, source in sources.items():
+        named = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name, node.asname))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+        if module != owner and name in named:
+            found.append(module)
+    return found
+
+
+def test_only_polysys_names_factor_indices():
+    """Every other module reads a basis's ``factors``, which polysys builds
+    once per basis; none lays out factors of its own."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert names_outside(sources, "factor_indices", "polysys.py") == []
+
+
+def test_the_check_flags_a_name_outside_its_module():
+    sources = {
+        "polysys.py": "def factor_indices(e):\n    pass\n",
+        "a.py": "from .polysys import factor_indices as layout\n",
+        "b.py": "from . import polysys\nf = polysys.factor_indices\n",
+        "c.py": "def factor_indices():\n    pass\n",
+        "d.py": "def f(basis):\n    'Not factor_indices.'\n    return basis.factors\n",
+    }
+    assert names_outside(sources, "factor_indices", "polysys.py") == ["a.py", "b.py", "c.py"]

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyode import oracle
-from polyode.closedform import ClosedFormSolution, blow_up_time
+from polyode.closedform import ClosedFormSolution, blow_up_time, eval_closed_form
 from polyode.constraints import SolvableInstance
 from polyode.errors import MaxStepsExceeded, SingularTime, StepUnderflow, ValidationError
 from polyode.generate import generate_random_instance
 from polyode.oracle import (
+    MAX_DEVIATION,
     _P,
     _TABLEAU,
     integrate,
@@ -21,7 +22,7 @@ from polyode.oracle import (
 )
 from polyode.periodic import PeriodicClosedForm, PeriodReport, PeriodicSystem, detect_period
 from polyode.periodic import eval_periodic_rhs
-from polyode.polysys import PolynomialSystem, evaluate_rhs
+from polyode.polysys import PolynomialSystem, evaluate_rhs, full_basis
 from polyode.trajectory import StepStats
 
 from test_periodic import _instance_with_k
@@ -675,6 +676,44 @@ def test_time_scaling_is_exact(n, m, seed, omega, scale):
     assert verify_periodic(fast_pcf, 1, 65) == verify_periodic(pcf, 1, 65)
     report, fast_report = detect_period(pcf), detect_period(fast_pcf)
     assert fast_report == PeriodReport(report.q, report.k, report.T / scale, report.closure_error)
+
+
+def relabelled(instance, perm):
+    """The instance with component i of its state taken from component
+    ``perm[i]``, and its basis re-sorted into canonical order."""
+    system = instance.system
+    exponents = system.exponents[:, perm]
+    order = np.lexsort(exponents.T[::-1])[::-1]  # descending, first exponent first
+    coeffs = system.coeffs[perm][:, order]
+    permuted = PolynomialSystem(system.n, system.m, coeffs=coeffs, exponents=exponents[order])
+    return SolvableInstance(permuted, instance.z0[perm], instance.k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 29),
+    data=st.data(),
+)
+def test_relabelling_the_variables(n, m, seed, data):
+    """Permuting the components relabels the solution: the permuted system
+    of a dense draw shares ``full_basis``, and its closed form is the
+    original's columns, permuted, bit for bit. The integration sums the
+    monomials in another order, so its deviation is not pinned; where the
+    original's is at most 1e-8, the verdict is the same."""
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    instance = generate_random_instance(n, m, seed)
+    other = relabelled(instance, perm)
+    assert other.system._basis is full_basis(n, m)
+    t_end = proposition_t_end(instance)
+    times = np.linspace(0.0, t_end, 64)
+    states = eval_closed_form(ClosedFormSolution.from_instance(instance), times).states
+    permuted = eval_closed_form(ClosedFormSolution.from_instance(other), times).states
+    assert permuted.tobytes() == states[:, perm].tobytes()
+    deviation = verify_instance(instance, t_end, 64)
+    if deviation <= 1e-8:
+        assert verify_instance(other, t_end, 64) <= MAX_DEVIATION
 
 
 def us_per_step(instance, repeats=20):
