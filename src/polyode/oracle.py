@@ -7,12 +7,13 @@ side, and only through one contract: a system, whose unchecked
 ``kernel()`` writes each stage's f(z) straight into its row of the stage
 buffer. It never touches the closed-form formulas.
 
-A step is accepted when max_j |e_j| / (ABS_TOL + REL_TOL max(|y_j|,
-|y_new_j|)) <= 1, where e_j is the local error estimate of complex
-component j and |.| the complex modulus: one scale per complex unknown.
-Multiplying a component by e^{i theta} changes none of these moduli, so
-the step sequence does not depend on where the real and imaginary axes
-lie, as the deviation |z_int - z_cf| / (1 + |z_cf|) does not.
+A step is accepted when its seven stages and six stage states are finite
+and max_j |e_j| / (ABS_TOL + REL_TOL max(|y_j|, |y_new_j|)) <= 1, where
+e_j is the local error estimate of complex component j and |.| the
+complex modulus: one scale per complex unknown. Multiplying a component
+by e^{i theta} changes none of these moduli, so the step sequence does
+not depend on where the real and imaginary axes lie, as the deviation
+|z_int - z_cf| / (1 + |z_cf|) does not.
 
 The first trial step is the problem's own scale, 0.01 max_j |z0_j| / max_j
 |f(z0)_j| with both measured against ABS_TOL + REL_TOL |z0_j| (Hairer,
@@ -100,13 +101,13 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
     by several threads at once. Each stage's RHS is written straight into
     the stage buffer, unchecked.
 
-    z0 must be finite and non-empty. The six stage states of a step are
-    checked together after the step's RHS calls, so the kernel may see a
-    non-finite state; a step with one is rejected and h shrinks by 0.2, as
-    on a NaN error estimate. When ``t_eval`` (a 1-D array of times in
-    [0, t_end]) is given, states are produced at those times via the dense
-    output interpolant; otherwise the accepted step points are returned.
-    Deterministic.
+    z0 must be finite and non-empty. The seven stages and six stage states
+    of a step are checked together after the step's RHS calls, so the
+    kernel may see a non-finite state; a step with one is rejected and h
+    shrinks by 0.2, as on a NaN error estimate. When ``t_eval`` (a 1-D
+    array of times in [0, t_end]) is given, states are produced at those
+    times via the dense output interpolant; otherwise the accepted step
+    points are returned. Deterministic.
     """
     if not (hasattr(system, "kernel") and hasattr(system, "n")):
         raise ValidationError(f"system must have kernel() and n, got {type(system).__name__}")
@@ -121,37 +122,34 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
     z0 = as_state(as_array(z0, complex, "initial state"), system.n)
 
     # A complex state is integrated as the real view of its memory, with the
-    # real and imaginary parts of each component interleaved. ``rows`` holds
-    # the step's start state y and its stages k1..k7 as complex (n,) rows.
+    # real and imaginary parts of each component interleaved. ``buf`` holds
+    # the step's start state y, its stages k1..k7, its stage states s1..s6
+    # (s6 is the 5th-order y_new) and its error estimate as complex (n,) rows.
     # Each step folds h into ``weights`` = [1 | h * A; 0 | h * e]: stage i's
-    # state y + h * (a_i . k) is one dot of row i - 1 with rows[:i + 1], and
+    # state y + h * (a_i . k) is one dot of row i - 1 with buf[:i + 1], and
     # the error estimate h * (e . k) one dot of the last row with k. Buffers
-    # and views are made once; h and the tolerances are 0-d arrays for ufuncs.
+    # and views are made once; h is a 0-d array for ufuncs.
     n = z0.size
-    rows = np.empty((8, n), dtype=complex)
-    rows[0] = z0
-    stage_states = np.empty((6, n), dtype=complex)
-    row_view, state_view = rows.view(float), stage_states.view(float)
-    y, y_new, k = rows[0], stage_states[5], row_view[1:]
+    buf = np.empty((15, n), dtype=complex)
+    buf[0] = z0
+    view = buf.view(float)
+    y, y_new, k, rows = buf[0], buf[13], view[1:8], buf[:8]
     weights = np.zeros((7, 8))
     weights[:6, 0] = 1.0
     tableau, h_weights, error_weights = _TABLEAU[1:], weights[:, 1:], weights[6, 1:]
     stage_dots = [
-        (weights[i - 1, : i + 1], row_view[: i + 1], state_view[i - 1], stage_states[i - 1],
-         rows[i + 1])
+        (weights[i - 1, : i + 1], view[: i + 1], view[7 + i], buf[7 + i], buf[i + 1])
         for i in range(1, 7)
     ]
-    h_arr, rel_tol, abs_tol = np.empty(()), np.array(REL_TOL), np.array(ABS_TOL)
-    # The error estimate is formed in the real view ``err`` and measured by
-    # the moduli of its n complex components. |y| is kept from the step that
-    # produced y; |y_new| is formed per step.
-    err = np.empty(2 * n)
-    err_complex, err_abs, scale = err.view(complex), np.empty(n), np.empty(n)
-    abs_y_new = np.empty(n)
+    h_arr, rel_tol, abs_tol = np.empty(()), REL_TOL, ABS_TOL
+    # y_new and the error estimate are adjacent rows, so one modulus call
+    # gives |y_new| and |e|; the error norm is then taken on Python floats,
+    # with |y| kept from the step that produced y.
+    new_and_err, err_row, moduli = buf[13:15], view[14], np.empty((2, n))
     # 0 * x is NaN exactly where x is +-inf or NaN, and 0 (of either sign)
-    # elsewhere, so one dot of all stage states with zeros tests them: a
-    # sum would overflow on finite values.
-    states_flat, zeros = state_view.reshape(-1), np.zeros(state_view.size)
+    # elsewhere, so one dot of every stage and stage state with zeros tests
+    # them: a sum would overflow on finite values.
+    stages_flat, zeros = view[1:14].reshape(-1), np.zeros(13 * 2 * n)
     # Accepted steps: start times, sizes, and start states and stages as rows.
     starts, sizes = [], []
     history = np.empty((32, 8, n), dtype=complex)
@@ -162,15 +160,15 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
     # and in a trial step far past the stability limit.
     with np.errstate(over="ignore", invalid="ignore"):
         store = system.kernel()
-        store(z0, rows[1])
-        abs_y = np.abs(y)
+        store(z0, buf[1])
+        abs_z0 = np.abs(y)
         # The first trial step from the problem's scale (see the module docstring).
-        np.multiply(abs_y, rel_tol, out=scale)
-        scale += abs_tol
-        size = float(np.maximum.reduce(abs_y / scale))
-        rate = float(np.maximum.reduce(np.abs(rows[1]) / scale))
+        scale = abs_z0 * rel_tol + abs_tol
+        size = float(np.maximum.reduce(abs_z0 / scale))
+        rate = float(np.maximum.reduce(np.abs(buf[1]) / scale))
         first = 0.01 * size / rate if rate > 0 else 0.0
         h = min(first if 0 < first < math.inf else INITIAL_STEP, t_end)
+        abs_y = abs_z0.tolist()
 
         while t < t_end:
             # A final step shorter than the floor only ends the interval.
@@ -183,18 +181,19 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
             for a, operands, state, z, row in stage_dots:
                 a.dot(operands, out=state)
                 store(z, row)
-            # The last stage state is the 5th-order solution (_TABLEAU row 6).
-            error_weights.dot(k, out=err)
-            np.abs(err_complex, out=err_abs)
-            np.maximum(abs_y, np.abs(y_new, out=abs_y_new), out=scale)
-            scale *= rel_tol
-            scale += abs_tol
-            err_abs /= scale
-            err_norm = float(np.maximum.reduce(err_abs))  # ndarray.max adds a wrapper
-            # A trial step whose stage states overflow is rejected as a NaN error
-            # estimate is.
-            if zeros.dot(states_flat) != 0:
-                err_norm = np.nan
+            error_weights.dot(k, out=err_row)
+            # A trial step with a non-finite stage or stage state is rejected as
+            # a NaN error norm is. A ratio is NaN only where |e_j| and the scale
+            # both overflow; the norm keeps that NaN, which max() would skip.
+            if zeros.dot(stages_flat) != 0:
+                err_norm = math.nan
+            else:
+                abs_y_new, abs_e = np.abs(new_and_err, out=moduli).tolist()
+                err_norm = 0.0
+                for e_j, y_j, new_j in zip(abs_e, abs_y, abs_y_new):
+                    ratio = e_j / ((y_j if y_j > new_j else new_j) * rel_tol + abs_tol)
+                    if ratio > err_norm or ratio != ratio:
+                        err_norm = ratio
 
             if err_norm <= 1.0:
                 if accepted == len(history):
@@ -206,8 +205,8 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
                 sizes.append(h_step)
                 t = t_end if final else t + h_step
                 y[:] = y_new
-                abs_y, abs_y_new = abs_y_new, abs_y
-                rows[1] = rows[7]
+                abs_y = abs_y_new
+                buf[1] = buf[7]
                 accepted += 1
                 min_step = min(min_step, h_step)
             else:
@@ -222,7 +221,7 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
     ends = t0 + hs
     steps, stats = history[:accepted], StepStats(accepted, rejected, min_step)
     if t_eval is None:
-        return Trajectory(np.append(0.0, ends), np.concatenate([steps[:, 0], rows[:1]]), meta=stats)
+        return Trajectory(np.append(0.0, ends), np.concatenate([steps[:, 0], buf[:1]]), meta=stats)
 
     y0s, ks = steps[:, 0].view(float), steps[:, 1:].view(float)
     y_s = np.empty((times.size, 2 * n))
@@ -233,7 +232,7 @@ def integrate(system, z0, t_end: float, *, t_eval=None) -> Trajectory:
         # b = _P @ (theta, theta^2, theta^3, theta^4) by Horner's rule.
         b = theta * (_P[:, 0] + theta * (_P[:, 1] + theta * (_P[:, 2] + theta * _P[:, 3])))
         y_s[s : s + block.size] = y0s[idx] + hs[idx, None] * np.einsum("sk,skd->sd", b, ks[idx])
-    y_s[times >= t_end] = row_view[0]
+    y_s[times >= t_end] = view[0]
     return Trajectory(times, y_s.view(complex), meta=stats)
 
 

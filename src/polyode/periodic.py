@@ -103,9 +103,9 @@ class PeriodicClosedForm:
     ``system`` is the complexified system it solves, which checks omega.
     ``a`` = K/(i*omega) and ``c`` = 1 - a are the circle's radius and
     centre, and ``q`` its winding number about the origin per base period.
-    min |g| over the circle is ||c| - |a||; a margin below
-    MIN_CIRCLE_MARGIN * (|a| + |c|) raises SingularBracket, which also
-    covers the cancellation in c = 1 - a at tiny omega.
+    min |g| over the circle is ||c| - |a||. A margin below
+    MIN_CIRCLE_MARGIN * (|a| + |c|), which covers the cancellation in
+    c = 1 - a at tiny omega, or an overflowing |a| + |c| raises SingularBracket.
     """
 
     instance: SolvableInstance
@@ -121,12 +121,21 @@ class PeriodicClosedForm:
         omega = system.omega
         a = self.instance.k / (1j * omega)
         c = 1 - a
-        margin = abs(abs(c) - abs(a))
-        if not margin >= MIN_CIRCLE_MARGIN * (abs(a) + abs(c)):
+        try:  # |a| overflows to inf, or in abs() itself.
+            radius, centre = abs(a), abs(c)
+        except OverflowError:
+            radius = centre = math.inf
+        if not radius + centre < math.inf:
+            raise SingularBracket(
+                f"bracket circle radius |K/omega| overflows at omega={omega!r}; "
+                "trajectory not globally defined"
+            )
+        margin = abs(centre - radius)
+        if not margin >= MIN_CIRCLE_MARGIN * (radius + centre):
             raise SingularBracket(
                 f"bracket circle passes within {margin:.3e} of 0; trajectory not globally defined"
             )
-        q = 0 if abs(c) > abs(a) else (1 if omega > 0 else -1)
+        q = 0 if centre > radius else (1 if omega > 0 else -1)
         for name, value in (("omega", omega), ("system", system), ("a", a), ("c", c), ("q", q)):
             object.__setattr__(self, name, value)
 

@@ -425,6 +425,27 @@ def test_a_bracket_circle_through_zero_is_singular(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omega", ["5e-324", "1e-310", "-1e-315", "4.2e-309"])
+@pytest.mark.parametrize("command", ["period", "periodize"])
+def test_a_tiny_omega_names_the_overflowing_radius(tmp_path, capsys, command, omega):
+    # K / (i omega) overflows: to inf, or at 4.2e-309 in its modulus alone.
+    # The margin would read inf - inf = NaN; the radius is named instead.
+    path = tmp_path / "instance.json"
+    write_instance_file(generate_random_instance(2, 3, 5), path)
+    out = tmp_path / "zeta.csv"
+    args = ["--instance", str(path), "--omega", omega]
+    if command == "periodize":
+        args += ["--out", str(out)]
+    assert main([command, *args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bracket circle radius |K/omega| overflows at omega={float(omega)!r}; "
+        "trajectory not globally defined\n"
+    )
+    assert not out.exists()
+
+
 def test_periodize_refuses_one_sample_past_the_grid_bound(tmp_path, capsys):
     # The grid holds samples + 1 times, so the largest count is MAX_SAMPLES - 1.
     path = tmp_path / "instance.json"

@@ -138,6 +138,15 @@ def reference_step_points(rhs, z0, t_end):
     return np.array(times), np.array(states).view(complex), accepted, rejected
 
 
+# Bracket circle radius a = K / (i omega), omega and the winding number q
+# of the periodic cases whose step points are pinned.
+PERIODIC_CASES = [(0.3, 1.0, 0), (0.3, -0.7, 0), (2.0, 1.0, 1), (2.0, -0.7, -1)]
+
+
+def periodic_case(a, omega):
+    return PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
+
+
 def proposition_t_end(instance):
     t_star = blow_up_time(ClosedFormSolution.from_instance(instance))
     return 0.8 * min(t_star if t_star is not None else 1.0, 1.0)
@@ -170,6 +179,19 @@ def rotated(instance, theta):
         exponents=system.exponents,
     )
     return spun, instance.z0 * turn
+
+
+def rescaled(instance, exponent):
+    """The system and z0 of the instance scaled by 2^exponent: z0 -> 2^e z0
+    and every coefficient c -> c 2^(e (1 - M)), with K unchanged. Its
+    solution is the original one times 2^e, and powers of two make the
+    rescaling exact."""
+    system = instance.system
+    scaled = PolynomialSystem(
+        system.n, system.m, coeffs=system.coeffs * 2.0 ** (exponent * (1 - system.m)),
+        exponents=system.exponents,
+    )
+    return scaled, instance.z0 * 2.0**exponent
 
 
 def time_scaled(instance, scale):
@@ -258,8 +280,8 @@ class TestIntegrate:
             integrate(riccati_decay_system(), np.array([1, 0], dtype=complex), 1.0)
 
     def test_nan_error_estimate_shrinks_the_step(self, monkeypatch):
-        # k7 = rhs(y_new), each attempt's 6th call after the first k1, is not
-        # among the checked stage states; NaN there makes err_norm NaN. The
+        # k7 = rhs(y_new), each attempt's 6th call after the first k1, is NaN,
+        # so the finiteness test rejects every attempt as a NaN err_norm. The
         # step must shrink (x0.2 from the first step 0.01 |z0| / |k1| = 0.01,
         # 15 rejections) to StepUnderflow, not retry the same h until MAX_STEPS.
         monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
@@ -381,6 +403,38 @@ class TestIntegrate:
         assert traj.times.tolist() == [0.0, 0.2, 1.0]
         assert np.isfinite(traj.states).all()
 
+    @pytest.mark.parametrize("k7", [np.inf, np.nan, 1.7e308])
+    def test_a_step_whose_seventh_stage_alone_is_non_finite_is_rejected(self, k7):
+        # The first step is the window, h = 1, and its k7 = f(y_new), the 7th
+        # call, is inf, NaN or huge; k7 enters only the error estimate, so
+        # every stage state stays finite. Each value rejects that step with
+        # h shrunk by 0.2, then h = 0.2 and the final 0.8 are accepted. A NaN
+        # error estimate must not be skipped by the error norm's max.
+        system = RecordingSystem(
+            lambda z: np.full_like(z, k7 if len(system.states) == 7 else 1e-3)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(system, np.array([1 + 0j]), 1.0)
+        assert (traj.meta.accepted, traj.meta.rejected) == (2, 1)
+        assert traj.times.tolist() == [0.0, 0.2, 1.0]
+        assert traj.states.ravel().tolist() == [1, 1.0002000000000002, 1.0010000000000001]
+
+    def test_a_step_whose_error_and_scale_moduli_both_overflow_is_rejected(self):
+        # Every stage, stage state and the error estimate are finite, but
+        # |e| and |y_new| exceed the largest double, so the error ratio is
+        # inf / inf = NaN. The first step is 0.01 |z0| / |k1| = 100, the
+        # window; it is rejected as a NaN error norm is, then h = 20 and the
+        # final 80 are accepted: every later stage is k1, and the error
+        # weights sum to 0.
+        system = RecordingSystem(
+            lambda z: np.full_like(z, (5.2e307 if len(system.states) == 7 else 1.27e304) * (1 + 1j))
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(system, np.array([1.27e308 * (1 + 1j)]), 100.0)
+        assert (traj.meta.accepted, traj.meta.rejected) == (2, 1)
+        assert traj.times.tolist() == [0.0, 20.0, 100.0]
+        assert np.isfinite(traj.states).all()
+
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_first_rhs_warns_nothing(self):
         # f(z0) overflows at M = 3 before any step; the steps then shrink
@@ -457,14 +511,25 @@ class TestIntegrate:
                 monkeypatch, instance.system, instance.z0, proposition_t_end(instance)
             )
 
-    @pytest.mark.parametrize(
-        "a,omega,q", [(0.3, 1.0, 0), (0.3, -0.7, 0), (2.0, 1.0, 1), (2.0, -0.7, -1)]
-    )
+    @pytest.mark.parametrize("exponent", [-40, -10, 20, 60])
+    @pytest.mark.parametrize("cell", sorted(RECORDED_STEPS))
+    def test_rescaled_step_points_match_reference_loop_bit_for_bit(self, monkeypatch, cell, exponent):
+        # z0 times 2^e solves the system with coefficients times 2^(e(1 - M))
+        # exactly. e = -40 and -10 put the states where ABS_TOL dominates the
+        # error test's scale, e = 20 and 60 far past the O(1) of the draws.
+        for seed in range(5):
+            instance = generate_random_instance(*cell, seed)
+            system, z0 = rescaled(instance, exponent)
+            self.assert_matches_reference_loop(
+                monkeypatch, system, z0, proposition_t_end(instance)
+            )
+
+    @pytest.mark.parametrize("a,omega,q", PERIODIC_CASES)
     def test_periodic_step_points_match_reference_loop_bit_for_bit(self, monkeypatch, a, omega, q):
         # One base period of the rotated RHS, whose components turn at
         # omega / (M - 1); the bracket circle's radius a = K / (i omega)
         # sets the winding number q.
-        pcf = PeriodicClosedForm(_instance_with_k(1j * omega * a), omega)
+        pcf = periodic_case(a, omega)
         assert pcf.q == q
         self.assert_matches_reference_loop(
             monkeypatch, pcf.system, pcf.instance.z0, pcf.base_period
@@ -716,21 +781,21 @@ def test_relabelling_the_variables(n, m, seed, data):
         assert verify_instance(other, t_end, 64) <= MAX_DEVIATION
 
 
-def us_per_step(instance, repeats=20):
-    """Microseconds per accepted step of ``step_counts``'s integration of
-    ``instance``'s system: the fastest of ``repeats`` runs."""
-    system, z0, t_end = instance.system, instance.z0, proposition_t_end(instance)
-    times = np.linspace(0.0, t_end, 64)
-    run = lambda: integrate(system, z0, t_end, t_eval=times)
-    best = min(timeit.repeat(run, number=1, repeat=repeats))
-    return 1e6 * best / run().meta.accepted
+def us_per_step(system, z0, t_end, t_eval=None, repeats=20):
+    """Microseconds per accepted step of integrating ``system`` from z0 to
+    t_end, one entry per run of ``repeats``."""
+    run = lambda: integrate(system, z0, t_end, t_eval=t_eval)
+    steps = run().meta.accepted
+    return [1e6 * seconds / steps for seconds in timeit.repeat(run, number=1, repeat=repeats)]
 
 
 if __name__ == "__main__":
     # Prints RECORDED_STEPS as the integrator counts them now, for a
-    # deliberate re-record, then the median time per accepted step of each
-    # cell's 20 instances through the system's kernel: one DP5 step as a
-    # layer.
+    # deliberate re-record, then the time per accepted step through the
+    # system's kernel: one DP5 step as a layer. A cell's figure is the
+    # median over its 20 instances of the fastest of 20 runs of
+    # ``step_counts``'s integration; a periodic case's is the median of 20
+    # runs over one base period.
     # python tests/test_oracle.py (with src on the path).
     print("RECORDED_STEPS = {")
     for cell in sorted(RECORDED_STEPS):
@@ -742,5 +807,14 @@ if __name__ == "__main__":
     print("}")
     print("# median us per accepted step through the system's kernel")
     for cell in sorted(RECORDED_STEPS):
-        per_step = [us_per_step(generate_random_instance(*cell, seed)) for seed in range(20)]
+        per_step = []
+        for seed in range(20):
+            instance = generate_random_instance(*cell, seed)
+            t_end = proposition_t_end(instance)
+            times = np.linspace(0.0, t_end, 64)
+            per_step.append(min(us_per_step(instance.system, instance.z0, t_end, times)))
         print(f"# {cell}: {np.median(per_step):6.2f}")
+    for a, omega, q in PERIODIC_CASES:
+        pcf = periodic_case(a, omega)
+        per_step = us_per_step(pcf.system, pcf.instance.z0, pcf.base_period)
+        print(f"# periodic a={a}, omega={omega}, q={q}: {np.median(per_step):6.2f}")
